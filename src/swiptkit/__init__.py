@@ -60,9 +60,7 @@ from .harvester import (
     PowerDataset,
     canonical_curve,
     canonical_model,
-    eval_eh,
     fit_eh,
-    model_c_eval,
     onoff_delivered,
     optimal_pon,
     pon_approx,

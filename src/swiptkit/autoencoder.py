@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import ChannelSpec, monte_carlo
 from .codebook import Codebook, codebook_min_dist
 from .constellation import Constellation
 
@@ -41,20 +42,6 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
 
 def _init_mlp(sizes: list[int], rng) -> MlpParams:
     ws, bs = [], []
@@ -71,8 +58,10 @@ def mlp_forward(net: MlpParams, x: np.ndarray):
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.tanh(z)
+        h = h @ w.T   # then in place: one (B, width) array per layer
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
@@ -201,6 +190,8 @@ class TrainConfig:
             raise ValueError("pd_floor must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
     def to_json(self) -> dict:
         return {"lambda": self.lambda_, "n": self.n,
@@ -226,10 +217,12 @@ class AeSystem:
     final_loss: float | None = None
 
     def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for net in self.encoders + self.decoders:
-            out.extend(net.arrays())
-        return out
+        return _flat((net.weights, net.biases) for net in self.encoders + self.decoders)
+
+
+def _flat(pairs) -> list[np.ndarray]:
+    """[w0, b0, w1, b1, ...] of (weights, biases) list pairs, in order."""
+    return [a for ws, bs in pairs for w, b in zip(ws, bs) for a in (w, b)]
 
 
 def _rng_children(seed: int):
@@ -429,12 +422,8 @@ def train(sys: AeSystem):
             raise TrainDivergedError(it, trace[:it])
         trace[it] = (loss, parts.xent, parts.power)
 
-        grads = []
-        for g_w, g_b in enc_grads + dec_grads:
-            for w, b in zip(g_w, g_b):
-                grads.extend([w, b])
         t = it + 1
-        for p, g, ms, vs in zip(params, grads, m_state, v_state):
+        for p, g, ms, vs in zip(params, _flat(enc_grads + dec_grads), m_state, v_state):
             ms *= beta1
             ms += (1 - beta1) * g
             vs *= beta2
@@ -443,7 +432,7 @@ def train(sys: AeSystem):
             v_hat = vs / (1 - beta2 ** t)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    sys.final_loss = float(trace[-1, 0]) if cfg.iterations else None
+    sys.final_loss = float(trace[-1, 0])
     return sys, trace
 
 
@@ -482,25 +471,35 @@ def make_decoder(sys: AeSystem, receiver: int = 0, stream: int = 0):
     return decide
 
 
-def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0) -> np.ndarray:
-    """Monte Carlo message error rate per stream under the trained decoders."""
-    topo, n = sys.topology, sys.config.n
-    rng = np.random.default_rng(seed)
-    errors = np.zeros(topo.k, dtype=int)
-    done = 0
-    codebooks = [encode_all(sys, tx) for tx in range(topo.n_tx)]
-    while done < trials:
-        bsz = min(50_000, trials - done)
-        msgs = sample_messages(topo, rng, bsz)
-        noises = sample_noises(topo, rng, bsz, n)
-        xc = [codebooks[tx][_batch_rows(topo, msgs, tx)] for tx in range(topo.n_tx)]
-        for r, y in enumerate(compose_received(topo, xc, noises)):
-            logits, _ = mlp_forward(sys.decoders[r], _to_real(y))
-            for off, m_j, stream in topo.rx_segments(r):
-                dec = np.argmax(logits[:, off:off + m_j], axis=1)
-                errors[stream] += int(np.sum(dec != msgs[:, stream]))
-        done += bsz
-    return errors / trials
+def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0, harvester=None,
+                 snr: float | None = None, p_a_uw: float | None = None):
+    """Monte Carlo message error rate per stream under the trained decoders.
+
+    Receiver r is scored by the channel's sampler on its joint received
+    codebook (every message combination, row-major), seeded ``seed + r``, at
+    noise variance P_a/SNR: its own, or ``p_a_uw``/``snr`` when given. With a
+    harvester, returns (SER, P_d averaged over the receivers).
+    """
+    topo = sys.topology
+    combos = np.indices(topo.m_list).reshape(topo.k, -1).T
+    xc = [encode_all(sys, tx)[_batch_rows(topo, combos, tx)] for tx in range(topo.n_tx)]
+    errors, pds = np.zeros(topo.k, dtype=int), []
+    for r, cw in enumerate(compose_received(topo, xc, [0.0] * topo.n_rx)):
+        spec = ChannelSpec(snr=topo.snrs[r] if snr is None else snr,
+                           p_a_uw=topo.p_a_uw if p_a_uw is None else p_a_uw, seed=seed + r)
+        streams = [(s, make_decoder(sys, r, s)) for _, _, s in topo.rx_segments(r)]
+
+        def count(msg, y, streams=streams):
+            truth, out = np.unravel_index(msg, topo.m_list), np.zeros(topo.k, dtype=int)
+            for s, decide in streams:
+                out[s] = np.count_nonzero(decide(y) != truth[s])
+            return out
+
+        err, pd = monte_carlo(cw, spec, trials, count, harvester)
+        errors += err
+        pds.append(pd)
+    ser = errors / trials
+    return ser if harvester is None else (ser, float(np.mean(pds)))
 
 
 def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
@@ -514,10 +513,7 @@ def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
     noises = sample_noises(topo, rng, batch_size, cfg.n)
 
     _, enc_grads, dec_grads, _ = composite_loss(sys, msgs, noises)
-    analytic = []
-    for g_w, g_b in enc_grads + dec_grads:
-        for w, b in zip(g_w, g_b):
-            analytic.extend([w, b])
+    analytic = _flat(enc_grads + dec_grads)
 
     params = sys.param_arrays()
     max_rel = 0.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -60,6 +60,7 @@ class SerResult:
     trials: int
     errors: int
     degenerate: bool = False
+    pd_uw: float | None = None
 
 
 def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
@@ -90,57 +91,77 @@ def _chunk_rngs(seed: int, trials: int):
     return [(np.random.default_rng(c), s) for c, s in zip(children, sizes)]
 
 
+def sample_channel(cw: np.ndarray, spec: ChannelSpec, trials: int):
+    """The one draw of messages and noise: per chunk, uniform row indices of
+    the codeword matrix ``cw`` (M, n) and their AWGN samples."""
+    for rng, size in _chunk_rngs(spec.seed, trials):
+        msg = rng.integers(0, cw.shape[0], size)
+        yield msg, awgn(cw[msg], spec, rng)
+
+
+def monte_carlo(cw: np.ndarray, spec: ChannelSpec, trials: int, errors=None,
+                harvester=None):
+    """Sum of ``errors(msg, y)`` over one pass of the sampler (0 without it)
+    and the mean harvested power per symbol of the same samples (or None)."""
+    if trials < 1000:
+        raise ValueError("trials must be >= 1000")
+    f = None if harvester is None else _harvest_fn(harvester)
+    total, sums = 0, []
+    for msg, y in sample_channel(cw, spec, trials):
+        if errors is not None:
+            total += errors(msg, y)
+        if f is not None:
+            sums.append(float(np.sum(np.asarray(f(np.abs(y) ** 2)))))
+    return total, None if f is None else math.fsum(sums) / (trials * cw.shape[1])
+
+
+def ml_decoder(cw: np.ndarray):
+    """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c> in (B, M) memory."""
+    c = np.hstack([cw.real, cw.imag])
+    c_sq = np.sum(c * c, axis=1)
+
+    def decide(y: np.ndarray) -> np.ndarray:
+        d = np.hstack([y.real, y.imag]) @ c.T
+        d *= -2.0
+        d += c_sq
+        return np.argmin(d, axis=1)
+
+    return decide
+
+
+def point_seed(seed: int, i: int) -> int:
+    """Seed of point ``i`` of a sweep: an independent substream per point."""
+    return int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+
+
 def binomial_ci(ser: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)
 
 
-def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None) -> SerResult:
+def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None,
+           harvester=None) -> SerResult:
     """Symbol (message) error rate by Monte Carlo.
 
-    Uniform messages, AWGN, minimum-distance decoding (ML under AWGN); pass
-    a decoder network to use max-softmax decisions instead. A fully
-    degenerate design (all codewords identical) short-circuits to the
-    expected error rate with a flag.
+    Uniform messages, AWGN, minimum-distance decoding (ML under AWGN) or the
+    max-softmax decisions of a ``decoder``; with a harvester, ``pd_uw`` is the
+    delivered power of the same samples. A fully degenerate design (all
+    codewords identical) is not decoded: it reports the expected error rate.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
     cw = design_codewords(design)
     m = cw.shape[0]
-    if m >= 2:
-        spread = np.max(np.abs(cw - cw[0]))
-        if spread == 0.0:
-            ser = (m - 1) / m
-            return SerResult(ser, binomial_ci(ser, trials), trials,
-                             int(round(ser * trials)), degenerate=True)
-
-    errors = 0
-    for rng, size in _chunk_rngs(spec.seed, trials):
-        msg = rng.integers(0, m, size)
-        y = awgn(cw[msg], spec, rng)
-        if decoder is None:
-            # |y - c|^2 minimized; expanding avoids the (B, M, n) tensor
-            d = (np.abs(y[:, None, :] - cw[None, :, :]) ** 2).sum(axis=2)
-            dec = np.argmin(d, axis=1)
-        else:
-            dec = decoder(y)
-        errors += int(np.sum(dec != msg))
-    ser = errors / trials
-    return SerResult(ser, binomial_ci(ser, trials), trials, errors)
+    degenerate = m >= 2 and bool(np.all(cw == cw[0]))
+    decide = decoder or ml_decoder(cw)
+    count = None if degenerate else lambda msg, y: int(np.count_nonzero(decide(y) != msg))
+    errors, pd = monte_carlo(cw, spec, trials, count, harvester)
+    ser = (m - 1) / m if degenerate else errors / trials
+    if degenerate:
+        errors = int(round(ser * trials))
+    return SerResult(ser, binomial_ci(ser, trials), trials, errors, degenerate, pd)
 
 
 def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> float:
     """Mean harvested power per symbol over AWGN trials."""
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    cw = design_codewords(design)
-    m, n = cw.shape
-    f = _harvest_fn(harvester)
-    sums = []
-    for rng, size in _chunk_rngs(spec.seed, trials):
-        msg = rng.integers(0, m, size)
-        y = awgn(cw[msg], spec, rng)
-        sums.append(float(np.sum(np.asarray(f(np.abs(y) ** 2)))))
-    return math.fsum(sums) / (trials * n)
+    return monte_carlo(design_codewords(design), spec, trials, harvester=harvester)[1]
 
 
 def delivered_power_noiseless(design, harvester) -> float:
@@ -162,12 +183,9 @@ def rp_sweep(designer, controls, spec: ChannelSpec, harvester,
         raise ValueError("controls must be nonempty")
     rows = []
     for i, c in enumerate(controls):
-        design = designer(c)
-        pt_seed = np.random.SeedSequence((spec.seed, i)).generate_state(1)[0]
-        pt_spec = ChannelSpec(snr=spec.snr, p_a_uw=spec.p_a_uw, seed=int(pt_seed))
-        res = ser_mc(design, pt_spec, trials)
-        pd = delivered_power_mc(design, pt_spec, harvester, trials)
-        rows.append(TradeoffPoint(control=float(c), ser=res.ser, pd_uw=pd,
+        pt_spec = replace(spec, seed=point_seed(spec.seed, i))
+        res = ser_mc(designer(c), pt_spec, trials, harvester=harvester)
+        rows.append(TradeoffPoint(control=float(c), ser=res.ser, pd_uw=res.pd_uw,
                                   ci_halfwidth=res.ci_halfwidth))
     return rows
 

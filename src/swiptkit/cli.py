@@ -24,16 +24,17 @@ from .autoencoder import (
     TrainConfig,
     TrainDivergedError,
     build_system,
+    evaluate_ser,
     extract_design,
     load_system,
-    make_decoder,
-    save_system,
     train,
     write_trace_csv,
 )
 from .channel import (
     ChannelSpec,
-    delivered_power_mc,
+    TradeoffPoint,
+    binomial_ci,
+    point_seed,
     rp_sweep,
     ser_mc,
     write_sweep_csv,
@@ -45,6 +46,7 @@ from .harvester import (
     FitDivergedError,
     FitHyper,
     PowerDataset,
+    canonical_model,
     fit_eh,
     optimal_pon,
     pon_approx,
@@ -245,10 +247,7 @@ def cmd_sweep(args) -> int:
                 "eh": "", "systems": "", "candidate_cap": 1_000_000}
     _apply_config(args, defaults, "sweep")
     params = {k: getattr(args, k) for k in defaults}
-    harvester = _load_harvester(args.eh) if args.eh else None
-    if harvester is None:
-        from .harvester import canonical_model
-        harvester = canonical_model()
+    harvester = _load_harvester(args.eh) if args.eh else canonical_model()
     spec = ChannelSpec(snr=args.snr, p_a_uw=args.pa, seed=args.seed)
 
     if args.designer == "algorithmic":
@@ -271,14 +270,11 @@ def cmd_sweep(args) -> int:
         points = []
         for i, path in enumerate(paths):
             system = load_system(path)
-            design = extract_design(system)[0]
-            pt_seed = int(np.random.SeedSequence((args.seed, i)).generate_state(1)[0])
-            pt_spec = ChannelSpec(snr=args.snr, p_a_uw=args.pa, seed=pt_seed)
-            res = ser_mc(design, pt_spec, args.trials, decoder=make_decoder(system))
-            pd = delivered_power_mc(design, pt_spec, harvester, args.trials)
-            from .channel import TradeoffPoint
-            points.append(TradeoffPoint(control=system.config.lambda_, ser=res.ser,
-                                        pd_uw=pd, ci_halfwidth=res.ci_halfwidth))
+            ser, pd = evaluate_ser(system, args.trials, seed=point_seed(args.seed, i),
+                                   harvester=harvester, snr=args.snr, p_a_uw=args.pa)
+            ser = float(np.mean(ser))   # the row reports the mean over streams
+            points.append(TradeoffPoint(system.config.lambda_, ser, pd,
+                                        binomial_ci(ser, args.trials)))
     else:
         print(f"sweep: unknown designer {args.designer!r}", file=_sys.stderr)
         return EXIT_USAGE
@@ -295,14 +291,14 @@ def cmd_simulate(args) -> int:
     _apply_config(args, defaults, "simulate")
     params = {k: getattr(args, k) for k in defaults} | {"design": args.design}
     design = _load_design(args.design)
+    harvester = _load_harvester(args.eh) if args.eh else None
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
-    res = ser_mc(design, spec, args.trials)
+    res = ser_mc(design, spec, args.trials, harvester=harvester)
     payload = {"ser": res.ser, "ci_halfwidth": res.ci_halfwidth,
                "trials": args.trials, "snr": args.snr, "seed": args.seed,
                "degenerate": res.degenerate}
-    if args.eh:
-        harvester = _load_harvester(args.eh)
-        payload["pd_uw"] = delivered_power_mc(design, spec, harvester, args.trials)
+    if harvester is not None:
+        payload["pd_uw"] = res.pd_uw
     _attach_meta(payload, params, args.seed)
     if args.output:
         _write_json(args.output, payload)

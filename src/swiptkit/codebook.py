@@ -62,6 +62,7 @@ class Codebook:
             "p_a_uw": self.p_a_uw,
             "rho": rho,
             "dmin_sq": None if math.isinf(self.achieved_dmin_sq) else self.achieved_dmin_sq,
+            "converged": self.converged,
             "base_points": [[float(p.real), float(p.imag)] for p in self.base_points],
             "codewords": [
                 {
@@ -79,7 +80,8 @@ class Codebook:
         dmin = d.get("dmin_sq")
         return cls(base_points=base, codeword_indices=idx, m=int(d["m"]),
                    n=int(d["n"]), p_a_uw=float(d["p_a_uw"]), rho=d["rho"],
-                   achieved_dmin_sq=math.inf if dmin is None else float(dmin))
+                   achieved_dmin_sq=math.inf if dmin is None else float(dmin),
+                   converged=bool(d.get("converged", True)))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")

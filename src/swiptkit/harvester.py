@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import expit
 
 
 class FitDivergedError(RuntimeError):
@@ -53,25 +54,24 @@ class ModelC:
     @property
     def omega(self) -> float:
         # in (0,1); cancels the sigmoid's nonzero value at zero input
-        return 1.0 / (1.0 + np.exp(self.a * self.b))
+        return float(expit(-self.a * self.b))
 
     def evaluate(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)
         om = self.omega
-        psi = self.ls / (1.0 + np.exp(-self.a * (p - self.b)))
+        # far below the inflection exp overflows to inf and psi is exactly 0;
+        # ls * expit(.) would round differently from this form
+        with np.errstate(over="ignore"):
+            psi = self.ls / (1.0 + np.exp(-self.a * (p - self.b)))
         out = (psi - self.ls * om) / (1.0 - om)
         return out if out.ndim else float(out)
 
     def derivative(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)
-        e = np.exp(-self.a * (p - self.b))
+        # the logistic's slope is even in a(p - b), so exp(-|.|) never overflows
+        e = np.exp(-np.abs(self.a * (p - self.b)))
         out = (self.ls * self.a * e / (1.0 + e) ** 2) / (1.0 - self.omega)
         return out if out.ndim else float(out)
-
-
-def model_c_eval(model: ModelC, p_in) -> np.ndarray | float:
-    """Evaluate the sigmoidal model; exact formula, no clipping needed."""
-    return model.evaluate(p_in)
 
 
 # Canonical synthetic harvester: saturation 40 uW, inflection 300 uW, and the
@@ -192,9 +192,7 @@ class EhModel:
             raise ValueError("scales must be positive")
 
     def _raw(self, z: np.ndarray) -> np.ndarray:
-        a1 = np.tanh(np.outer(z, self.w1[:, 0]) + self.b1)
-        a2 = np.tanh(a1 @ self.w2.T + self.b2)
-        return np.tanh(a2 @ self.w3.T + self.b3)[:, 0]
+        return _eh_forward(self.params(), z)[0]
 
     def evaluate(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)
@@ -208,10 +206,7 @@ class EhModel:
         """d(evaluate)/d(p_in); zero in the clipped region."""
         p = _require_finite(p_in)
         z = np.atleast_1d(p) / self.input_scale
-        a1 = np.tanh(np.outer(z, self.w1[:, 0]) + self.b1)
-        a2 = np.tanh(a1 @ self.w2.T + self.b2)
-        u = a2 @ self.w3.T + self.b3
-        f = np.tanh(u)[:, 0]
+        f, a1, a2 = _eh_forward(self.params(), z)
         # chain rule through the three tanh layers
         du = (1.0 - f ** 2)[:, None] * self.w3            # (m, 2)
         da1 = (du * (1.0 - a2 ** 2)) @ self.w2            # (m, 3)
@@ -250,11 +245,6 @@ class EhModel:
     @classmethod
     def load(cls, path) -> "EhModel":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def eval_eh(model: EhModel, p_in) -> np.ndarray | float:
-    """Harvested power for instantaneous input power, clipped at zero."""
-    return model.evaluate(p_in)
 
 
 @dataclass

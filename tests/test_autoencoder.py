@@ -254,3 +254,16 @@ def test_lambda_large_single_symbol_migrates():
     st, _ = sk.train(sk.build_system(topo, cfg, harvester=eh))
     mods = np.abs(sk.extract_design(st)[0].points)
     assert int((mods > math.sqrt(32 * 5.0) / 2).sum()) == 1
+
+
+def test_evaluate_ser_p2p_is_the_channel_path(canon):
+    # one sampler: a P2P system scores exactly as its extracted design under
+    # ser_mc with the system's decoder, SER and P_d alike
+    st = small_system(m_list=(8,), snrs=(20.0,), pa=60.0, seed=4)
+    ser, pd = sk.evaluate_ser(st, 20_000, seed=31, harvester=canon)
+    res = sk.ser_mc(sk.extract_design(st)[0],
+                    sk.ChannelSpec(snr=20.0, p_a_uw=60.0, seed=31), 20_000,
+                    decoder=sk.make_decoder(st), harvester=canon)
+    assert ser.tolist() == [res.ser] and pd == res.pd_uw
+    assert np.array_equal(sk.evaluate_ser(st, 20_000, seed=31), ser)
+

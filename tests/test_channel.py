@@ -201,3 +201,27 @@ def test_sweep_csv_format(tmp_path, canon):
     assert lines[0] == "# meta=1"
     assert lines[1] == "control,ser,ci,pd_uw,snr_db,trials,seed"
     assert len(lines) == 4
+
+
+def test_ser_mc_reports_pd_of_the_same_samples(canon):
+    design = sk.swipt_transform(sk.layout_info(16, 120.0), 0.5, sk.pon_approx(120.0))
+    spec = sk.ChannelSpec(snr=50.0, p_a_uw=120.0, seed=17)
+    res = sk.ser_mc(design, spec, 150_000, harvester=canon)
+    assert res.pd_uw == sk.delivered_power_mc(design, spec, canon, 150_000)
+    assert res.ser == sk.ser_mc(design, spec, 150_000).ser
+    assert sk.ser_mc(design, spec, 1000).pd_uw is None
+
+
+def test_ser_mc_decoder_memory_is_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    cw = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    tracemalloc.start()
+    try:
+        sk.ser_mc(cw, sk.ChannelSpec(snr=10.0, p_a_uw=2.0, seed=1), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (100000, 64, 4) complex distance tensor alone would be 410 MB
+    assert peak < 150e6

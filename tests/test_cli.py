@@ -183,3 +183,38 @@ def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_train_zero_iterations_is_usage_error(tmp_path, capsys):
+    rc = run(["train", "--topology", "p2p", "--m", 4, "--iters", 0,
+              "-o", tmp_path / "z.json"])
+    assert rc == 2
+    assert "iterations must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "z.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["mac", "bc"])
+def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
+    # a single-user reading of these systems gives SER 0.057 (MAC) and 0.94
+    # (BC), against per-stream rates of about 0.002
+    sys_path = tmp_path / f"{kind}.json"
+    rc = run(["train", "--topology", kind, "--m", "4,4", "--n", 1, "--pa", 100,
+              "--snr", "50" if kind == "mac" else "50,50", "--lam", 0,
+              "--iters", 300, "--lr", 3e-3, "--seed", 2, "-o", sys_path])
+    assert rc == 0
+    out = tmp_path / "s.csv"
+    trials = 40_000
+    rc = run(["sweep", "--designer", "learned", "--systems", sys_path, "--pa", 100,
+              "--snr", 50, "--trials", trials, "--seed", 4, "-o", out])
+    assert rc == 0
+    row = out.read_text().splitlines()[2].split(",")
+    cli_ser, cli_pd = float(row[1]), float(row[3])
+    ser, pd = sk.evaluate_ser(sk.load_system(sys_path), trials, seed=99,
+                              harvester=sk.canonical_model())
+    ref = float(ser.mean())
+    sd = np.sqrt(2.0 * max(cli_ser, ref) * (1.0 - min(cli_ser, ref)) / trials)
+    assert abs(cli_ser - ref) <= 3.0 * sd + 1e-6
+    if kind == "mac":
+        # the two transmitters add up to 200 uW, past the harvester's turn-on;
+        # the BC's 100 uW gets its P_d from rare noise peaks only
+        assert cli_pd == pytest.approx(pd, rel=0.1)

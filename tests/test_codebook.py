@@ -196,3 +196,15 @@ def test_decode_low_noise_error_free():
     res = sk.ser_mc(code, spec, 100_000,
                     decoder=lambda y: decode_onoff_block_many(y, code))
     assert res.ser < 1e-3
+
+
+def test_codebook_json_keeps_converged(tmp_path):
+    cb = sk.build_info_codebook(4, 2, 1.0, sk.GreedyConfig(seed=1))
+    assert cb.to_json()["converged"] is True
+    cb.converged = False
+    path = tmp_path / "cb.json"
+    cb.save(path)
+    assert sk.Codebook.load(path).converged is False
+    legacy = cb.to_json()
+    del legacy["converged"]
+    assert sk.Codebook.from_json(legacy).converged is True

@@ -7,20 +7,38 @@ from swiptkit.harvester import eh_loss_and_grad
 
 def test_model_c_zero_input_is_zero():
     m = sk.ModelC(a=0.01, b=300.0, ls=40.0)
-    assert sk.model_c_eval(m, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert m.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_model_c_saturation():
     m = sk.ModelC(a=0.05, b=200.0, ls=40.0)
     p = m.b + 20.0 / m.a
-    assert abs(sk.model_c_eval(m, p) - m.ls) <= 1e-6 * m.ls
+    assert abs(m.evaluate(p) - m.ls) <= 1e-6 * m.ls
 
 
 def test_model_c_midpoint():
     m = sk.ModelC(a=0.02, b=150.0, ls=30.0)
     om = m.omega
     expect = m.ls * (0.5 - om) / (1.0 - om)
-    assert sk.model_c_eval(m, m.b) == pytest.approx(expect, rel=1e-12)
+    assert m.evaluate(m.b) == pytest.approx(expect, rel=1e-12)
+
+
+def test_model_c_no_overflow_at_large_steepness():
+    # a*b = 1000 > 709: exp(a*b) would overflow (warnings are errors here)
+    m = sk.ModelC(a=1.0, b=1000.0, ls=1.0)
+    assert m.evaluate(10.0) == 0.0 and m.evaluate(0.0) == 0.0
+    assert m.derivative(10.0) == 0.0
+    assert m.evaluate(1000.0) == pytest.approx(0.5, rel=1e-12)
+    assert m.derivative(1000.0) == pytest.approx(0.25, rel=1e-12)
+    p = np.array([0.0, 10.0, 990.0, 1000.0, 1010.0, 5000.0])
+    assert np.all(np.isfinite(m.evaluate(p))) and np.all(np.isfinite(m.derivative(p)))
+
+
+def test_model_c_derivative_matches_finite_difference(canon):
+    p = np.array([1.0, 150.0, 299.0, 317.0, 450.0, 900.0])
+    h = 1e-4
+    fd = (canon.evaluate(p + h) - canon.evaluate(p - h)) / (2 * h)
+    assert np.allclose(canon.derivative(p), fd, rtol=1e-6, atol=1e-12)
 
 
 def test_model_c_range_and_monotone():
@@ -95,9 +113,9 @@ def test_eval_eh_zero_offset_and_clip():
                        w2=rng.normal(size=(2, 3)), b2=rng.normal(size=2),
                        w3=rng.normal(size=(1, 2)), b3=rng.normal(size=1),
                        input_scale=500.0, power_scale=30.0)
-        assert sk.eval_eh(m, 0.0) == 0.0
+        assert m.evaluate(0.0) == 0.0
         p = rng.uniform(0.0, 1000.0, 1000)
-        assert np.all(np.asarray(sk.eval_eh(m, p)) >= 0.0)
+        assert np.all(np.asarray(m.evaluate(p)) >= 0.0)
 
 
 def test_eval_eh_rejects_nonfinite():
@@ -105,7 +123,7 @@ def test_eval_eh_rejects_nonfinite():
                    b2=np.zeros(2), w3=np.ones((1, 2)), b3=np.zeros(1),
                    input_scale=1.0, power_scale=1.0)
     with pytest.raises(ValueError):
-        sk.eval_eh(m, np.inf)
+        m.evaluate(np.inf)
 
 
 def test_fit_reaches_canonical_curve(canonical_fit, canon):

@@ -5,7 +5,6 @@ learned modulation, and Monte Carlo link evaluation.
 
 from .autoencoder import (
     AeSystem,
-    MlpParams,
     Topology,
     TrainConfig,
     TrainDivergedError,
@@ -66,5 +65,6 @@ from .harvester import (
     pon_approx,
     synth_dataset,
 )
+from .nn import MlpParams
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .autoencoder import (
     evaluate_ser,
     extract_design,
     load_system,
+    system_to_json,
     train,
     write_trace_csv,
 )
@@ -139,7 +140,7 @@ def _p_star(pa: float, eh_path: str | None) -> float:
 
 def cmd_fit_eh(args) -> int:
     defaults = {"points": 2000, "pmax": 2000.0, "noise_rel": 0.0, "seed": 0,
-                "lr": 2.0, "epochs": 30000, "init_scale": 1.0, "data": ""}
+                "epochs": 30000, "init_scale": 1.0, "data": ""}
     _apply_config(args, defaults, "fit-eh")
     params = {k: getattr(args, k) for k in defaults} | {"synthetic": args.synthetic}
 
@@ -152,8 +153,7 @@ def cmd_fit_eh(args) -> int:
         print("fit-eh: need --synthetic or --data", file=_sys.stderr)
         return EXIT_USAGE
 
-    hyper = FitHyper(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-                     init_scale=args.init_scale)
+    hyper = FitHyper(epochs=args.epochs, seed=args.seed, init_scale=args.init_scale)
     model = fit_eh(data, hyper)
     payload = _attach_meta(model.to_json(), params, args.seed)
     _write_json(args.output, payload)
@@ -220,7 +220,6 @@ def cmd_train(args) -> int:
         print(f"train: diverged at iteration {err.iteration}", file=_sys.stderr)
         return EXIT_NUMERIC
 
-    from .autoencoder import system_to_json
     payload = _attach_meta(system_to_json(trained), params, args.seed)
     _write_json(args.output, payload)
     if args.trace:
@@ -327,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--pmax", type=float, default=None)
     fe.add_argument("--noise-rel", dest="noise_rel", type=float, default=None)
     fe.add_argument("--seed", type=int, default=None)
-    fe.add_argument("--lr", type=float, default=None)
-    fe.add_argument("--epochs", type=int, default=None)
+    fe.add_argument("--epochs", type=int, default=None, help="max L-BFGS iterations")
     fe.add_argument("--init-scale", dest="init_scale", type=float, default=None)
     fe.set_defaults(func=cmd_fit_eh)
 

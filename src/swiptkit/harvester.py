@@ -1,5 +1,5 @@
-"""Energy-harvester models: a tiny tanh regression network, the sigmoidal
-saturation model, a canonical synthetic curve, and On-Off signalling analysis.
+"""Energy-harvester models: a tanh regression network fitted by L-BFGS-B, the
+sigmoidal saturation model, a canonical synthetic curve, and On-Off analysis.
 
 All powers are in uW, amplitudes in sqrt(uW).
 """
@@ -13,15 +13,17 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.special import expit
+
+from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack
 
 
 class FitDivergedError(RuntimeError):
     """Raised when the regression loss goes non-finite."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"fit diverged (non-finite loss) at epoch {epoch}")
+        super().__init__(f"fit diverged (non-finite loss) at iteration {epoch}")
         self.epoch = epoch
 
 
@@ -153,6 +155,8 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+    if not p_max > 0.1:
+        raise ValueError(f"p_max must exceed the grid's lowest power 0.1 uW, got {p_max}")
     grid = np.logspace(np.log10(0.1), np.log10(p_max), n_points - 1)
     p_in = np.concatenate([[0.0], grid])
     p_out = np.asarray(canonical_curve(p_in), dtype=float)
@@ -165,6 +169,19 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
 # ---------------------------------------------------------------------------
 # learned parametric model (3-2-1 tanh network on normalized power)
 # ---------------------------------------------------------------------------
+
+# (field, shape) of the 1-3-2-1 net's parameters, in the core's flat order
+_EH_SHAPES = (("w1", (3, 1)), ("b1", (3,)), ("w2", (2, 3)),
+              ("b2", (2,)), ("w3", (1, 2)), ("b3", (1,)))
+
+
+def _eh_head(net: MlpParams, p: np.ndarray, scale: float):
+    """(f, activations) of the tanh head on [p.ravel(); 0] / scale; f[-1] is f(0)."""
+    x = np.append(p, 0.0)[:, None]
+    x /= scale   # in place: no second copy of a large input
+    h, acts = mlp_forward(net, x)
+    return np.tanh(h[:, 0], out=h[:, 0]), acts   # backward never reads h
+
 
 @dataclass
 class EhModel:
@@ -184,60 +201,45 @@ class EhModel:
     rmse: float | None = None
 
     def __post_init__(self):
-        for name, shape in (("w1", (3, 1)), ("b1", (3,)), ("w2", (2, 3)),
-                            ("b2", (2,)), ("w3", (1, 2)), ("b3", (1,))):
+        for name, shape in _EH_SHAPES:
             arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
             setattr(self, name, arr)
         if not (self.input_scale > 0 and self.power_scale > 0):
             raise ValueError("scales must be positive")
 
-    def _raw(self, z: np.ndarray) -> np.ndarray:
-        return _eh_forward(self.params(), z)[0]
+    @property
+    def net(self) -> MlpParams:
+        return MlpParams(weights=[self.w1, self.w2, self.w3],
+                         biases=[self.b1, self.b2, self.b3])
 
     def evaluate(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)
-        z = np.atleast_1d(p) / self.input_scale
-        raw = self._raw(z)
-        raw0 = self._raw(np.zeros(1))[0]
-        out = self.power_scale * np.maximum(0.0, raw - raw0)
+        f = _eh_head(self.net, p, self.input_scale)[0]
+        out = self.power_scale * np.maximum(0.0, f[:-1] - f[-1])
         return out.reshape(p.shape) if p.ndim else float(out[0])
 
     def derivative(self, p_in) -> np.ndarray | float:
         """d(evaluate)/d(p_in); zero in the clipped region."""
         p = _require_finite(p_in)
-        z = np.atleast_1d(p) / self.input_scale
-        f, a1, a2 = _eh_forward(self.params(), z)
-        # chain rule through the three tanh layers
-        du = (1.0 - f ** 2)[:, None] * self.w3            # (m, 2)
-        da1 = (du * (1.0 - a2 ** 2)) @ self.w2            # (m, 3)
-        dz = ((da1 * (1.0 - a1 ** 2)) * self.w1[:, 0]).sum(axis=1)
-        raw0 = self._raw(np.zeros(1))[0]
-        active = (f - raw0) > 0
-        out = np.where(active, dz, 0.0) * self.power_scale / self.input_scale
+        net = self.net
+        f, acts = _eh_head(net, p, self.input_scale)
+        _, _, dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None])
+        active = (f[:-1] - f[-1]) > 0
+        out = np.where(active, dz[:-1, 0], 0.0) * self.power_scale / self.input_scale
         return out.reshape(p.shape) if p.ndim else float(out[0])
 
-    def params(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
     def to_json(self) -> dict:
-        d = {
-            "w1": self.w1.tolist(), "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(), "b2": self.b2.tolist(),
-            "w3": self.w3.tolist(), "b3": self.b3.tolist(),
-            "input_scale": self.input_scale, "power_scale": self.power_scale,
-        }
+        d = {name: getattr(self, name).tolist() for name, _ in _EH_SHAPES}
+        d.update(input_scale=self.input_scale, power_scale=self.power_scale)
         if self.rmse is not None:
             d["rmse"] = self.rmse
         return d
 
     @classmethod
     def from_json(cls, d: dict) -> "EhModel":
-        return cls(w1=np.array(d["w1"]), b1=np.array(d["b1"]),
-                   w2=np.array(d["w2"]), b2=np.array(d["b2"]),
-                   w3=np.array(d["w3"]), b3=np.array(d["b3"]),
+        return cls(**{name: np.array(d[name]) for name, _ in _EH_SHAPES},
                    input_scale=float(d["input_scale"]),
-                   power_scale=float(d["power_scale"]),
-                   rmse=d.get("rmse"))
+                   power_scale=float(d["power_scale"]), rmse=d.get("rmse"))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
@@ -249,58 +251,33 @@ class EhModel:
 
 @dataclass
 class FitHyper:
-    learning_rate: float = 2.0
-    epochs: int = 30000
+    epochs: int = 30000   # max L-BFGS-B iterations
     seed: int = 0
     init_scale: float = 1.0
 
-
-def _eh_forward(params: list[np.ndarray], z: np.ndarray):
-    w1, b1, w2, b2, w3, b3 = params
-    a1 = np.tanh(np.outer(z, w1[:, 0]) + b1)
-    a2 = np.tanh(a1 @ w2.T + b2)
-    f = np.tanh(a2 @ w3.T + b3)[:, 0]
-    return f, a1, a2
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
-def eh_loss_and_grad(params: list[np.ndarray], z: np.ndarray, targets: np.ndarray):
+def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     """Mean squared error of the zero-offset-corrected network on normalized
-    data, with analytic gradients for all six parameter arrays.
+    data, and its gradient as one vector in :func:`pack` order.
     """
-    w1, b1, w2, b2, w3, b3 = params
     m = z.size
-    f, a1, a2 = _eh_forward(params, z)
-    f0, a10, a20 = _eh_forward(params, np.zeros(1))
-    r = (f - f0[0]) - targets
+    f, acts = _eh_head(net, z, 1.0)
+    r = (f[:-1] - f[-1]) - targets
     loss = float(np.mean(r ** 2))
-
-    du = (2.0 * r / m) * (1.0 - f ** 2)
-    g_w3 = du[None, :] @ a2
-    g_b3 = np.array([du.sum()])
-    da2 = np.outer(du, w3[0]) * (1.0 - a2 ** 2)
-    g_w2 = da2.T @ a1
-    g_b2 = da2.sum(axis=0)
-    da1 = da2 @ w2 * (1.0 - a1 ** 2)
-    g_w1 = (da1 * z[:, None]).sum(axis=0)[:, None]
-    g_b1 = da1.sum(axis=0)
-
-    # the subtracted f(0) branch shares every parameter; its input is fixed 0,
-    # so w1 only contributes through the bias path
-    w0 = -(2.0 * r / m).sum()
-    du0 = w0 * (1.0 - f0 ** 2)
-    g_w3 += du0[None, :] @ a20
-    g_b3 += du0.sum()
-    da20 = np.outer(du0, w3[0]) * (1.0 - a20 ** 2)
-    g_w2 += da20.T @ a10
-    g_b2 += da20.sum(axis=0)
-    da10 = da20 @ w2 * (1.0 - a10 ** 2)
-    g_b1 += da10.sum(axis=0)
-
-    return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
+    d_r = 2.0 * r / m
+    # the subtracted zero-input row shares every parameter
+    d_f = np.append(d_r, -d_r.sum())
+    g_w, g_b, _ = mlp_backward(net, acts, (d_f * (1.0 - f ** 2))[:, None])
+    return loss, np.concatenate(flat([(g_w, g_b)]), axis=None)
 
 
 def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
-    """Fit the tanh network to a power dataset by full-batch gradient descent.
+    """Fit the tanh network to a power dataset by L-BFGS-B on its flat
+    parameter vector, at scipy's default tolerances.
 
     Inputs are normalized by the largest input power; targets are scaled into
     [0, 0.9] so the tanh head can reach them. Deterministic per seed.
@@ -319,18 +296,22 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
 
     rng = np.random.default_rng(hyper.seed)
     s = hyper.init_scale
-    params = [rng.uniform(-s, s, (3, 1)), rng.uniform(-s, s, 3),
-              rng.uniform(-s, s, (2, 3)), rng.uniform(-s, s, 2),
-              rng.uniform(-s, s, (1, 2)), rng.uniform(-s, s, 1)]
+    w1, b1, w2, b2, w3, b3 = (rng.uniform(-s, s, shape) for _, shape in _EH_SHAPES)
+    net = MlpParams(weights=[w1, w2, w3], biases=[b1, b2, b3])
+    theta = pack([net])
 
-    for epoch in range(hyper.epochs):
-        loss, grads = eh_loss_and_grad(params, z, targets)
-        if not np.isfinite(loss):
-            raise FitDivergedError(epoch)
-        for p, g in zip(params, grads):
-            p -= hyper.learning_rate * g
+    def loss_at(x):
+        theta[:] = x
+        return eh_loss_and_grad(net, z, targets)
 
-    model = EhModel(*params, input_scale=input_scale, power_scale=power_scale)
+    res = minimize(loss_at, theta.copy(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": hyper.epochs})
+    if not np.isfinite(res.fun):
+        raise FitDivergedError(res.nit)
+    theta[:] = res.x
+
+    model = EhModel(*flat([(net.weights, net.biases)]), input_scale=input_scale,
+                    power_scale=power_scale)
     resid = np.asarray(model.evaluate(data.p_in)) - data.p_out
     model.rmse = float(np.sqrt(np.mean(resid ** 2)))
     return model

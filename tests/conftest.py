@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import swiptkit as sk
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
 def canonical_fit():
     """Production-quality fit of the tanh harvester on noiseless canonical data.
 
-    Expensive (~10 s); shared by the harvester tests and the acceptance suite.
+    About 0.1 s (L-BFGS-B); shared by the harvester tests and the acceptance
+    suite.
     """
     data = sk.synth_dataset(2000, p_max=2000.0, noise_rel=0.0, seed=7)
     return sk.fit_eh(data)

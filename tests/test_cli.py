@@ -47,6 +47,23 @@ def test_fit_eh_needs_source(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_fit_eh_nonpositive_epochs_is_usage_error(tmp_path, capsys, epochs):
+    out = tmp_path / "x.json"
+    rc = run(["fit-eh", "--synthetic", "--points", 200, "--epochs", epochs, "-o", out])
+    assert rc == 2
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_eh_pmax_below_grid_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run(["fit-eh", "--synthetic", "--pmax", -1, "-o", out])
+    assert rc == 2
+    assert "p_max must exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_constellation_m_on_fingerprint(tmp_path, capsys):
     out = tmp_path / "d.json"
     rc = run(["design", "--m", 32, "--n", 1, "--pa", 5, "--rho", 1,

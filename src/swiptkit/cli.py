@@ -281,6 +281,10 @@ def cmd_sweep(args) -> int:
     snr_db = 10.0 * math.log10(args.snr)
     write_sweep_csv(args.output, points, snr_db, args.trials, args.seed,
                     _meta_comment(params, args.seed))
+    if all(pt.pd_uw == 0.0 for pt in points):
+        print(f"sweep: every row delivers 0 uW: P_a = {args.pa:g} uW lies below the "
+              "harvester's turn-on, so the sweep shows no rate-power tradeoff",
+              file=_sys.stderr)
     print(f"sweep: {len(points)} rows -> {args.output}")
     return EXIT_OK
 
@@ -339,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--eh", default=None, help="fitted harvester JSON for p_on*")
     de.add_argument("--p-star", dest="p_star", type=float, default=None)
     de.add_argument("--seed", type=int, default=None)
-    de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=None)
+    de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=None,
+                    help="codeword candidates the greedy search draws from (default "
+                         "1000000; at M=64, n=3 the default takes about 13 s)")
     de.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     de.set_defaults(func=cmd_design)
 

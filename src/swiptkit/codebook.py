@@ -123,6 +123,9 @@ def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
     return allrows
 
 
+_CHUNK_ROWS = 8192   # distance rows per chunk: a cache size, not a setting
+
+
 def _greedy_pass(cand_real: np.ndarray, d_min: float, start: int,
                  max_select: int) -> list[int]:
     """One greedy selection pass: filter survivors at squared distance
@@ -130,22 +133,48 @@ def _greedy_pass(cand_real: np.ndarray, d_min: float, start: int,
 
     ``cand_real`` packs each candidate's symbols as interleaved re/im, so
     the squared Euclidean distance is a plain row dot product.
+
+    Each step computes the distances to the last pick in chunks of
+    ``_CHUNK_ROWS`` rows through one reused buffer, so no full-size
+    difference matrix is formed. Filtered rows are marked dead in a mask
+    and get distance inf; the active set is compacted only once fewer than
+    half of its rows survive.
+
+    The picks are exact: every row's distance is the same row-wise einsum
+    over the same values as a pass that compacts every step, and masks
+    keep row order, so argmin breaks ties on the same candidate.
     """
     active = cand_real
     active_idx = np.arange(len(cand_real))
+    alive = np.ones(len(active), dtype=bool)
+    d = np.empty(len(active))
+    width = active.shape[1]
+    chunk = min(_CHUNK_ROWS, len(active))
+    diff = np.empty((chunk, width))
     selected = [start]
     v = cand_real[start]
     while len(selected) < max_select:
-        diff = active - v
-        d = np.einsum("ij,ij->i", diff, diff)
-        keep = d >= d_min
-        active = active[keep]
-        active_idx = active_idx[keep]
-        if active_idx.size == 0:
+        v_tiled = np.tile(v, chunk)
+        for lo in range(0, len(active), chunk):
+            rows = min(chunk, len(active) - lo)
+            part = diff[:rows]
+            np.subtract(active[lo:lo + rows].reshape(-1), v_tiled[:rows * width],
+                        out=part.reshape(-1))
+            d_part = np.einsum("ij,ij->i", part, part, out=d[lo:lo + rows])
+            alive[lo:lo + rows] &= d_part >= d_min
+        n_alive = np.count_nonzero(alive)
+        if n_alive == 0:
             break
-        pick = int(np.argmin(d[keep]))
+        np.copyto(d, np.inf, where=~alive)
+        pick = int(np.argmin(d))
+        if d[pick] == np.inf:   # every survivor's distance overflowed
+            pick = int(np.argmax(alive))
         selected.append(int(active_idx[pick]))
         v = active[pick]
+        if 2 * n_alive < len(active):
+            active, active_idx = active[alive], active_idx[alive]
+            alive = np.ones(n_alive, dtype=bool)
+            d = np.empty(n_alive)
     return selected
 
 

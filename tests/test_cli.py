@@ -163,6 +163,26 @@ def test_sweep_rows_and_idempotency(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("pa, warned", [(5, True), (100, False)])
+def test_sweep_warns_below_turn_on(tmp_path, canonical_fit, capsys, pa, warned):
+    eh = tmp_path / "eh.json"
+    canonical_fit.save(eh)
+    out = tmp_path / "s.csv"
+    rc = run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1, "--pa", pa,
+              "--snr", 50, "--trials", 1000, "--rho-grid", "0:1:3", "--seed", 4,
+              "--eh", eh, "-o", out])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"sweep: 3 rows -> {out}\n"
+    pds = [float(row.split(",")[3]) for row in out.read_text().splitlines()[2:]]
+    assert (max(pds) == 0.0) == warned
+    if warned:
+        assert captured.err.count("\n") == 1
+        assert "below the harvester's turn-on" in captured.err
+    else:
+        assert captured.err == ""
+
+
 def test_sweep_empty_grid(tmp_path):
     rc = run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1,
               "--pa", 5, "--snr", 50, "--trials", 1000, "--rho-grid", "",

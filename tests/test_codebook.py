@@ -1,11 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import i0e
 
 import swiptkit as sk
-from swiptkit.codebook import decode_onoff_block_many
+from swiptkit import codebook
+from swiptkit.codebook import _greedy_pass, decode_onoff_block_many
 
 
 def test_build_m2_n1_example():
@@ -105,6 +110,110 @@ def test_codebook_json_roundtrip(tmp_path):
     assert np.array_equal(back.codeword_indices, cb.codeword_indices)
     assert np.allclose(back.base_points, cb.base_points, rtol=0, atol=0)
     assert back.achieved_dmin_sq == pytest.approx(cb.achieved_dmin_sq)
+
+
+# ---------------------------------------------------------------------------
+# greedy pass against a reference that compacts every step
+# ---------------------------------------------------------------------------
+
+def _greedy_pass_reference(cand_real, d_min, start, max_select):
+    """Straightforward pass: full difference matrix and a compacted copy of
+    the survivors at every step.
+    """
+    active = cand_real
+    active_idx = np.arange(len(cand_real))
+    selected = [start]
+    v = cand_real[start]
+    while len(selected) < max_select:
+        diff = active - v
+        d = np.einsum("ij,ij->i", diff, diff)
+        keep = d >= d_min
+        active = active[keep]
+        active_idx = active_idx[keep]
+        if active_idx.size == 0:
+            break
+        pick = int(np.argmin(d[keep]))
+        selected.append(int(active_idx[pick]))
+        v = active[pick]
+    return selected
+
+
+SMALL_CHUNK = 16   # chunk boundaries at a size hypothesis can draw cheaply
+
+
+@st.composite
+def greedy_cases(draw):
+    """Candidate sets, thresholds and pass lengths for the greedy pass.
+
+    Rows come from a pool of distinct rows, so small pools repeat rows and
+    make ties; integer rows make exact distance ties between distinct rows.
+    The threshold filters nothing, everything, or a quantile of the first
+    step's distances, which makes compaction start mid-pass.
+    """
+    c = SMALL_CHUNK
+    rows = draw(st.sampled_from([1, 2, 3, c - 1, c, c + 1, 2 * c - 1, 2 * c,
+                                 2 * c + 1, 7 * c + 5]))
+    width = draw(st.sampled_from([2, 4, 6]))
+    pool = draw(st.integers(1, 2 * rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(pool, width)).astype(float)
+    else:
+        points = rng.standard_normal((pool, width))
+    cand = points[rng.integers(pool, size=rows)]
+    start = draw(st.integers(0, rows - 1))
+    first = np.sum((cand - cand[start]) ** 2, axis=1)
+    kind = draw(st.sampled_from(["nothing", "everything", "quantile"]))
+    if kind == "nothing":
+        d_min = 0.0
+    elif kind == "everything":
+        d_min = float(first.max()) + 1.0
+    else:
+        d_min = float(np.quantile(first, draw(st.floats(0.05, 0.95))))
+    max_select = draw(st.sampled_from([1, 2, 17, 65]))
+    return cand, d_min, start, max_select
+
+
+@given(greedy_cases())
+def test_greedy_pass_matches_reference(case):
+    with mock.patch.object(codebook, "_CHUNK_ROWS", SMALL_CHUNK):
+        assert _greedy_pass(*case) == _greedy_pass_reference(*case)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_greedy_pass_matches_reference_at_chunk_length(chunks, offset):
+    # half as many distinct rows as candidates, so duplicates tie
+    rows = chunks * codebook._CHUNK_ROWS + offset
+    rng = np.random.default_rng(rows)
+    cand = rng.standard_normal((rows // 2, 6))[rng.integers(rows // 2, size=rows)]
+    first = np.sum((cand - cand[0]) ** 2, axis=1)
+    d_min = float(np.quantile(first, 0.05))
+    assert _greedy_pass(cand, d_min, 0, 65) == _greedy_pass_reference(cand, d_min, 0, 65)
+
+
+def test_greedy_pass_overflowed_distances_match_reference():
+    # every distance between distinct rows overflows to inf; both passes
+    # then take the first survivor
+    rng = np.random.default_rng(9)
+    cand = 1e200 * rng.integers(-2, 3, size=(40, 4)).astype(float)
+    with np.errstate(over="ignore"):
+        for d_min in (0.0, 1.0, np.inf):
+            assert (_greedy_pass(cand, d_min, 3, 10)
+                    == _greedy_pass_reference(cand, d_min, 3, 10))
+
+
+@pytest.mark.parametrize("d_min", [0.5, 3.0, 8.0])
+def test_greedy_pass_memory_is_bounded(d_min):
+    cand = np.random.default_rng(0).standard_normal((200_000, 6))
+    tracemalloc.start()
+    try:
+        _greedy_pass(cand, d_min, 0, max_select=65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full (N, 6) difference matrix alone is 1.0x cand.nbytes
+    assert peak < 1.5 * cand.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .autoencoder import (
     gradient_check,
     load_system,
     make_decoder,
+    received_codebooks,
     save_system,
     train,
 )
@@ -24,6 +25,7 @@ from .channel import (
     SerResult,
     TradeoffPoint,
     awgn,
+    delivered_power,
     delivered_power_mc,
     delivered_power_noiseless,
     qam_reference,

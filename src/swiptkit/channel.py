@@ -1,5 +1,12 @@
-"""Monte Carlo link evaluation: AWGN sampling, ML and learned-decoder SER,
-delivered-power measurement, rate-power sweeps, and QAM references.
+"""Link evaluation: symbol error rate by Monte Carlo, delivered power by
+quadrature, rate-power sweeps, and QAM references.
+
+SER draws uniform messages and AWGN through one seeded sampler and decodes
+them by minimum distance (ML under AWGN) or by a learned decoder. A sweep
+draws each chunk once and decodes every point from it (common random
+numbers), so each row equals ``ser_mc`` of its design at the same seed.
+Delivered power is an expectation over a known density: per symbol, |c + w|
+is Rician, and P_d is computed by quadrature, independent of any trial count.
 
 SNR convention: snr = P_a / sigma^2 where sigma^2 is the total variance of
 the complex noise per symbol (so "SNR = 50" is 16.98 dB).
@@ -9,10 +16,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, i0e
 
 from .codebook import Codebook, OnOffBlockCode
 from .constellation import Constellation
@@ -60,7 +67,6 @@ class SerResult:
     trials: int
     errors: int
     degenerate: bool = False
-    pd_uw: float | None = None
 
 
 def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
@@ -91,77 +97,93 @@ def _chunk_rngs(seed: int, trials: int):
     return [(np.random.default_rng(c), s) for c, s in zip(children, sizes)]
 
 
-def sample_channel(cw: np.ndarray, spec: ChannelSpec, trials: int):
-    """The one draw of messages and noise: per chunk, uniform row indices of
-    the codeword matrix ``cw`` (M, n) and their AWGN samples."""
+def sample_channel(m: int, n: int, spec: ChannelSpec, trials: int):
+    """The one draw of messages and noise: per chunk, uniform indices into
+    M = ``m`` codewords and AWGN samples (size, ``n``). The received samples
+    of a codeword matrix ``cw`` are ``cw[msg] + w``."""
     for rng, size in _chunk_rngs(spec.seed, trials):
-        msg = rng.integers(0, cw.shape[0], size)
-        yield msg, awgn(cw[msg], spec, rng)
+        msg = rng.integers(0, m, size)
+        yield msg, awgn(np.zeros((size, n)), spec, rng)
 
 
-def monte_carlo(cw: np.ndarray, spec: ChannelSpec, trials: int, errors=None,
-                harvester=None):
-    """Sum of ``errors(msg, y)`` over one pass of the sampler (0 without it)
-    and the mean harvested power per symbol of the same samples (or None)."""
+def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) -> list:
+    """Per codeword matrix ``cws[p]`` (all of one shape), the sum of
+    ``stats[p](msg, y)`` over one pass of the sampler, where every matrix sees
+    the same messages and noise; a None statistic sums to 0 and is not run.
+    Chunk-outer, so memory stays at one chunk however many matrices there are.
+    """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    f = None if harvester is None else _harvest_fn(harvester)
-    total, sums = 0, []
-    for msg, y in sample_channel(cw, spec, trials):
-        if errors is not None:
-            total += errors(msg, y)
-        if f is not None:
-            sums.append(float(np.sum(np.asarray(f(np.abs(y) ** 2)))))
-    return total, None if f is None else math.fsum(sums) / (trials * cw.shape[1])
+    shapes = {cw.shape for cw in cws}
+    if len(shapes) != 1:
+        raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
+    totals = [0] * len(cws)
+    active = [(p, cw, stat) for p, (cw, stat) in enumerate(zip(cws, stats)) if stat is not None]
+    if active:
+        for msg, w in sample_channel(*shapes.pop(), spec, trials):
+            for p, cw, stat in active:
+                totals[p] += stat(msg, cw[msg] + w)
+    return totals
 
 
 def ml_decoder(cw: np.ndarray):
     """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c> in (B, M) memory."""
     c = np.hstack([cw.real, cw.imag])
     c_sq = np.sum(c * c, axis=1)
+    c_m2 = -2.0 * c.T   # scaling by a power of two is exact: d is as if scaled after
 
     def decide(y: np.ndarray) -> np.ndarray:
-        d = np.hstack([y.real, y.imag]) @ c.T
-        d *= -2.0
+        d = np.hstack([y.real, y.imag]) @ c_m2
         d += c_sq
         return np.argmin(d, axis=1)
 
     return decide
 
 
-def point_seed(seed: int, i: int) -> int:
-    """Seed of point ``i`` of a sweep: an independent substream per point."""
-    return int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-
-
 def binomial_ci(ser: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)
 
 
-def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None,
-           harvester=None) -> SerResult:
+def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int,
+                decoder=None) -> list[SerResult]:
+    """SER of every codeword matrix from one shared pass of the sampler. A
+    fully degenerate matrix (all codewords identical) is not decoded: it
+    reports the expected error rate (M-1)/M."""
+    degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
+
+    def counter(cw):
+        decide = decoder or ml_decoder(cw)
+        return lambda msg, y: int(np.count_nonzero(decide(y) != msg))
+
+    counts = monte_carlo(cws, spec, trials,
+                         [None if d else counter(cw) for cw, d in zip(cws, degenerate)])
+    out = []
+    for cw, d, errors in zip(cws, degenerate, counts):
+        m = cw.shape[0]
+        ser = (m - 1) / m if d else errors / trials
+        if d:
+            errors = int(round(ser * trials))
+        out.append(SerResult(ser, binomial_ci(ser, trials), trials, errors, d))
+    return out
+
+
+def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None) -> SerResult:
     """Symbol (message) error rate by Monte Carlo.
 
     Uniform messages, AWGN, minimum-distance decoding (ML under AWGN) or the
-    max-softmax decisions of a ``decoder``; with a harvester, ``pd_uw`` is the
-    delivered power of the same samples. A fully degenerate design (all
+    max-softmax decisions of a ``decoder``. A fully degenerate design (all
     codewords identical) is not decoded: it reports the expected error rate.
     """
-    cw = design_codewords(design)
-    m = cw.shape[0]
-    degenerate = m >= 2 and bool(np.all(cw == cw[0]))
-    decide = decoder or ml_decoder(cw)
-    count = None if degenerate else lambda msg, y: int(np.count_nonzero(decide(y) != msg))
-    errors, pd = monte_carlo(cw, spec, trials, count, harvester)
-    ser = (m - 1) / m if degenerate else errors / trials
-    if degenerate:
-        errors = int(round(ser * trials))
-    return SerResult(ser, binomial_ci(ser, trials), trials, errors, degenerate, pd)
+    return _ser_results([design_codewords(design)], spec, trials, decoder)[0]
 
 
 def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> float:
-    """Mean harvested power per symbol over AWGN trials."""
-    return monte_carlo(design_codewords(design), spec, trials, harvester=harvester)[1]
+    """Mean harvested power per symbol over AWGN trials: the Monte Carlo
+    reference for :func:`delivered_power`."""
+    cw = design_codewords(design)
+    f = _harvest_fn(harvester)
+    power = lambda msg, y: float(np.sum(np.asarray(f(np.abs(y) ** 2))))
+    return monte_carlo([cw], spec, trials, [power])[0] / (trials * cw.shape[1])
 
 
 def delivered_power_noiseless(design, harvester) -> float:
@@ -171,23 +193,55 @@ def delivered_power_noiseless(design, harvester) -> float:
     return float(np.mean(np.asarray(f(np.abs(cw) ** 2))))
 
 
+_PD_GRID = 4001      # quadrature nodes per amplitude, over +-12 noise deviations
+_PD_BLOCK = 64       # amplitudes per harvester call
+
+
+def delivered_power(design, spec: ChannelSpec, harvester) -> float:
+    """Mean harvested power per symbol under AWGN, by quadrature.
+
+    For each distinct |c|, |c + w| with w ~ CN(0, sigma^2) has the Rician
+    density 2r/s exp(-(r - |c|)^2/s) i0e(2r|c|/s) (s = sigma^2); f(r^2) is
+    integrated against it by the trapezoid rule on a fixed grid over
+    |c| +- 12 sigma, then averaged over messages and symbols. Noiseless, it
+    is :func:`delivered_power_noiseless`.
+    """
+    s = spec.sigma_sq
+    if s == 0.0:
+        return delivered_power_noiseless(design, harvester)
+    cw = design_codewords(design)
+    f = _harvest_fn(harvester)
+    amp, inv = np.unique(np.abs(cw), return_inverse=True)
+    half = 12.0 * math.sqrt(s)
+    t = np.linspace(0.0, 1.0, _PD_GRID)
+    e = np.empty(amp.size)
+    for k in range(0, amp.size, _PD_BLOCK):
+        a = amp[k:k + _PD_BLOCK, None]
+        lo = np.maximum(a - half, 0.0)
+        r = lo + (a + half - lo) * t
+        g = np.asarray(f(r * r)) * (2.0 * r / s) * np.exp(-(r - a) ** 2 / s) \
+            * i0e(2.0 * a * r / s)
+        e[k:k + _PD_BLOCK] = (r[:, 1] - r[:, 0]) * (g.sum(axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
+    return float(np.mean(e[inv]))
+
+
 def rp_sweep(designer, controls, spec: ChannelSpec, harvester,
              trials: int) -> list[TradeoffPoint]:
     """Evaluate (SER, delivered power) per control value, rows in order.
 
-    Each point gets independent substreams derived from the spec seed, so
-    the sweep is deterministic per (seed, trials).
+    Every point is decoded from the same draws of ``spec.seed`` (common
+    random numbers), so row i equals ``ser_mc`` of its design at the spec,
+    and its delivered power is :func:`delivered_power`. The designs must
+    share one (M, n) shape.
     """
     controls = list(controls)
     if not controls:
         raise ValueError("controls must be nonempty")
-    rows = []
-    for i, c in enumerate(controls):
-        pt_spec = replace(spec, seed=point_seed(spec.seed, i))
-        res = ser_mc(designer(c), pt_spec, trials, harvester=harvester)
-        rows.append(TradeoffPoint(control=float(c), ser=res.ser, pd_uw=res.pd_uw,
-                                  ci_halfwidth=res.ci_halfwidth))
-    return rows
+    cws = [design_codewords(designer(c)) for c in controls]
+    return [TradeoffPoint(control=float(c), ser=res.ser,
+                          pd_uw=delivered_power(cw, spec, harvester),
+                          ci_halfwidth=res.ci_halfwidth)
+            for c, cw, res in zip(controls, cws, _ser_results(cws, spec, trials))]
 
 
 def qam_reference(m: int, p_a_uw: float) -> Constellation:

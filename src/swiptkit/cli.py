@@ -27,6 +27,7 @@ from .autoencoder import (
     evaluate_ser,
     extract_design,
     load_system,
+    received_codebooks,
     system_to_json,
     train,
     write_trace_csv,
@@ -35,7 +36,7 @@ from .channel import (
     ChannelSpec,
     TradeoffPoint,
     binomial_ci,
-    point_seed,
+    delivered_power,
     rp_sweep,
     ser_mc,
     write_sweep_csv,
@@ -267,11 +268,13 @@ def cmd_sweep(args) -> int:
             print("sweep: --systems required for --designer learned", file=_sys.stderr)
             return EXIT_USAGE
         points = []
-        for i, path in enumerate(paths):
+        for path in paths:
             system = load_system(path)
-            ser, pd = evaluate_ser(system, args.trials, seed=point_seed(args.seed, i),
-                                   harvester=harvester, snr=args.snr, p_a_uw=args.pa)
-            ser = float(np.mean(ser))   # the row reports the mean over streams
+            # the row reports the mean over streams, and P_d averaged over receivers
+            ser = float(np.mean(evaluate_ser(system, args.trials, seed=args.seed,
+                                             snr=args.snr, p_a_uw=args.pa)))
+            pd = float(np.mean([delivered_power(cw, spec, harvester)
+                                for cw in received_codebooks(system)]))
             points.append(TradeoffPoint(system.config.lambda_, ser, pd,
                                         binomial_ci(ser, args.trials)))
     else:
@@ -281,27 +284,31 @@ def cmd_sweep(args) -> int:
     snr_db = 10.0 * math.log10(args.snr)
     write_sweep_csv(args.output, points, snr_db, args.trials, args.seed,
                     _meta_comment(params, args.seed))
-    if all(pt.pd_uw == 0.0 for pt in points):
-        print(f"sweep: every row delivers 0 uW: P_a = {args.pa:g} uW lies below the "
-              "harvester's turn-on, so the sweep shows no rate-power tradeoff",
-              file=_sys.stderr)
+    # below turn-on: every row delivers next to nothing against the saturation
+    saturation = float(harvester.evaluate(1e6))
+    if all(pt.pd_uw < 1e-6 * saturation for pt in points):
+        print(f"sweep: every row delivers less than 1e-6 of saturation: "
+              f"P_a = {args.pa:g} uW lies below the harvester's turn-on, so the sweep shows no "
+              "rate-power tradeoff", file=_sys.stderr)
     print(f"sweep: {len(points)} rows -> {args.output}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    """SER of one design file by Monte Carlo at ``--seed``; with ``--eh``,
+    also its delivered power by quadrature (independent of ``--trials``)."""
     defaults = {"snr": 50.0, "trials": 100_000, "seed": 0, "eh": ""}
     _apply_config(args, defaults, "simulate")
     params = {k: getattr(args, k) for k in defaults} | {"design": args.design}
     design = _load_design(args.design)
     harvester = _load_harvester(args.eh) if args.eh else None
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
-    res = ser_mc(design, spec, args.trials, harvester=harvester)
+    res = ser_mc(design, spec, args.trials)
     payload = {"ser": res.ser, "ci_halfwidth": res.ci_halfwidth,
                "trials": args.trials, "snr": args.snr, "seed": args.seed,
                "degenerate": res.degenerate}
     if harvester is not None:
-        payload["pd_uw"] = res.pd_uw
+        payload["pd_uw"] = delivered_power(design, spec, harvester)
     _attach_meta(payload, params, args.seed)
     if args.output:
         _write_json(args.output, payload)
@@ -375,8 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n", type=int, default=None)
     sw.add_argument("--pa", type=float, default=None)
     sw.add_argument("--snr", type=float, default=None)
-    sw.add_argument("--trials", type=int, default=None)
-    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--trials", type=int, default=None,
+                    help="Monte Carlo trials per row for the SER (default 100000); "
+                         "P_d is computed by quadrature and does not depend on it")
+    sw.add_argument("--seed", type=int, default=None,
+                    help="seed of the draws every row is decoded from (default 0); "
+                         "learned receiver r uses seed + r")
     sw.add_argument("--rho-grid", dest="rho_grid", default=None,
                     help="start:stop:count or comma list")
     sw.add_argument("--eh", default=None)

@@ -138,6 +138,23 @@ def test_gradient_check_through_fitted_harvester(canonical_fit):
     sysm = small_system(lam=1.0, pa=300.0, harvester=canonical_fit, seed=11)
     report = sk.gradient_check(sysm, batch_size=5)
     assert report["max_rel_err"] < 1e-4
+    assert report["n_skipped"] < report["n_params"]
+
+
+def test_gradient_check_skips_stencils_across_the_pd_floor():
+    # put the first batch sample's P_d just above pd_floor, so a stencil that
+    # lowers it crosses the floor's kink: those parameters are skipped, the
+    # decoder's (which never move P_d) are still checked
+    eh = sk.ModelC(a=0.02, b=100.0, ls=40.0)
+    sysm = small_system(lam=1.0, pa=60.0, harvester=eh, seed=3)
+    rng = np.random.default_rng(123)   # gradient_check's batch
+    msgs = sample_messages(sysm.topology, rng, 5)
+    noises = sample_noises(sysm.topology, rng, 5, 1)
+    y = sk.encode_all(sysm)[msgs[:, 0]] + noises[0]
+    sysm.config.pd_floor = float(eh.evaluate(np.abs(y[0]) ** 2).mean()) * (1 - 1e-9)
+    report = sk.gradient_check(sysm, batch_size=5)
+    assert 0 < report["n_skipped"] < report["n_params"]
+    assert report["max_rel_err"] < 1e-4
 
 
 def test_loss_deterministic_for_fixed_inputs():
@@ -257,12 +274,12 @@ def test_lambda_large_single_symbol_migrates():
 
 def test_evaluate_ser_p2p_is_the_channel_path(canon):
     # one sampler: a P2P system scores exactly as its extracted design under
-    # ser_mc with the system's decoder, SER and P_d alike
+    # ser_mc with the system's decoder; its received codebook is that design
     st = small_system(m_list=(8,), snrs=(20.0,), pa=60.0, seed=4)
-    ser, pd = sk.evaluate_ser(st, 20_000, seed=31, harvester=canon)
-    res = sk.ser_mc(sk.extract_design(st)[0],
-                    sk.ChannelSpec(snr=20.0, p_a_uw=60.0, seed=31), 20_000,
-                    decoder=sk.make_decoder(st), harvester=canon)
-    assert ser.tolist() == [res.ser] and pd == res.pd_uw
-    assert np.array_equal(sk.evaluate_ser(st, 20_000, seed=31), ser)
-
+    ser = sk.evaluate_ser(st, 20_000, seed=31)
+    design = sk.extract_design(st)[0]
+    spec = sk.ChannelSpec(snr=20.0, p_a_uw=60.0, seed=31)
+    res = sk.ser_mc(design, spec, 20_000, decoder=sk.make_decoder(st))
+    assert ser.tolist() == [res.ser]
+    (cw,) = sk.received_codebooks(st)
+    assert sk.delivered_power(cw, spec, canon) == sk.delivered_power(design, spec, canon)

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swiptkit as sk
+from swiptkit.channel import ml_decoder, monte_carlo
 
 
 def test_awgn_zero_noise_identity():
@@ -204,12 +206,17 @@ def test_sweep_csv_format(tmp_path, canon):
 
 
 def test_ser_mc_reports_pd_of_the_same_samples(canon):
+    # the SER pass counts errors only; the Monte Carlo P_d reference sums the
+    # harvester over the very samples ser_mc decodes, from one pass
     design = sk.swipt_transform(sk.layout_info(16, 120.0), 0.5, sk.pon_approx(120.0))
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=120.0, seed=17)
-    res = sk.ser_mc(design, spec, 150_000, harvester=canon)
-    assert res.pd_uw == sk.delivered_power_mc(design, spec, canon, 150_000)
-    assert res.ser == sk.ser_mc(design, spec, 150_000).ser
-    assert sk.ser_mc(design, spec, 1000).pd_uw is None
+    cw = design.points.reshape(-1, 1)
+    errors, power = monte_carlo(
+        [cw, cw], spec, 150_000,
+        [lambda msg, y: int(np.count_nonzero(ml_decoder(cw)(y) != msg)),
+         lambda msg, y: float(np.sum(canon.evaluate(np.abs(y) ** 2)))])
+    assert errors == sk.ser_mc(design, spec, 150_000).errors
+    assert power / 150_000 == sk.delivered_power_mc(design, spec, canon, 150_000)
 
 
 def test_ser_mc_decoder_memory_is_bounded():
@@ -225,3 +232,95 @@ def test_ser_mc_decoder_memory_is_bounded():
         tracemalloc.stop()
     # a (100000, 64, 4) complex distance tensor alone would be 410 MB
     assert peak < 150e6
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "eh_fitted.json"
+
+
+@pytest.fixture(scope="module")
+def clipped():
+    """A fitted harvester with a clip: exactly 0 below its turn-on (~254 uW)."""
+    return sk.EhModel.load(FIXTURE)
+
+
+def _pd_cases(h):
+    pa = 100.0
+    p_on = sk.optimal_pon(pa, h)
+    cb = sk.build_info_codebook(16, 2, pa, sk.GreedyConfig(seed=1))
+    return [sk.swipt_transform(sk.layout_info(16, pa), 0.5, p_on),
+            sk.swipt_transform(sk.layout_info(16, pa), 1.0, p_on),
+            sk.swipt_codebook(cb, 0.5, p_on)]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["ring-rho0.5", "onoff-rho1", "greedy16x2"])
+def test_delivered_power_matches_monte_carlo(clipped, case):
+    design = _pd_cases(clipped)[case]
+    spec = sk.ChannelSpec(snr=50.0, p_a_uw=100.0, seed=40 + case)
+    trials = 2_000_000
+    exact = sk.delivered_power(design, spec, clipped)
+    mc = sk.delivered_power_mc(design, spec, clipped, trials)
+    # per-trial variance is at most the pooled per-symbol variance of f
+    second = sk.delivered_power_mc(design, spec,
+                                   lambda p: np.asarray(clipped.evaluate(p)) ** 2, trials)
+    se = math.sqrt(max(second - mc * mc, 0.0) / trials)
+    assert exact > 0.0
+    assert abs(exact - mc) <= 4.0 * se
+
+
+def test_delivered_power_is_zero_below_turn_on(clipped):
+    pa = 5.0
+    cb = sk.build_info_codebook(16, 2, pa, sk.GreedyConfig(seed=1))
+    spec = sk.ChannelSpec(snr=50.0, p_a_uw=pa)
+    for design in (sk.layout_info(16, pa), sk.swipt_codebook(cb, 0.5, 0.5)):
+        assert sk.delivered_power(design, spec, clipped) == 0.0
+    assert sk.delivered_power(sk.layout_info(16, 100.0),
+                              sk.ChannelSpec(snr=50.0, p_a_uw=100.0), clipped) > 0.0
+
+
+def test_delivered_power_noiseless_limit(clipped, canon):
+    spec = sk.ChannelSpec(snr=np.inf, p_a_uw=100.0)
+    for design in _pd_cases(clipped):
+        for h in (clipped, canon):
+            assert sk.delivered_power(design, spec, h) == sk.delivered_power_noiseless(design, h)
+
+
+def test_rp_sweep_rows_equal_single_design_runs(clipped):
+    pa, trials = 100.0, 30_000
+    base = sk.layout_info(8, pa)
+    flat_design = np.full(8, math.sqrt(pa), dtype=complex)   # degenerate: all codewords equal
+
+    def designer(rho):
+        return flat_design if rho == 1.0 else sk.swipt_transform(base, rho, 0.4)
+
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=pa, seed=23)
+    controls = [0.0, 0.3, 0.6, 1.0, 0.9]
+    rows = sk.rp_sweep(designer, controls, spec, clipped, trials)
+    for row, c in zip(rows, controls):
+        res = sk.ser_mc(designer(c), spec, trials)
+        assert row.control == c
+        assert (row.ser, row.ci_halfwidth) == (res.ser, res.ci_halfwidth)
+        assert row.pd_uw == sk.delivered_power(designer(c), spec, clipped)
+    assert rows[3].ser == 7 / 8 and rows[0].ser > 0.0
+
+
+def test_rp_sweep_rejects_mixed_shapes(canon):
+    spec = sk.ChannelSpec(snr=50.0, p_a_uw=5.0)
+    with pytest.raises(ValueError):
+        sk.rp_sweep(lambda m: sk.layout_info(int(m), 5.0), [4, 8], spec, canon, 1000)
+
+
+def test_rp_sweep_memory_is_one_chunk(clipped):
+    import tracemalloc
+
+    pa = 100.0
+    base = sk.layout_info(16, pa)
+    designer = lambda rho: sk.swipt_transform(base, rho, 0.3)
+    spec = sk.ChannelSpec(snr=50.0, p_a_uw=pa, seed=5)
+    tracemalloc.start()
+    try:
+        sk.rp_sweep(designer, list(np.linspace(0, 1, 11)), spec, clipped, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1M trials of noise alone are 16 MB, and their (1M, 16) decoder distances 128 MB
+    assert peak < 40e6

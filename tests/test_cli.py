@@ -183,6 +183,46 @@ def test_sweep_warns_below_turn_on(tmp_path, canonical_fit, capsys, pa, warned):
         assert captured.err == ""
 
 
+def test_sweep_warns_below_turn_on_without_eh(tmp_path, capsys):
+    # the canonical harvester gives 1e-32 to 1e-29 uW at P_a = 5, not exactly 0
+    out = tmp_path / "s.csv"
+    rc = run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1, "--pa", 5,
+              "--snr", 50, "--trials", 2000, "--rho-grid", "0:1:3", "--seed", 4,
+              "-o", out])
+    assert rc == 0
+    captured = capsys.readouterr()
+    pds = [float(row.split(",")[3]) for row in out.read_text().splitlines()[2:]]
+    assert 0.0 < max(pds) < 1e-20
+    assert captured.err.count("\n") == 1
+    assert "below the harvester's turn-on" in captured.err
+
+
+def test_sweep_pd_does_not_depend_on_trials(tmp_path):
+    cols = []
+    for trials in (2000, 5000):
+        out = tmp_path / f"s{trials}.csv"
+        assert run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1,
+                    "--pa", 100, "--snr", 50, "--trials", trials, "--rho-grid", "0:1:4",
+                    "--seed", 4, "-o", out]) == 0
+        cols.append([row.split(",")[3] for row in out.read_text().splitlines()[2:]])
+    assert cols[0] == cols[1] and len(cols[0]) == 4
+
+
+def test_sweep_rows_equal_simulate_of_their_designs(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["--snr", 10, "--trials", 3000, "--seed", 6]
+    assert run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1, "--pa", 100,
+                "--rho-grid", "0,0.5,1", "-o", out, *args]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
+    for row in rows:
+        design, sim = tmp_path / "d.json", tmp_path / "sim.json"
+        assert run(["design", "--m", 8, "--n", 1, "--pa", 100, "--rho", row[0],
+                    "-o", design]) == 0
+        assert run(["simulate", "--design", design, "-o", sim, *args]) == 0
+        assert repr(json.loads(sim.read_text())["ser"]) == row[1]
+    assert len({row[1] for row in rows}) > 1
+
+
 def test_sweep_empty_grid(tmp_path):
     rc = run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1,
               "--pa", 5, "--snr", 50, "--trials", 1000, "--rho-grid", "",
@@ -246,9 +286,11 @@ def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
     assert rc == 0
     row = out.read_text().splitlines()[2].split(",")
     cli_ser, cli_pd = float(row[1]), float(row[3])
-    ser, pd = sk.evaluate_ser(sk.load_system(sys_path), trials, seed=99,
-                              harvester=sk.canonical_model())
-    ref = float(ser.mean())
+    system = sk.load_system(sys_path)
+    ref = float(sk.evaluate_ser(system, trials, seed=99).mean())
+    pd = np.mean([sk.delivered_power_mc(cw, sk.ChannelSpec(50.0, 100.0, seed=99 + r),
+                                        sk.canonical_model(), trials)
+                  for r, cw in enumerate(sk.received_codebooks(system))])
     sd = np.sqrt(2.0 * max(cli_ser, ref) * (1.0 - min(cli_ser, ref)) / trials)
     assert abs(cli_ser - ref) <= 3.0 * sd + 1e-6
     if kind == "mac":

@@ -40,7 +40,6 @@ from .codebook import (
     OnOffBlockCode,
     build_info_codebook,
     codebook_min_dist,
-    decode_onoff_block,
     decode_onoff_block_many,
     onoff_block_code,
     swipt_codebook,

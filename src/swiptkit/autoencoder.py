@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .channel import ChannelSpec, monte_carlo
 from .codebook import Codebook, codebook_min_dist
 from .constellation import Constellation
-from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack
+from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 KINDS = ("p2p", "bc", "mac", "ic")
 
@@ -48,10 +49,9 @@ def _to_complex(xr: np.ndarray) -> np.ndarray:
 
 
 def _to_real(xc: np.ndarray) -> np.ndarray:
-    out = np.empty(xc.shape[:-1] + (2 * xc.shape[-1],), dtype=float)
-    out[..., 0::2] = xc.real
-    out[..., 1::2] = xc.imag
-    return out
+    """Complex samples (..., n) as interleaved (re, im) reals (..., 2n); a
+    view when they are contiguous complex128."""
+    return np.ascontiguousarray(xc, dtype=complex).view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +78,11 @@ class Topology:
         k = len(self.m_list)
         if (self.kind == "p2p") != (k == 1):
             raise ValueError("P2P exactly when the user count is 1")
+        if any(m < 1 for m in self.m_list):
+            raise ValueError("message sizes must be >= 1")
         if len(self.snrs) != self.n_rx:
             raise ValueError(f"need one SNR per receiver ({self.n_rx})")
-        if any(s <= 0 for s in self.snrs):
+        if not all(s > 0 for s in self.snrs):   # inf is noiseless; NaN fails
             raise ValueError("SNRs must be positive")
         if not self.p_a_uw > 0:
             raise ValueError("P_a must be positive")
@@ -88,6 +90,8 @@ class Topology:
             g = np.asarray(self.gains, dtype=float)
             if g.shape != (k, k) or not np.allclose(np.diag(g), 1.0):
                 raise ValueError("IC gains must be KxK with unit diagonal")
+            if not np.all(np.isfinite(g)):
+                raise ValueError("IC gains must be finite")
             self.gains = g
         elif self.gains is not None:
             raise ValueError("gains are IC-only")
@@ -113,8 +117,8 @@ class Topology:
     def rx_segments(self, r: int) -> list[tuple[int, int, int]]:
         """(offset, size, message stream) per softmax segment of receiver r."""
         if self.kind == "mac":
-            offs = np.cumsum([0] + self.m_list[:-1])
-            return [(int(o), m, j) for j, (o, m) in enumerate(zip(offs, self.m_list))]
+            offs = itertools.accumulate(self.m_list[:-1], initial=0)
+            return [(o, m, j) for j, (o, m) in enumerate(zip(offs, self.m_list))]
         if self.kind == "p2p":
             return [(0, self.m_list[0], 0)]
         return [(0, self.m_list[r], r)]
@@ -148,8 +152,14 @@ class TrainConfig:
     pd_floor: float = 1e-3
 
     def __post_init__(self):
-        if self.pd_floor <= 0:
-            raise ValueError("pd_floor must be positive")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError("lambda must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.pd_floor) and self.pd_floor > 0):
+            raise ValueError("pd_floor must be finite and positive")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 1:
@@ -221,8 +231,8 @@ def _encode_all_real(sys: AeSystem, tx: int):
     """Normalized real-valued codebook of transmitter tx plus backprop state."""
     topo = sys.topology
     x_in = _encoder_input(topo, tx)
-    raw, acts = mlp_forward(sys.encoders[tx], x_in)
-    s = float(np.sum(raw ** 2))
+    raw, acts = mlp_forward(sys.encoders[tx], x_in, one_hot=topo.kind != "bc")
+    s = float((raw ** 2).sum())
     if s == 0.0:
         raise ValueError("encoder produced an all-zero codebook; cannot normalize")
     rows = topo.tx_messages(tx)
@@ -271,14 +281,21 @@ class LossParts:
     clamped: np.ndarray
 
 
-def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]):
+def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray],
+                   grad: np.ndarray | None = None):
     """Cross-entropy plus lambda/max(P_d, floor), averaged over the batch.
 
     ``messages``: (B, K) ints; ``noises``: per receiver, complex (B, n).
     P_d is the per-message mean over the n received symbols of the harvester
     output, computed on the noisy samples; its gradient flows through the
-    harvester's derivative. Returns (loss, encoder grads, decoder grads,
-    parts).
+    harvester's derivative (one forward pass for both where the harvester
+    has ``value_and_derivative``). Returns (loss, encoder grads, decoder
+    grads, parts); the grads are views of ``grad``.
+
+    ``grad``: the flat gradient buffer, in :func:`~swiptkit.nn.pack` order of
+    ``sys.encoders + sys.decoders``; the backward passes write every weight
+    and bias gradient straight into it (a new buffer when None). Loss and
+    gradients are bit for bit the same with or without one.
     """
     topo, cfg = sys.topology, sys.config
     lam = cfg.lambda_
@@ -287,60 +304,75 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
     messages = np.atleast_2d(np.asarray(messages, dtype=int))
     bsz = messages.shape[0]
     n = cfg.n
+    nets = sys.encoders + sys.decoders
+    if grad is None:
+        grad = np.empty(sum(a.size for a in flat((t.weights, t.biases) for t in nets)))
+    outs = views(grad, nets)
 
-    # transmit side, all codebooks
+    # transmit side, all codebooks; samples stay real, (re, im) interleaved,
+    # where complex arithmetic would give the same parts bit for bit
     enc_state = [_encode_all_real(sys, tx) for tx in range(topo.n_tx)]
     rows = [_batch_rows(topo, messages, tx) for tx in range(topo.n_tx)]
-    xc = [_to_complex(enc_state[tx][0][rows[tx]]) for tx in range(topo.n_tx)]
+    ys = compose_received(topo, [enc_state[tx][0][rows[tx]] for tx in range(topo.n_tx)],
+                          [_to_real(w) for w in noises])
 
     coeff = topo.coeff()
-    ys = compose_received(topo, xc, noises)
-
+    fused = getattr(sys.harvester, "value_and_derivative", None)
+    batch = np.arange(bsz)
     xent_total = 0.0
     power_total = 0.0
     clamps = []
-    d_y = [np.zeros((bsz, 2 * n)) for _ in range(topo.n_rx)]
+    d_y = []
     dec_grads = []
     for r in range(topo.n_rx):
-        y_real = _to_real(ys[r])
-        logits, acts = mlp_forward(sys.decoders[r], y_real)
-        d_logits = np.zeros_like(logits)
+        y = ys[r]
+        logits, acts = mlp_forward(sys.decoders[r], y)
+        # softmax and its cross-entropy gradient, in place on each segment;
+        # a mean is a sum over its count, as np.mean computes it
+        flat_logits = logits.reshape(-1)
         for off, m_j, stream in topo.rx_segments(r):
-            seg = logits[:, off:off + m_j]
-            seg = seg - seg.max(axis=1, keepdims=True)
-            p = np.exp(seg)
+            p = logits[:, off:off + m_j]
+            # max is exact in any order; reducing the transposed copy is faster
+            p -= np.ascontiguousarray(p.T).max(axis=0)[:, None]
+            np.exp(p, out=p)
             p /= p.sum(axis=1, keepdims=True)
-            truth = messages[:, stream]
-            xent_total += float(-np.mean(np.log(p[np.arange(bsz), truth] + 1e-300)))
-            p[np.arange(bsz), truth] -= 1.0
-            d_logits[:, off:off + m_j] = p / bsz
-        g_w, g_b, d_in = mlp_backward(sys.decoders[r], acts, d_logits)
+            hit = batch * logits.shape[1] + off + messages[:, stream]   # the truths
+            xent_total -= float(np.log(flat_logits[hit] + 1e-300).sum()) / bsz
+            flat_logits[hit] -= 1.0
+            p /= bsz
+        g_w, g_b, d_in = mlp_backward(sys.decoders[r], acts, logits, outs[topo.n_tx + r])
         dec_grads.append((g_w, g_b))
-        d_y[r] += d_in
+        d_y.append(d_in)
 
         if lam > 0:
-            p_in = np.abs(ys[r]) ** 2
-            f_val = np.asarray(sys.harvester.evaluate(p_in))
-            p_d = f_val.mean(axis=1)
+            p_in = np.abs(y.view(complex)) ** 2
+            if fused is None:
+                f_val = np.asarray(sys.harvester.evaluate(p_in))
+                f_der = np.asarray(sys.harvester.derivative(p_in))
+            else:
+                f_val, f_der = fused(p_in)
+            p_d = f_val.sum(axis=1) / n
             pd_safe = np.maximum(p_d, cfg.pd_floor)
-            power_total += float(np.mean(lam / pd_safe))
+            power_total += float((lam / pd_safe).sum()) / bsz
             active = p_d > cfg.pd_floor
             clamps += [~active, f_val.ravel() == 0.0]
             d_pd = np.where(active, -lam / pd_safe ** 2, 0.0) / bsz   # (B,)
-            d_pin = d_pd[:, None] * np.asarray(sys.harvester.derivative(p_in)) / n
-            d_y[r][:, 0::2] += d_pin * 2.0 * ys[r].real
-            d_y[r][:, 1::2] += d_pin * 2.0 * ys[r].imag
+            d_pin = d_pd[:, None] * f_der / n
+            d_in[:, 0::2] += d_pin * 2.0 * y[:, 0::2]
+            d_in[:, 1::2] += d_pin * 2.0 * y[:, 1::2]
 
     # back through the channel into each transmitter's codebook
     enc_grads = []
     for tx in range(topo.n_tx):
         x_norm, raw, acts, g, s = enc_state[tx]
+        batch_dx = coeff[tx, 0] * d_y[0]
+        for r in range(1, topo.n_rx):
+            batch_dx += coeff[tx, r] * d_y[r]
         d_x = np.zeros_like(x_norm)
-        batch_dx = sum(coeff[tx, r] * d_y[r] for r in range(topo.n_rx))
         np.add.at(d_x, rows[tx], batch_dx)
         # through the common normalization factor
-        d_raw = g * d_x - (g / s) * float(np.sum(d_x * raw)) * raw
-        g_w, g_b, _ = mlp_backward(sys.encoders[tx], acts, d_raw)
+        d_raw = g * d_x - (g / s) * float((d_x * raw).sum()) * raw
+        g_w, g_b, _ = mlp_backward(sys.encoders[tx], acts, d_raw, outs[tx], input_grad=False)
         enc_grads.append((g_w, g_b))
 
     loss = xent_total + power_total
@@ -357,7 +389,10 @@ def sample_noises(topo: Topology, rng, bsz: int, n: int) -> list[np.ndarray]:
     out = []
     for r in range(topo.n_rx):
         sd = math.sqrt(topo.p_a_uw / topo.snrs[r] / 2.0)
-        out.append(rng.normal(0.0, sd, (bsz, n)) + 1j * rng.normal(0.0, sd, (bsz, n)))
+        w = np.empty((bsz, n), dtype=complex)
+        w.real = rng.normal(0.0, sd, (bsz, n))
+        w.imag = rng.normal(0.0, sd, (bsz, n))
+        out.append(w)
     return out
 
 
@@ -365,34 +400,48 @@ def train(sys: AeSystem):
     """Adam training over uniform iid minibatches with fresh noise.
 
     Returns (trained system, trace) where trace rows are
-    (loss, xent_term, power_term). Deterministic per config seed.
+    (loss, xent_term, power_term). Deterministic per config seed. Each step
+    has :func:`composite_loss` write the gradient into one flat buffer and
+    runs Adam in place on two preallocated temporaries, in the operation
+    order of the textbook update; trace and parameters are bit for bit
+    those of that update on concatenated gradients.
     """
     sys = copy.deepcopy(sys)
     cfg = sys.config
     _, msg_rng, noise_rng = _rng_children(cfg.seed)
     theta = pack(sys.encoders + sys.decoders)
+    grad = np.empty_like(theta)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
+    tmp_a, tmp_b = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = np.zeros((cfg.iterations, 3))
 
     for it in range(cfg.iterations):
         msgs = sample_messages(sys.topology, msg_rng, cfg.batch_size)
         noises = sample_noises(sys.topology, noise_rng, cfg.batch_size, cfg.n)
-        loss, enc_grads, dec_grads, parts = composite_loss(sys, msgs, noises)
-        if not np.isfinite(loss):
+        loss, _, _, parts = composite_loss(sys, msgs, noises, grad)
+        if not math.isfinite(loss):
             raise TrainDivergedError(it, trace[:it])
         trace[it] = (loss, parts.xent, parts.power)
 
         t = it + 1
-        g = np.concatenate(flat(enc_grads + dec_grads), axis=None)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        np.multiply(grad, 1 - beta1, out=tmp_a)
         m_state *= beta1
-        m_state += (1 - beta1) * g
+        m_state += tmp_a
+        np.multiply(grad, 1 - beta2, out=tmp_a)
+        tmp_a *= grad
         v_state *= beta2
-        v_state += (1 - beta2) * g * g
-        m_hat = m_state / (1 - beta1 ** t)
-        v_hat = v_state / (1 - beta2 ** t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        v_state += tmp_a
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m_state, 1 - beta1 ** t, out=tmp_a)
+        tmp_a *= cfg.learning_rate
+        np.divide(v_state, 1 - beta2 ** t, out=tmp_b)
+        np.sqrt(tmp_b, out=tmp_b)
+        tmp_b += eps
+        tmp_a /= tmp_b
+        theta -= tmp_a
 
     sys.final_loss = float(trace[-1, 0])
     return sys, trace
@@ -420,15 +469,24 @@ def extract_design(sys: AeSystem) -> list:
     return out
 
 
-def make_decoder(sys: AeSystem, receiver: int = 0, stream: int = 0):
-    """Max-softmax decision function: complex samples (B, n) -> messages."""
+def make_decoder(sys: AeSystem, receiver: int = 0, stream: int | None = 0):
+    """Max-softmax decision function: complex samples (B, n) -> messages of
+    ``stream``; with ``stream=None``, a (B, segments) array holding every
+    stream the receiver decodes, in :meth:`Topology.rx_segments` order, from
+    one decoder pass.
+    """
+    segs = [(off, m_j) for off, m_j, s in sys.topology.rx_segments(receiver)
+            if stream is None or s == stream]
+    if not segs:
+        raise ValueError(f"receiver {receiver} does not decode stream {stream}")
 
     def decide(y: np.ndarray) -> np.ndarray:
         logits, _ = mlp_forward(sys.decoders[receiver], _to_real(np.atleast_2d(y)))
-        for off, m_j, s in sys.topology.rx_segments(receiver):
-            if s == stream:
-                return np.argmax(logits[:, off:off + m_j], axis=1)
-        raise ValueError(f"receiver {receiver} does not decode stream {stream}")
+        if stream is not None:
+            (off, m_j), = segs
+            return np.argmax(logits[:, off:off + m_j], axis=1)
+        return np.stack([np.argmax(logits[:, off:off + m_j], axis=1) for off, m_j in segs],
+                        axis=1)
 
     return decide
 
@@ -455,12 +513,13 @@ def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
     for r, cw in enumerate(received_codebooks(sys)):
         spec = ChannelSpec(snr=topo.snrs[r] if snr is None else snr,
                            p_a_uw=topo.p_a_uw if p_a_uw is None else p_a_uw, seed=seed + r)
-        streams = [(s, make_decoder(sys, r, s)) for _, _, s in topo.rx_segments(r)]
+        streams = [s for _, _, s in topo.rx_segments(r)]
+        decide = make_decoder(sys, r, stream=None)
 
-        def count(msg, y, streams=streams):
+        def count(msg, y, streams=streams, decide=decide):
             truth, out = np.unravel_index(msg, topo.m_list), np.zeros(topo.k, dtype=int)
-            for s, decide in streams:
-                out[s] = np.count_nonzero(decide(y) != truth[s])
+            for s, est in zip(streams, decide(y).T):
+                out[s] = np.count_nonzero(est != truth[s])
             return out
 
         errors += monte_carlo([cw], spec, trials, [count])[0]
@@ -482,10 +541,10 @@ def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
     msgs = sample_messages(topo, rng, batch_size)
     noises = sample_noises(topo, rng, batch_size, cfg.n)
 
-    _, enc_grads, dec_grads, parts = composite_loss(sys, msgs, noises)
-    analytic = np.concatenate(flat(enc_grads + dec_grads), axis=None)
-
     theta = pack(sys.encoders + sys.decoders)
+    analytic = np.empty_like(theta)
+    *_, parts = composite_loss(sys, msgs, noises, analytic)
+
     max_rel, n_skipped = 0.0, 0
     for i in range(theta.size):
         orig = theta[i]

@@ -355,20 +355,14 @@ def onoff_block_code(n: int, p_a_uw: float, p_star: float,
                           support_sets=tuple(supports), p_a_uw=p_a_uw)
 
 
-def decode_onoff_block(y: np.ndarray, code: OnOffBlockCode) -> int:
-    """Message index with maximal received energy on its support set.
+def decode_onoff_block_many(ys: np.ndarray, code: OnOffBlockCode) -> np.ndarray:
+    """Per row of ``ys`` (B, n), the message index with maximal received
+    energy on its support set.
 
     Subsumes exact position matching: a noiseless codeword's own support is
     the unique energy maximizer; ties (e.g. all-zero input) go to the
     smallest index.
     """
-    e = np.abs(np.asarray(y, dtype=complex)) ** 2
-    overlap = [float(e[list(sup)].sum()) for sup in code.support_sets]
-    return int(np.argmax(overlap))
-
-
-def decode_onoff_block_many(ys: np.ndarray, code: OnOffBlockCode) -> np.ndarray:
-    """Vectorized decode_onoff_block over rows of ``ys`` (B, n)."""
     e = np.abs(np.asarray(ys, dtype=complex)) ** 2
     sup = np.array([list(s) for s in code.support_sets])   # (M, n_on)
     overlap = e[:, sup].sum(axis=2)                        # (B, M)

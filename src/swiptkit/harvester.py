@@ -220,13 +220,21 @@ class EhModel:
 
     def derivative(self, p_in) -> np.ndarray | float:
         """d(evaluate)/d(p_in); zero in the clipped region."""
+        return self.value_and_derivative(p_in)[1]
+
+    def value_and_derivative(self, p_in):
+        """(evaluate(p_in), derivative(p_in)), bit for bit, from one forward
+        pass of the net."""
         p = _require_finite(p_in)
         net = self.net
         f, acts = _eh_head(net, p, self.input_scale)
-        _, _, dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None])
-        active = (f[:-1] - f[-1]) > 0
-        out = np.where(active, dz[:-1, 0], 0.0) * self.power_scale / self.input_scale
-        return out.reshape(p.shape) if p.ndim else float(out[0])
+        rel = f[:-1] - f[-1]
+        value = self.power_scale * np.maximum(0.0, rel)
+        _, _, dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None], params=False)
+        slope = np.where(rel > 0, dz[:-1, 0], 0.0) * self.power_scale / self.input_scale
+        if not p.ndim:
+            return float(value[0]), float(slope[0])
+        return value.reshape(p.shape), slope.reshape(p.shape)
 
     def to_json(self) -> dict:
         d = {name: getattr(self, name).tolist() for name, _ in _EH_SHAPES}

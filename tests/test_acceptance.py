@@ -260,7 +260,7 @@ def test_criterion_12_eh_fit_quality(canonical_fit):
 def test_criterion_13_onoff_block_decoding():
     code = sk.onoff_block_code(4, 5.0, sk.pon_approx(5.0), 4)
     cw = code.codewords()
-    noiseless_ok = all(sk.decode_onoff_block(cw[i], code) == i for i in range(4))
+    noiseless_ok = decode_onoff_block_many(cw, code).tolist() == [0, 1, 2, 3]
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=5.0, seed=13)
     res = sk.ser_mc(code, spec, 1_000_000,
                     decoder=lambda y: decode_onoff_block_many(y, code))

@@ -1,4 +1,7 @@
+import copy
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from swiptkit.autoencoder import (
     system_from_json,
     system_to_json,
 )
+from swiptkit.nn import flat, pack
 from conftest import PlateauHarvester
 
 
@@ -283,3 +287,247 @@ def test_evaluate_ser_p2p_is_the_channel_path(canon):
     assert ser.tolist() == [res.ser]
     (cw,) = sk.received_codebooks(st)
     assert sk.delivered_power(cw, spec, canon) == sk.delivered_power(design, spec, canon)
+
+
+# ---------------------------------------------------------------------------
+# the lean training step against the step it replaced
+# ---------------------------------------------------------------------------
+
+def _mlp_forward_reference(net, x):
+    acts, h = [x], x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.T
+        h += b
+        if i != len(net.weights) - 1:
+            np.tanh(h, out=h)
+        acts.append(h)
+    return h, acts
+
+
+def _mlp_backward_reference(net, acts, d_out):
+    g_w, g_b = [None] * len(net.weights), [None] * len(net.weights)
+    dz = d_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        g_w[i] = dz.T @ acts[i]
+        g_b[i] = dz.sum(axis=0)
+        dh = dz @ net.weights[i]
+        if i > 0:
+            dz = dh * (1.0 - acts[i] ** 2)
+    return g_w, g_b, dh
+
+
+def _eh_derivative_reference(model, p_in):
+    """EhModel.derivative as a second forward pass of the net."""
+    from swiptkit.harvester import _eh_head
+    p = np.asarray(p_in, dtype=float)
+    f, acts = _eh_head(model.net, p, model.input_scale)
+    _, _, dz = _mlp_backward_reference(model.net, acts, (1.0 - f ** 2)[:, None])
+    active = (f[:-1] - f[-1]) > 0
+    out = np.where(active, dz[:-1, 0], 0.0) * model.power_scale / model.input_scale
+    return out.reshape(p.shape) if p.ndim else float(out[0])
+
+
+def _composite_loss_reference(sysm, messages, noises):
+    """composite_loss as it was before the gradient buffer: complex samples,
+    new arrays throughout, the encoder's identity matmul, and the harvester
+    evaluated and differentiated by two forward passes."""
+    from swiptkit.autoencoder import LossParts, _encoder_input
+
+    topo, cfg = sysm.topology, sysm.config
+    lam, n = cfg.lambda_, cfg.n
+    derivative = (functools.partial(_eh_derivative_reference, sysm.harvester)
+                  if isinstance(sysm.harvester, sk.EhModel)
+                  else getattr(sysm.harvester, "derivative", None))
+    messages = np.atleast_2d(np.asarray(messages, dtype=int))
+    bsz = messages.shape[0]
+
+    enc_state = []
+    for tx in range(topo.n_tx):
+        raw, acts = _mlp_forward_reference(sysm.encoders[tx], _encoder_input(topo, tx))
+        s = float(np.sum(raw ** 2))
+        g = math.sqrt(topo.tx_messages(tx) * n * topo.p_a_uw / s)
+        enc_state.append((g * raw, raw, acts, g, s))
+    rows = [_batch_rows(topo, messages, tx) for tx in range(topo.n_tx)]
+    xc = [x[rows[tx]][..., 0::2] + 1j * x[rows[tx]][..., 1::2]
+          for tx, (x, *_) in enumerate(enc_state)]
+    coeff = topo.coeff()
+    ys = compose_received(topo, xc, noises)
+
+    xent_total = power_total = 0.0
+    clamps = []
+    d_y = [np.zeros((bsz, 2 * n)) for _ in range(topo.n_rx)]
+    dec_grads = []
+    for r in range(topo.n_rx):
+        y_real = np.empty((bsz, 2 * n))
+        y_real[:, 0::2], y_real[:, 1::2] = ys[r].real, ys[r].imag
+        logits, acts = _mlp_forward_reference(sysm.decoders[r], y_real)
+        d_logits = np.zeros_like(logits)
+        for off, m_j, stream in topo.rx_segments(r):
+            seg = logits[:, off:off + m_j]
+            seg = seg - seg.max(axis=1, keepdims=True)
+            p = np.exp(seg)
+            p /= p.sum(axis=1, keepdims=True)
+            truth = messages[:, stream]
+            xent_total += float(-np.mean(np.log(p[np.arange(bsz), truth] + 1e-300)))
+            p[np.arange(bsz), truth] -= 1.0
+            d_logits[:, off:off + m_j] = p / bsz
+        g_w, g_b, d_in = _mlp_backward_reference(sysm.decoders[r], acts, d_logits)
+        dec_grads.append((g_w, g_b))
+        d_y[r] += d_in
+        if lam > 0:
+            p_in = np.abs(ys[r]) ** 2
+            f_val = np.asarray(sysm.harvester.evaluate(p_in))
+            p_d = f_val.mean(axis=1)
+            pd_safe = np.maximum(p_d, cfg.pd_floor)
+            power_total += float(np.mean(lam / pd_safe))
+            active = p_d > cfg.pd_floor
+            clamps += [~active, f_val.ravel() == 0.0]
+            d_pd = np.where(active, -lam / pd_safe ** 2, 0.0) / bsz
+            d_pin = d_pd[:, None] * np.asarray(derivative(p_in)) / n
+            d_y[r][:, 0::2] += d_pin * 2.0 * ys[r].real
+            d_y[r][:, 1::2] += d_pin * 2.0 * ys[r].imag
+
+    enc_grads = []
+    for tx in range(topo.n_tx):
+        x_norm, raw, acts, g, s = enc_state[tx]
+        d_x = np.zeros_like(x_norm)
+        np.add.at(d_x, rows[tx], sum(coeff[tx, r] * d_y[r] for r in range(topo.n_rx)))
+        d_raw = g * d_x - (g / s) * float(np.sum(d_x * raw)) * raw
+        g_w, g_b, _ = _mlp_backward_reference(sysm.encoders[tx], acts, d_raw)
+        enc_grads.append((g_w, g_b))
+    clamped = np.concatenate(clamps) if clamps else np.zeros(0, dtype=bool)
+    return (xent_total + power_total, enc_grads, dec_grads,
+            LossParts(xent_total, power_total, clamped))
+
+
+def _sample_noises_reference(topo, rng, bsz, n):
+    out = []
+    for r in range(topo.n_rx):
+        sd = math.sqrt(topo.p_a_uw / topo.snrs[r] / 2.0)
+        out.append(rng.normal(0.0, sd, (bsz, n)) + 1j * rng.normal(0.0, sd, (bsz, n)))
+    return out
+
+
+def _train_reference(sysm):
+    """train as it was: concatenated gradients, Adam on new arrays."""
+    from swiptkit.autoencoder import _rng_children
+
+    sysm = copy.deepcopy(sysm)
+    cfg = sysm.config
+    _, msg_rng, noise_rng = _rng_children(cfg.seed)
+    theta = pack(sysm.encoders + sysm.decoders)
+    m_state, v_state = np.zeros_like(theta), np.zeros_like(theta)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    trace = np.zeros((cfg.iterations, 3))
+    for it in range(cfg.iterations):
+        msgs = np.stack([msg_rng.integers(0, m, cfg.batch_size)
+                         for m in sysm.topology.m_list], axis=1)
+        noises = _sample_noises_reference(sysm.topology, noise_rng, cfg.batch_size, cfg.n)
+        loss, enc_grads, dec_grads, parts = _composite_loss_reference(sysm, msgs, noises)
+        trace[it] = (loss, parts.xent, parts.power)
+        t = it + 1
+        g = np.concatenate(flat(enc_grads + dec_grads), axis=None)
+        m_state *= beta1
+        m_state += (1 - beta1) * g
+        v_state *= beta2
+        v_state += (1 - beta2) * g * g
+        m_hat = m_state / (1 - beta1 ** t)
+        v_hat = v_state / (1 - beta2 ** t)
+        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    sysm.final_loss = float(trace[-1, 0])
+    return sysm, trace
+
+
+_LINKS = {
+    "p2p": dict(kind="p2p", m_list=(16,), snrs=(50.0,)),
+    "bc": dict(kind="bc", m_list=(4, 2), snrs=(100.0, 50.0)),
+    "mac": dict(kind="mac", m_list=(4, 4), snrs=(50.0,)),
+    "ic": dict(kind="ic", m_list=(4, 4), snrs=(50.0, 30.0),
+               gains=np.array([[1.0, 0.5], [0.3, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("harvester", [None, "fitted", "plateau"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("link", sorted(_LINKS))
+def test_lean_step_is_bit_identical_to_the_reference(link, n, harvester, canonical_fit):
+    eh = {None: None, "fitted": canonical_fit, "plateau": PlateauHarvester()}[harvester]
+    sysm = small_system(**_LINKS[link], n=n, pa=100.0, lam=0.0 if eh is None else 0.3,
+                        harvester=eh, seed=17, hidden=(64, 64))
+    sysm.config.iterations, sysm.config.batch_size = 50, 64
+
+    rng = np.random.default_rng(8)
+    msgs = sample_messages(sysm.topology, rng, 64)
+    noises = sample_noises(sysm.topology, rng, 64, n)
+    theta = pack(sysm.encoders + sysm.decoders)
+    grad = np.full_like(theta, np.nan)
+    loss, _, _, parts = sk.composite_loss(sysm, msgs, noises, grad)
+    ref_loss, enc_ref, dec_ref, ref_parts = _composite_loss_reference(sysm, msgs, noises)
+    assert (loss, parts.xent, parts.power) == (ref_loss, ref_parts.xent, ref_parts.power)
+    assert np.array_equal(parts.clamped, ref_parts.clamped)
+    assert grad.tobytes() == np.concatenate(flat(enc_ref + dec_ref), axis=None).tobytes()
+    _, enc_new, dec_new, _ = sk.composite_loss(sysm, msgs, noises)   # a buffer of its own
+    assert np.concatenate(flat(enc_new + dec_new), axis=None).tobytes() == grad.tobytes()
+
+    trained, trace = sk.train(sysm)
+    ref_sys, ref_trace = _train_reference(sysm)
+    assert trace.tobytes() == ref_trace.tobytes()
+    assert trained.final_loss == ref_sys.final_loss
+    assert (pack(trained.encoders + trained.decoders).tobytes()
+            == pack(ref_sys.encoders + ref_sys.decoders).tobytes())
+
+
+def test_value_and_derivative_is_evaluate_and_derivative(canonical_fit):
+    fixture = sk.EhModel.load(Path(__file__).resolve().parents[1]
+                              / "perfbench" / "fixtures" / "eh_fitted.json")
+    rng = np.random.default_rng(9)
+    for model in (canonical_fit, fixture):
+        p = np.concatenate([[0.0, 1e-9, 1e-3], np.logspace(-2, 4, 400),
+                            rng.uniform(0, 3000, 200)]).reshape(-1, 3)
+        value, slope = model.value_and_derivative(p)
+        assert value.shape == slope.shape == p.shape
+        assert value.tobytes() == model.evaluate(p).tobytes()
+        assert slope.tobytes() == _eh_derivative_reference(model, p).tobytes()
+        assert slope.tobytes() == model.derivative(p).tobytes()
+        for q in (0.0, 5.0, 300.0, 2500.0):
+            pair = model.value_and_derivative(q)
+            assert type(pair[0]) is float and type(pair[1]) is float
+            assert pair == (model.evaluate(q), _eh_derivative_reference(model, q))
+    # the fixture clips below its turn-on: value and slope are exactly 0 there
+    value, slope = fixture.value_and_derivative(np.array([0.0, 100.0, 200.0]))
+    assert value.tolist() == [0.0, 0.0, 0.0] and slope.tolist() == [0.0, 0.0, 0.0]
+    for bad in (np.nan, np.inf, np.array([1.0, -np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            fixture.value_and_derivative(bad)
+
+
+def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
+    # a MAC receiver decodes both streams from one logits pass; the error
+    # counts are those of one decoder per stream on the same draws
+    import swiptkit.autoencoder as ae
+    from swiptkit.channel import _CHUNK, monte_carlo
+
+    st = small_system(kind="mac", m_list=(4, 4), snrs=(5.0,), pa=60.0, seed=6, hidden=(16,))
+    trials = _CHUNK + 5000   # two chunks
+    spec = sk.ChannelSpec(snr=5.0, p_a_uw=60.0, seed=41)
+    (cw,) = sk.received_codebooks(st)
+
+    def stream_errors(s):
+        decide = sk.make_decoder(st, 0, s)
+        truth = lambda msg: np.unravel_index(msg, (4, 4))[s]
+        return monte_carlo([cw], spec, trials,
+                           [lambda msg, y: np.count_nonzero(decide(y) != truth(msg))])[0]
+
+    expected = [stream_errors(0) / trials, stream_errors(1) / trials]
+    passes = []
+    real_forward = ae.mlp_forward
+
+    def counting_forward(net, x, *args, **kwargs):
+        if net is st.decoders[0]:
+            passes.append(len(x))
+        return real_forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(ae, "mlp_forward", counting_forward)
+    ser = sk.evaluate_ser(st, trials, seed=41)
+    assert ser.tolist() == expected
+    assert passes == [_CHUNK, 5000]

@@ -297,3 +297,36 @@ def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
         # the two transmitters add up to 200 uW, past the harvester's turn-on;
         # the BC's 100 uW gets its P_d from rare noise peaks only
         assert cli_pd == pytest.approx(pd, rel=0.1)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lam", "nan"], "lambda must be finite and >= 0"),
+    (["--lam", -1], "lambda must be finite and >= 0"),
+    (["--lam", "inf"], "lambda must be finite and >= 0"),
+    (["--lr", 0], "learning_rate must be finite and positive"),
+    (["--lr", -1], "learning_rate must be finite and positive"),
+    (["--lr", "nan"], "learning_rate must be finite and positive"),
+    (["--snr", "nan"], "SNRs must be positive"),
+    (["--pd-floor", "nan"], "pd_floor must be finite and positive"),
+    (["--m", 0], "message sizes must be >= 1"),
+    (["--n", 0], "n must be >= 1"),
+    (["--topology", "ic", "--m", "4,4", "--snr", "50,50", "--gain", "nan"],
+     "IC gains must be finite"),
+])
+def test_train_rejects_bad_config(tmp_path, capsys, flags, message):
+    out = tmp_path / "bad.json"
+    args = {"--topology": "p2p", "--m": 4, "--iters": 20}
+    for flag, value in zip(flags[0::2], flags[1::2]):
+        args[flag] = value
+    rc = run(["train", *[a for kv in args.items() for a in kv], "-o", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_infinite_snr_is_noiseless(tmp_path):
+    out = tmp_path / "sys.json"
+    rc = run(["train", "--topology", "p2p", "--m", 4, "--snr", "inf", "--iters", 20,
+              "-o", out])
+    assert rc == 0
+    assert sk.load_system(out).topology.snrs == [float("inf")]

@@ -273,9 +273,8 @@ def test_block_code_power_bookkeeping():
 def test_decode_noiseless_and_ties():
     code = sk.onoff_block_code(4, 5.0, 0.25, 4)
     cw = code.codewords()
-    for i in range(4):
-        assert sk.decode_onoff_block(cw[i], code) == i
-    assert sk.decode_onoff_block(np.zeros(4, dtype=complex), code) == 0
+    assert decode_onoff_block_many(cw, code).tolist() == [0, 1, 2, 3]
+    assert decode_onoff_block_many(np.zeros((1, 4), dtype=complex), code).tolist() == [0]
 
 
 def _block_ser_oracle(code, sigma_sq):

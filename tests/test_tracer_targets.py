@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import swiptkit
+import swiptkit.cli  # noqa: F401  (the package does not import its CLI)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 

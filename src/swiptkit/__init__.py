@@ -35,18 +35,16 @@ from .channel import (
     write_sweep_csv,
 )
 from .codebook import (
-    Codebook,
     GreedyConfig,
-    OnOffBlockCode,
     build_info_codebook,
-    codebook_min_dist,
     decode_onoff_block_many,
     onoff_block_code,
     swipt_codebook,
 )
 from .constellation import (
-    Constellation,
+    Codebook,
     circle_capacity,
+    codebook_min_dist,
     layout_info,
     m_on_count,
     swipt_transform,

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelSpec, monte_carlo
-from .codebook import Codebook, codebook_min_dist
-from .constellation import Constellation
+from .constellation import Codebook, codebook_min_dist, json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 KINDS = ("p2p", "bc", "mac", "ic")
@@ -131,13 +130,15 @@ class Topology:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "m_list": list(self.m_list),
-                "snrs": [float(s) for s in self.snrs], "p_a_uw": self.p_a_uw,
+                # a noiseless receiver's SNR is the string "inf": strict JSON has no Infinity
+                "snrs": ["inf" if s == math.inf else float(s) for s in self.snrs],
+                "p_a_uw": self.p_a_uw,
                 "gains": None if self.gains is None else np.asarray(self.gains).tolist()}
 
     @classmethod
     def from_json(cls, d: dict) -> "Topology":
         g = d.get("gains")
-        return cls(kind=d["kind"], m_list=list(d["m_list"]), snrs=list(d["snrs"]),
+        return cls(kind=d["kind"], m_list=list(d["m_list"]), snrs=[float(s) for s in d["snrs"]],
                    p_a_uw=float(d["p_a_uw"]), gains=None if g is None else np.array(g))
 
 
@@ -447,25 +448,20 @@ def train(sys: AeSystem):
     return sys, trace
 
 
-def extract_design(sys: AeSystem) -> list:
-    """Package each transmitter's codebook as a Constellation (n=1) or
-    Codebook (n>1) with the rho field set to the sentinel "learned".
+def extract_design(sys: AeSystem) -> list[Codebook]:
+    """Package each transmitter's codebook as a Codebook, one base point per
+    symbol, with the rho field set to the sentinel "learned".
     """
     out = []
     topo, n = sys.topology, sys.config.n
     for tx in range(topo.n_tx):
-        xc = encode_all(sys, tx)
         rows = topo.tx_messages(tx)
-        if n == 1:
-            out.append(Constellation(points=xc[:, 0], m=rows, p_a_uw=topo.p_a_uw,
-                                     rho="learned"))
-        else:
-            cb = Codebook(base_points=xc.ravel(),
-                          codeword_indices=np.arange(rows * n).reshape(rows, n),
-                          m=rows, n=n, p_a_uw=topo.p_a_uw, rho="learned")
-            if rows >= 2:
-                cb.achieved_dmin_sq = codebook_min_dist(cb)
-            out.append(cb)
+        cb = Codebook(base_points=encode_all(sys, tx).ravel(),
+                      codeword_indices=np.arange(rows * n).reshape(rows, n),
+                      m=rows, n=n, p_a_uw=topo.p_a_uw, rho="learned")
+        if rows >= 2:
+            cb.achieved_dmin_sq = codebook_min_dist(cb)
+        out.append(cb)
     return out
 
 
@@ -588,15 +584,17 @@ def system_to_json(sys: AeSystem) -> dict:
 
 
 def system_from_json(d: dict, harvester=None) -> AeSystem:
-    return AeSystem(topology=Topology.from_json(d["topology"]),
-                    config=TrainConfig.from_json(d["config"]),
-                    encoders=[_net_from_json(e) for e in d["encoders"]],
-                    decoders=[_net_from_json(x) for x in d["decoders"]],
+    """ValueError names a missing or malformed field."""
+    nets = lambda v: [_net_from_json(x) for x in v]
+    return AeSystem(topology=json_field(d, "topology", Topology.from_json),
+                    config=json_field(d, "config", TrainConfig.from_json),
+                    encoders=json_field(d, "encoders", nets),
+                    decoders=json_field(d, "decoders", nets),
                     harvester=harvester, final_loss=d.get("final_loss"))
 
 
 def save_system(sys: AeSystem, path) -> None:
-    Path(path).write_text(json.dumps(system_to_json(sys)) + "\n")
+    Path(path).write_text(json.dumps(system_to_json(sys), allow_nan=False) + "\n")
 
 
 def load_system(path, harvester=None) -> AeSystem:

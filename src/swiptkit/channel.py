@@ -1,6 +1,9 @@
 """Link evaluation: symbol error rate by Monte Carlo, delivered power by
 quadrature, rate-power sweeps, and QAM references.
 
+Every design is a :class:`~swiptkit.constellation.Codebook` (or a raw
+codeword matrix); the channel reads only its ``(M, n)`` codewords.
+
 SER draws uniform messages and AWGN through one seeded sampler and decodes
 them by minimum distance (ML under AWGN) or by a learned decoder. A sweep
 draws each chunk once and decodes every point from it (common random
@@ -21,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, i0e
 
-from .codebook import Codebook, OnOffBlockCode
-from .constellation import Constellation
+from .constellation import Codebook
 from .harvester import _harvest_fn
 
 _CHUNK = 100_000
@@ -79,14 +81,9 @@ def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
 
 
 def design_codewords(design) -> np.ndarray:
-    """Codeword matrix (M, n) of any design object (or a raw array)."""
-    if isinstance(design, Constellation):
-        return design.points.reshape(-1, 1)
-    if isinstance(design, Codebook):
-        return design.codewords
-    if isinstance(design, OnOffBlockCode):
-        return design.codewords()
-    cw = np.asarray(design, dtype=complex)
+    """Codeword matrix (M, n) of a design (its ``codewords``) or of a raw
+    array, where a 1-D array holds M points of block length 1."""
+    cw = np.asarray(getattr(design, "codewords", design), dtype=complex)
     return cw.reshape(-1, 1) if cw.ndim == 1 else cw
 
 
@@ -244,7 +241,7 @@ def rp_sweep(designer, controls, spec: ChannelSpec, harvester,
             for c, cw, res in zip(controls, cws, _ser_results(cws, spec, trials))]
 
 
-def qam_reference(m: int, p_a_uw: float) -> Constellation:
+def qam_reference(m: int, p_a_uw: float) -> Codebook:
     """Square QAM scaled to average power P_a; supports M in {4, 16, 64}."""
     if m not in (4, 16, 64):
         raise ValueError("supported QAM sizes: 4, 16, 64")
@@ -252,7 +249,8 @@ def qam_reference(m: int, p_a_uw: float) -> Constellation:
     levels = np.arange(-(side - 1), side, 2, dtype=float)
     pts = (levels[:, None] + 1j * levels[None, :]).ravel()
     pts = pts * math.sqrt(p_a_uw / float(np.mean(np.abs(pts) ** 2)))
-    return Constellation(points=pts, m=m, p_a_uw=p_a_uw, rho=0.0)
+    return Codebook(base_points=pts, codeword_indices=np.arange(m)[:, None], m=m, n=1,
+                    p_a_uw=p_a_uw, rho=0.0)
 
 
 def write_sweep_csv(path, points: list[TradeoffPoint], snr_db: float,

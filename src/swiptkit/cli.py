@@ -41,8 +41,8 @@ from .channel import (
     ser_mc,
     write_sweep_csv,
 )
-from .codebook import Codebook, GreedyConfig, build_info_codebook, swipt_codebook
-from .constellation import Constellation, layout_info, m_on_count, swipt_transform
+from .codebook import GreedyConfig, build_info_codebook
+from .constellation import Codebook, m_on_count, swipt_transform
 from .harvester import (
     EhModel,
     FitDivergedError,
@@ -86,7 +86,7 @@ def _meta_comment(params: dict, seed) -> str:
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
 def _apply_config(args: argparse.Namespace, parser_defaults: dict, section: str) -> None:
@@ -167,23 +167,17 @@ def cmd_design(args) -> int:
                 "seed": 0, "candidate_cap": 1_000_000, "max_rounds": 40}
     _apply_config(args, defaults, "design")
     params = {k: getattr(args, k) for k in defaults}
+    if not 0.0 <= args.rho <= 1.0:   # also NaN
+        raise ValueError("rho must be in [0, 1]")
     ps = args.p_star if args.p_star > 0 else _p_star(args.pa, args.eh or None)
 
-    if args.n == 1:
-        base = layout_info(args.m, args.pa)
-        design = swipt_transform(base, args.rho, ps) if args.rho > 0 else base
-        m_on = m_on_count(args.m, ps)
-        payload = design.to_json()
-        echo = f"C={design.c} t={design.t:.6g} M_on={m_on}"
-    else:
-        cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap,
-                           max_rounds=args.max_rounds)
-        cb = build_info_codebook(args.m, args.n, args.pa, cfg)
-        design = swipt_codebook(cb, args.rho, ps) if args.rho > 0 else cb
-        payload = design.to_json()
-        echo = f"dmin_sq={design.achieved_dmin_sq:.6g}"
-    _attach_meta(payload, params, args.seed)
-    _write_json(args.output, payload)
+    cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap,
+                       max_rounds=args.max_rounds)
+    base = build_info_codebook(args.m, args.n, args.pa, cfg)
+    design = swipt_transform(base, args.rho, ps) if args.rho > 0 else base
+    echo = (f"C={design.c} t={design.t:.6g} M_on={m_on_count(args.m, ps)}" if args.n == 1
+            else f"dmin_sq={design.achieved_dmin_sq:.6g}")
+    _write_json(args.output, _attach_meta(design.to_json(), params, args.seed))
     print(f"design: M={args.m} n={args.n} rho={args.rho} p_star={ps:.6g} {echo} "
           f"-> {args.output}")
     return EXIT_OK
@@ -236,11 +230,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_design(path):
-    d = json.loads(Path(path).read_text())
-    return Codebook.from_json(d) if "codewords" in d else Constellation.from_json(d)
-
-
 def cmd_sweep(args) -> int:
     defaults = {"designer": "algorithmic", "m": 16, "n": 1, "pa": 5.0,
                 "snr": 50.0, "trials": 100_000, "seed": 0, "rho_grid": "0:1:11",
@@ -253,15 +242,10 @@ def cmd_sweep(args) -> int:
     if args.designer == "algorithmic":
         controls = _parse_grid(args.rho_grid)
         ps = _p_star(args.pa, args.eh or None)
-        if args.n == 1:
-            base = layout_info(args.m, args.pa)
-            designer = lambda rho: swipt_transform(base, rho, ps)
-        else:
-            cb = build_info_codebook(args.m, args.n, args.pa,
-                                     GreedyConfig(seed=args.seed,
-                                                  candidate_cap=args.candidate_cap))
-            designer = lambda rho: swipt_codebook(cb, rho, ps)
-        points = rp_sweep(designer, controls, spec, harvester, args.trials)
+        cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap)
+        base = build_info_codebook(args.m, args.n, args.pa, cfg)
+        points = rp_sweep(lambda rho: swipt_transform(base, rho, ps), controls, spec,
+                          harvester, args.trials)
     elif args.designer == "learned":
         paths = [p for p in str(args.systems).split(",") if p.strip()]
         if not paths:
@@ -300,12 +284,12 @@ def cmd_simulate(args) -> int:
     defaults = {"snr": 50.0, "trials": 100_000, "seed": 0, "eh": ""}
     _apply_config(args, defaults, "simulate")
     params = {k: getattr(args, k) for k in defaults} | {"design": args.design}
-    design = _load_design(args.design)
+    design = Codebook.load(args.design)
     harvester = _load_harvester(args.eh) if args.eh else None
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
     res = ser_mc(design, spec, args.trials)
-    payload = {"ser": res.ser, "ci_halfwidth": res.ci_halfwidth,
-               "trials": args.trials, "snr": args.snr, "seed": args.seed,
+    payload = {"ser": res.ser, "ci_halfwidth": res.ci_halfwidth, "trials": args.trials,
+               "snr": "inf" if args.snr == math.inf else args.snr, "seed": args.seed,
                "degenerate": res.degenerate}
     if harvester is not None:
         payload["pd_uw"] = delivered_power(design, spec, harvester)

@@ -1,19 +1,24 @@
-"""Coded modulation for block length n > 1: greedy minimum-distance codebook
-construction, its On-Off deformation, and position-coded On-Off blocks.
+"""Coded modulation for block length n >= 1: greedy minimum-distance codebook
+construction and position-coded On-Off blocks. Both return the one design type
+:class:`~swiptkit.constellation.Codebook` (JSON in the codeword format for
+n > 1, the point format at n = 1), and :func:`swipt_codebook` is the one
+deformation :func:`~swiptkit.constellation.swipt_transform`, whose final
+common rescale runs unless every base point is referenced exactly once.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .constellation import layout_info, transform_points
+from .constellation import Codebook, codebook_min_dist, layout_info, swipt_transform
+
+# a second name for the one deformation: perfbench/tracer.py wraps both names
+swipt_codebook = swipt_transform
 
 
 @dataclass
@@ -27,78 +32,6 @@ class GreedyConfig:
     max_rounds: int = 40
     candidate_cap: int = 1_000_000
     seed: int = 0
-
-
-@dataclass
-class Codebook:
-    """M codewords of n complex symbols drawn from an Mn-point base
-    constellation; codewords are index tuples into ``base_points`` so a base
-    point that moves under the SWIPT deformation moves consistently in every
-    codeword referencing it.
-    """
-
-    base_points: np.ndarray        # (M*n,) complex
-    codeword_indices: np.ndarray   # (M, n) int
-    m: int
-    n: int
-    p_a_uw: float
-    rho: float | str = 0.0
-    achieved_dmin_sq: float = math.inf
-    converged: bool = True
-
-    @property
-    def codewords(self) -> np.ndarray:
-        return self.base_points[self.codeword_indices]
-
-    def avg_power(self) -> float:
-        return float(np.mean(np.abs(self.codewords) ** 2))
-
-    def to_json(self) -> dict:
-        rho = self.rho if isinstance(self.rho, str) else float(self.rho)
-        cw = self.codewords
-        return {
-            "m": self.m,
-            "n": self.n,
-            "p_a_uw": self.p_a_uw,
-            "rho": rho,
-            "dmin_sq": None if math.isinf(self.achieved_dmin_sq) else self.achieved_dmin_sq,
-            "converged": self.converged,
-            "base_points": [[float(p.real), float(p.imag)] for p in self.base_points],
-            "codewords": [
-                {
-                    "indices": [int(i) for i in row],
-                    "symbols": [[float(s.real), float(s.imag)] for s in cw[k]],
-                }
-                for k, row in enumerate(self.codeword_indices)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Codebook":
-        base = np.array([complex(re, im) for re, im in d["base_points"]])
-        idx = np.array([cw["indices"] for cw in d["codewords"]], dtype=int)
-        dmin = d.get("dmin_sq")
-        return cls(base_points=base, codeword_indices=idx, m=int(d["m"]),
-                   n=int(d["n"]), p_a_uw=float(d["p_a_uw"]), rho=d["rho"],
-                   achieved_dmin_sq=math.inf if dmin is None else float(dmin),
-                   converged=bool(d.get("converged", True)))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Codebook":
-        return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def codebook_min_dist(cb: Codebook) -> float:
-    """Exact minimum squared Euclidean distance over all codeword pairs."""
-    if cb.m < 2:
-        raise ValueError("need at least two codewords")
-    cw = cb.codewords
-    d = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
-    iu = np.triu_indices(cb.m, k=1)
-    return float(d[iu].min())
 
 
 def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
@@ -180,7 +113,8 @@ def _greedy_pass(cand_real: np.ndarray, d_min: float, start: int,
 
 def build_info_codebook(m: int, n: int, p_a_uw: float,
                         cfg: GreedyConfig | None = None) -> Codebook:
-    """Greedy minimum-distance codebook over the Mn-point layout.
+    """Greedy minimum-distance codebook over the Mn-point layout; at n = 1,
+    the layout itself (the search would pick all M candidates).
 
     Candidates are the n-permutations of the Mn base points (exhaustive when
     they fit under ``candidate_cap``, else seeded random distinct samples).
@@ -191,11 +125,16 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     """
     if m < 1 or n < 1:
         raise ValueError("M and n must be >= 1")
+    mn = m * n
+    base = layout_info(mn, p_a_uw)
+    if n == 1:
+        # the search would pick every candidate: the design is the layout itself
+        if m >= 2:
+            base.achieved_dmin_sq = codebook_min_dist(base)
+        return base
     cfg = cfg or GreedyConfig()
     rng = np.random.default_rng(cfg.seed)
 
-    mn = m * n
-    base = layout_info(mn, p_a_uw)
     t_sq = base.t ** 2 if base.t else p_a_uw
     d_init = cfg.dmin_init if cfg.dmin_init is not None else t_sq
     eps = cfg.epsilon if cfg.epsilon is not None else 0.05 * t_sq
@@ -211,7 +150,7 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
         cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
     if len(cand_idx) < m:
         raise ValueError(f"candidate set ({len(cand_idx)}) smaller than M ({m})")
-    cvals = base.points[cand_idx]
+    cvals = base.base_points[cand_idx]
     cand_real = np.empty((len(cand_idx), 2 * n))
     cand_real[:, 0::2] = cvals.real
     cand_real[:, 1::2] = cvals.imag
@@ -253,7 +192,7 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
             warnings.warn("greedy search did not reach M codewords; "
                           f"returning {len(sel)} (max_rounds={cfg.max_rounds})")
 
-    cb = Codebook(base_points=base.points.copy(), codeword_indices=np.asarray(chosen),
+    cb = Codebook(base_points=base.base_points.copy(), codeword_indices=chosen,
                   m=len(chosen), n=n, p_a_uw=p_a_uw, rho=0.0, converged=converged)
     # common rescale for the average-power equality over codeword symbols
     tot = float(np.sum(np.abs(cb.codewords) ** 2))
@@ -264,75 +203,15 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     return cb
 
 
-def swipt_codebook(cb: Codebook, rho: float, p_star: float) -> Codebook:
-    """On-Off deformation of a codebook through its base points.
-
-    The Mn base points transform exactly like a constellation (target
-    modulus sqrt(Mn*P_a/M_on^c)); perturbed points propagate into every
-    codeword referencing them, and a final common rescale keeps the
-    average-power equality over the M*n codeword symbols. Equal-modulus
-    ties prefer base points the codebook actually references.
-    """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError("rho must be in [0, 1]")
-    if cb.rho != 0.0:
-        raise ValueError("codebook must be built at rho = 0")
-    mn = cb.base_points.size
-    m_on_c = int(np.argmin(np.abs(p_star - np.arange(1, mn + 1) / mn))) + 1
-
-    # equal-modulus ties: singly-referenced points first (exact On-Off
-    # bookkeeping), then low multiplicity; unreferenced points would make the
-    # rho=1 codebook deliver nothing, so they go last
-    refcount = np.bincount(cb.codeword_indices.ravel(), minlength=mn)
-    tie_rank = np.where(refcount == 0, float(mn), np.abs(refcount - 1.0))
-    new_base, _ = transform_points(cb.base_points, rho, m_on_c, cb.p_a_uw,
-                                   tie_rank=tie_rank)
-    out = Codebook(base_points=new_base, codeword_indices=cb.codeword_indices.copy(),
-                   m=cb.m, n=cb.n, p_a_uw=cb.p_a_uw, rho=float(rho),
-                   converged=cb.converged)
-    if rho == 0.0:
-        out.achieved_dmin_sq = cb.achieved_dmin_sq
-        return out
-    tot = float(np.sum(np.abs(out.codewords) ** 2))
-    if tot == 0.0:
-        raise ValueError("transform collapsed every referenced base point")
-    out.base_points *= math.sqrt(cb.m * cb.n * cb.p_a_uw / tot)
-    out.achieved_dmin_sq = codebook_min_dist(out) if out.m >= 2 else math.inf
-    return out
-
-
 # ---------------------------------------------------------------------------
 # On-Off position block codes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OnOffBlockCode:
-    """Block code whose codewords place N_on symbols of amplitude r_on on
-    distinct position sets (0-based) of a length-n block, the rest zero.
-    """
-
-    n: int
-    n_on: int
-    r_on: float
-    m: int
-    support_sets: tuple[tuple[int, ...], ...]
-    p_a_uw: float
-
-    def codewords(self) -> np.ndarray:
-        cw = np.zeros((self.m, self.n), dtype=complex)
-        for k, sup in enumerate(self.support_sets):
-            cw[k, list(sup)] = self.r_on
-        return cw
-
-    def avg_power(self) -> float:
-        return self.n_on * self.r_on ** 2 / self.n
-
-
-def onoff_block_code(n: int, p_a_uw: float, p_star: float,
-                     m_req: int) -> OnOffBlockCode:
+def onoff_block_code(n: int, p_a_uw: float, p_star: float, m_req: int) -> Codebook:
     """Build the position code: N_on best matches p_star among {1..n}/n,
     r_on carries the whole block power, and the first m_req supports are
-    taken in colexicographic order.
+    taken in colexicographic order. It is the rho = 1 codebook over base
+    points (0, r_on) whose codeword k indexes r_on on its support, 0 elsewhere.
 
     The all-on support is a single set and carries one message, so for
     m_req >= 2 (and n >= 2) N_on = n is excluded and the match runs over
@@ -351,19 +230,23 @@ def onoff_block_code(n: int, p_a_uw: float, p_star: float,
     supports = sorted(itertools.combinations(range(n), n_on),
                       key=lambda c: c[::-1])[:m_req]
     r_on = math.sqrt(n * p_a_uw / n_on)
-    return OnOffBlockCode(n=n, n_on=n_on, r_on=r_on, m=m_req,
-                          support_sets=tuple(supports), p_a_uw=p_a_uw)
+    idx = np.zeros((m_req, n), dtype=int)
+    for k, sup in enumerate(supports):
+        idx[k, list(sup)] = 1
+    return Codebook(base_points=[0.0, r_on], codeword_indices=idx, m=m_req, n=n,
+                    p_a_uw=p_a_uw, rho=1.0)
 
 
-def decode_onoff_block_many(ys: np.ndarray, code: OnOffBlockCode) -> np.ndarray:
-    """Per row of ``ys`` (B, n), the message index with maximal received
-    energy on its support set.
+def decode_onoff_block_many(ys: np.ndarray, code: Codebook) -> np.ndarray:
+    """Per row of ``ys`` (B, n), the message index of the On-Off block code
+    with maximal received energy on its support set (the positions indexing
+    r_on).
 
     Subsumes exact position matching: a noiseless codeword's own support is
     the unique energy maximizer; ties (e.g. all-zero input) go to the
     smallest index.
     """
     e = np.abs(np.asarray(ys, dtype=complex)) ** 2
-    sup = np.array([list(s) for s in code.support_sets])   # (M, n_on)
+    sup = np.nonzero(code.codeword_indices)[1].reshape(code.m, -1)   # (M, n_on)
     overlap = e[:, sup].sum(axis=2)                        # (B, M)
     return np.argmax(overlap, axis=1)

@@ -1,12 +1,21 @@
-"""Concentric-circle information constellations and their continuous
-deformation toward On-Off signalling.
+"""The one design type and its one deformation toward On-Off signalling.
+
+Every design, algorithmic or learned, is a :class:`Codebook`: M codewords of
+n complex symbols at average power P_a, each an index tuple into a set of
+base points. The concentric-circle information constellation
+(:func:`layout_info`) is its block-length-1 case; greedy codebooks and On-Off
+position codes (``codebook``) and QAM references (``channel``) are built as
+the same type, and saved in one of two JSON formats: the point format at
+n = 1, the codeword format otherwise. :func:`swipt_transform` deforms the base
+points of any rho = 0 design; its final common rescale is skipped when every
+base point is referenced exactly once, where it could only add rounding.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,71 +37,150 @@ def circle_capacity(m: int) -> int:
 
 
 @dataclass
-class Constellation:
-    """M complex points (sqrt(uW)) under average power P_a with uniform
-    message probabilities. ``rho`` is 0 for the pure information layout, 1 at
-    the On-Off extreme, or the sentinel string "learned" for extracted
-    autoencoder designs.
+class Codebook:
+    """M codewords of n complex symbols (sqrt(uW)) under average power P_a
+    with uniform message probabilities: the one design type.
+
+    Codeword k sends ``base_points[codeword_indices[k]]``, so a base point that
+    moves under the SWIPT deformation moves consistently in every codeword
+    referencing it. A ring layout (:func:`layout_info`) is the n = 1 case with
+    one base point per message (indices ``arange(M)[:, None]``) and carries
+    its ring metadata ``c``, ``t``; ``m_on`` and ``on_indices`` (base-point
+    indices) record a deformation. ``rho`` is 0 for an information design,
+    1 at the On-Off extreme, or the sentinel string "learned" for extracted
+    autoencoder designs. ``achieved_dmin_sq`` is the minimum squared codeword
+    distance, inf when not computed or M = 1.
+
+    JSON has two formats: at n = 1 the point format (``points`` in message
+    order, plus the ring metadata under ``meta``), otherwise the codeword
+    format (``base_points``, and ``indices`` and ``symbols`` per codeword).
+    Both load, and an n = 1 file in the codeword format loads to the same
+    codewords.
     """
 
-    points: np.ndarray
+    base_points: np.ndarray        # (B,) complex
+    codeword_indices: np.ndarray   # (M, n) int
     m: int
+    n: int
     p_a_uw: float
     rho: float | str = 0.0
+    achieved_dmin_sq: float = math.inf
+    converged: bool = True
     c: int | None = None
     t: float | None = None
     m_on: int | None = None
     on_indices: list[int] | None = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=complex).reshape(-1)
-        if self.points.size != self.m:
-            raise ValueError("points length must equal m")
+        self.base_points = np.asarray(self.base_points, dtype=complex).reshape(-1)
+        idx = self.codeword_indices = np.asarray(self.codeword_indices, dtype=np.intp)
+        if self.m < 1 or self.n < 1 or idx.shape != (self.m, self.n):
+            raise ValueError(f"codewords: need M = {self.m} index tuples of length "
+                             f"n = {self.n}, got shape {idx.shape}")
+        if idx.min() < 0 or idx.max() >= self.base_points.size:
+            raise ValueError(f"codewords: index outside the {self.base_points.size} "
+                             "base points")
 
     @property
-    def degenerate(self) -> bool:
-        return self.m == 1
+    def codewords(self) -> np.ndarray:
+        return self.base_points[self.codeword_indices]
 
     def avg_power(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
-    def min_dist(self) -> float:
-        """Minimum pairwise Euclidean distance (not squared)."""
-        if self.m < 2:
-            raise ValueError("need at least two points")
-        d = np.abs(self.points[:, None] - self.points[None, :])
-        iu = np.triu_indices(self.m, k=1)
-        return float(d[iu].min())
+        return float(np.mean(np.abs(self.codewords) ** 2))
 
     def to_json(self) -> dict:
         rho = self.rho if isinstance(self.rho, str) else float(self.rho)
+        cw = self.codewords
+        if self.n == 1:
+            return {
+                "m": self.m,
+                "p_a_uw": self.p_a_uw,
+                "rho": rho,
+                "points": [[float(p.real), float(p.imag)] for p in cw[:, 0]],
+                "meta": {
+                    "c": self.c,
+                    "t": self.t,
+                    "m_on": self.m_on,
+                    "on_indices": self.on_indices,
+                },
+            }
         return {
             "m": self.m,
+            "n": self.n,
             "p_a_uw": self.p_a_uw,
             "rho": rho,
-            "points": [[float(p.real), float(p.imag)] for p in self.points],
-            "meta": {
-                "c": self.c,
-                "t": self.t,
-                "m_on": self.m_on,
-                "on_indices": self.on_indices,
-            },
+            "dmin_sq": None if math.isinf(self.achieved_dmin_sq) else self.achieved_dmin_sq,
+            "converged": self.converged,
+            "base_points": [[float(p.real), float(p.imag)] for p in self.base_points],
+            "codewords": [
+                {
+                    "indices": [int(i) for i in row],
+                    "symbols": [[float(s.real), float(s.imag)] for s in cw[k]],
+                }
+                for k, row in enumerate(self.codeword_indices)
+            ],
         }
 
     @classmethod
-    def from_json(cls, d: dict) -> "Constellation":
-        meta = d.get("meta", {})
-        pts = np.array([complex(re, im) for re, im in d["points"]])
-        return cls(points=pts, m=int(d["m"]), p_a_uw=float(d["p_a_uw"]),
-                   rho=d["rho"], c=meta.get("c"), t=meta.get("t"),
-                   m_on=meta.get("m_on"), on_indices=meta.get("on_indices"))
+    def from_json(cls, d: dict) -> "Codebook":
+        """Read either format; ValueError names a missing or malformed field."""
+        points = lambda v: np.array([complex(re, im) for re, im in v], dtype=complex)
+        if isinstance(d, dict) and "codewords" in d:
+            base = json_field(d, "base_points", points)
+            idx = json_field(d, "codewords",
+                             lambda v: np.array([cw["indices"] for cw in v], dtype=int))
+            n = json_field(d, "n", int)
+        else:
+            base = json_field(d, "points", points)
+            idx, n = np.arange(base.size)[:, None], 1
+        meta = json_field(d, "meta", dict) if "meta" in d else {}
+        dmin = math.inf if d.get("dmin_sq") is None else json_field(d, "dmin_sq", float)
+        return cls(base_points=base, codeword_indices=idx, m=json_field(d, "m", int), n=n,
+                   p_a_uw=json_field(d, "p_a_uw", float),
+                   rho=json_field(d, "rho", lambda r: r if isinstance(r, str) else float(r)),
+                   achieved_dmin_sq=dmin, converged=bool(d.get("converged", True)),
+                   c=meta.get("c"), t=meta.get("t"), m_on=meta.get("m_on"),
+                   on_indices=meta.get("on_indices"))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
+        Path(path).write_text(json.dumps(self.to_json(), indent=1, allow_nan=False) + "\n")
 
     @classmethod
-    def load(cls, path) -> "Constellation":
+    def load(cls, path) -> "Codebook":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def json_field(d, key: str, parse=None):
+    """``parse(d[key])`` (or ``d[key]``) of a JSON object read from a file,
+    with a ValueError naming ``key`` when the object, the field or its value
+    is malformed.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return d[key] if parse is None else parse(d[key])
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise ValueError(f"bad field {key!r}: {err}") from None
+
+
+_DIST_BLOCK = 1 << 20   # codeword-pair symbols per distance block: bounds memory
+
+
+def codebook_min_dist(cb: Codebook) -> float:
+    """Exact minimum squared Euclidean distance over all codeword pairs,
+    computed in row blocks so memory stays bounded at large M."""
+    if cb.m < 2:
+        raise ValueError("need at least two codewords")
+    cw = cb.codewords
+    rows = max(1, _DIST_BLOCK // (cb.m * cb.n))
+    best = math.inf
+    for lo in range(0, cb.m - 1, rows):
+        block = cw[lo:lo + rows]
+        d = np.sum(np.abs(block[:, None, :] - cw[None, lo:, :]) ** 2, axis=2)
+        best = min(best, float(d[np.triu_indices(len(block), 1, cb.m - lo)].min()))
+    return best
 
 
 def _circle_counts(m_total: int) -> list[int]:
@@ -108,18 +196,19 @@ def _circle_counts(m_total: int) -> list[int]:
     return counts
 
 
-def layout_info(m: int, p_a_uw: float) -> Constellation:
+def layout_info(m: int, p_a_uw: float) -> Codebook:
     """Arrange M points on concentric circles with radii {0, t, 2t, ...} so the
     average power equals P_a exactly; circles alternate a half-slot phase
-    stagger to help inter-circle spacing.
+    stagger to help inter-circle spacing. The design is the n = 1 codebook
+    sending point k for message k.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
     if not p_a_uw > 0:
         raise ValueError("P_a must be positive")
     if m == 1:
-        return Constellation(points=np.zeros(1, dtype=complex), m=1,
-                             p_a_uw=p_a_uw, rho=0.0, c=0, t=0.0)
+        return Codebook(base_points=np.zeros(1, dtype=complex), codeword_indices=[[0]],
+                        m=1, n=1, p_a_uw=p_a_uw, rho=0.0, c=0, t=0.0)
 
     counts = _circle_counts(m)
     c = len(counts) - 1
@@ -134,8 +223,8 @@ def layout_info(m: int, p_a_uw: float) -> Constellation:
         phi0 = 0.0 if ring % 2 == 0 else math.pi / k
         ang = phi0 + 2.0 * math.pi * np.arange(k) / k
         pts.extend(ring * t * np.exp(1j * ang))
-    return Constellation(points=np.array(pts), m=m, p_a_uw=p_a_uw, rho=0.0,
-                         c=c, t=t)
+    return Codebook(base_points=np.array(pts), codeword_indices=np.arange(m)[:, None],
+                    m=m, n=1, p_a_uw=p_a_uw, rho=0.0, c=c, t=t)
 
 
 def m_on_count(m: int, p_star: float) -> int:
@@ -216,19 +305,43 @@ def transform_points(points: np.ndarray, rho: float, m_on: int,
     return pts, on_idx
 
 
-def swipt_transform(base: Constellation, rho: float, p_star: float) -> Constellation:
-    """Deform an information constellation toward the On-Off extreme.
+def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
+    """Deform a rho = 0 design toward the On-Off extreme through its base points.
 
-    At rho=0 the base layout is returned unchanged; at rho=1 exactly m_on
-    points sit equally phased on the radius-sqrt(M*P_a/m_on) circle and the
-    rest at the origin.
+    m_on = m_on_count(M*n, p_star) base points move as in
+    :func:`transform_points` (target modulus sqrt(B*P_a/m_on) over B base
+    points), and every codeword referencing a moved point moves with it.
+    Equal-modulus ties prefer singly-referenced base points (exact On-Off
+    bookkeeping), then low multiplicity; unreferenced points go last, since
+    the rho = 1 design would deliver nothing through them.
+
+    When every base point is referenced exactly once (a ring layout), the
+    codeword symbols are the base points and ``transform_points`` already
+    holds the average power: nothing more is done, since a rescale could only
+    add rounding. Otherwise a final common rescale restores the average power
+    over the M*n codeword symbols. At rho = 0 the base points are returned
+    unchanged; a ring at rho = 1 has exactly m_on points equally phased on the
+    radius-sqrt(M*P_a/m_on) circle and the rest at the origin.
     """
-    if base.rho != 0.0:
-        raise ValueError("base constellation must have rho = 0")
-    if not base.p_a_uw > 0:
+    if design.rho != 0.0:
+        raise ValueError("base design must have rho = 0")
+    if not design.p_a_uw > 0:
         raise ValueError("P_a must be positive")
-    m_on = m_on_count(base.m, p_star)
-    pts, on_idx = transform_points(base.points, rho, m_on, base.p_a_uw)
-    return Constellation(points=pts, m=base.m, p_a_uw=base.p_a_uw, rho=float(rho),
-                         c=base.c, t=base.t, m_on=m_on,
-                         on_indices=[int(i) for i in on_idx])
+    m, n, n_base = design.m, design.n, design.base_points.size
+    m_on = m_on_count(m * n, p_star)
+    refcount = np.bincount(design.codeword_indices.ravel(), minlength=n_base)
+    tie_rank = np.where(refcount == 0, float(n_base), np.abs(refcount - 1.0))
+    pts, on_idx = transform_points(design.base_points, rho, m_on, design.p_a_uw, tie_rank)
+    out = Codebook(base_points=pts, codeword_indices=design.codeword_indices.copy(), m=m, n=n,
+                   p_a_uw=design.p_a_uw, rho=float(rho), converged=design.converged,
+                   c=design.c, t=design.t, m_on=m_on, on_indices=[int(i) for i in on_idx])
+    if rho == 0.0:
+        out.achieved_dmin_sq = design.achieved_dmin_sq
+        return out
+    if np.any(refcount != 1):
+        tot = float(np.sum(np.abs(out.codewords) ** 2))
+        if tot == 0.0:
+            raise ValueError("transform collapsed every referenced base point")
+        out.base_points *= math.sqrt(m * n * design.p_a_uw / tot)
+    out.achieved_dmin_sq = codebook_min_dist(out) if m >= 2 else math.inf
+    return out

@@ -250,7 +250,7 @@ class EhModel:
                    power_scale=float(d["power_scale"]), rmse=d.get("rmse"))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
+        Path(path).write_text(json.dumps(self.to_json(), indent=1, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "EhModel":

@@ -231,7 +231,7 @@ def test_loss_trace_windows_non_increasing():
 def test_extract_design_shapes():
     sysm = small_system(m_list=(16,), pa=2.0)
     des = sk.extract_design(sysm)
-    assert len(des) == 1 and isinstance(des[0], sk.Constellation)
+    assert len(des) == 1 and isinstance(des[0], sk.Codebook) and des[0].n == 1
     assert des[0].rho == "learned"
     assert des[0].avg_power() == pytest.approx(2.0, rel=1e-9)
 
@@ -272,7 +272,7 @@ def test_lambda_large_single_symbol_migrates():
     cfg = sk.TrainConfig(lambda_=1e4, n=1, learning_rate=2e-3, batch_size=256,
                          iterations=8000, seed=0, pd_floor=1e-3)
     st, _ = sk.train(sk.build_system(topo, cfg, harvester=eh))
-    mods = np.abs(sk.extract_design(st)[0].points)
+    mods = np.abs(sk.extract_design(st)[0].base_points)
     assert int((mods > math.sqrt(32 * 5.0) / 2).sum()) == 1
 
 

@@ -95,8 +95,8 @@ def _ml_ser_by_integration(points: np.ndarray, sigma_sq: float) -> float:
 
 
 @pytest.mark.parametrize("design_fn", [
-    lambda: sk.qam_reference(4, 2.0).points,
-    lambda: sk.layout_info(4, 2.0).points,
+    lambda: sk.qam_reference(4, 2.0).base_points,
+    lambda: sk.layout_info(4, 2.0).base_points,
     lambda: np.array([math.sqrt(2.0), -math.sqrt(2.0)]),
 ])
 def test_ml_decoding_matches_integration(design_fn):
@@ -178,11 +178,11 @@ def test_qam_reference_values():
     q4 = sk.qam_reference(4, 6.0)
     want = {(s1 * math.sqrt(3.0), s2 * math.sqrt(3.0))
             for s1 in (-1, 1) for s2 in (-1, 1)}
-    got = {(round(p.real, 12), round(p.imag, 12)) for p in q4.points}
+    got = {(round(p.real, 12), round(p.imag, 12)) for p in q4.base_points}
     assert {(round(a, 12), round(b, 12)) for a, b in want} == got
     q16 = sk.qam_reference(16, 1.0)
     assert q16.avg_power() == pytest.approx(1.0, rel=1e-12)
-    assert q16.min_dist() == pytest.approx(2 * math.sqrt(0.1), rel=1e-12)
+    assert math.sqrt(sk.codebook_min_dist(q16)) == pytest.approx(2 * math.sqrt(0.1), rel=1e-12)
     q64 = sk.qam_reference(64, 2.0)
     assert q64.avg_power() == pytest.approx(2.0, rel=1e-12)
 
@@ -210,7 +210,7 @@ def test_ser_mc_reports_pd_of_the_same_samples(canon):
     # harvester over the very samples ser_mc decodes, from one pass
     design = sk.swipt_transform(sk.layout_info(16, 120.0), 0.5, sk.pon_approx(120.0))
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=120.0, seed=17)
-    cw = design.points.reshape(-1, 1)
+    cw = design.base_points.reshape(-1, 1)
     errors, power = monte_carlo(
         [cw, cw], spec, 150_000,
         [lambda msg, y: int(np.count_nonzero(ml_decoder(cw)(y) != msg)),

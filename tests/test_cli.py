@@ -70,7 +70,7 @@ def test_design_constellation_m_on_fingerprint(tmp_path, capsys):
               "--p-star", 5.0 / 317.0, "-o", out])
     assert rc == 0
     assert "M_on=1" in capsys.readouterr().out
-    c = sk.Constellation.load(out)
+    c = sk.Codebook.load(out)
     assert c.m_on == 1 and c.avg_power() == pytest.approx(5.0, rel=1e-9)
 
 
@@ -107,7 +107,7 @@ def test_train_writes_outputs(tmp_path):
     assert len(lines) == 202
     system = sk.load_system(out)
     assert system.final_loss is not None
-    des = sk.Constellation.load(extract)
+    des = sk.Codebook.load(extract)
     assert des.rho == "learned" and des.m == 4
 
 
@@ -126,7 +126,7 @@ def test_train_bc_caption_defaults(tmp_path):
               "--snr", "100,50", "--lam", 0, "--iters", 80, "--seed", 2,
               "-o", tmp_path / "bc.json", "--extract", extract])
     assert rc == 0
-    des = sk.Constellation.load(extract)
+    des = sk.Codebook.load(extract)
     assert des.m == 32
 
 
@@ -251,7 +251,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     out = tmp_path / "d.json"
     rc = run(["design", "--config", cfg, "--m", 8, "-o", out])
     assert rc == 0
-    c = sk.Constellation.load(out)
+    c = sk.Codebook.load(out)
     assert c.m == 8        # flag wins
     assert c.p_a_uw == 5.0  # config supplies the rest
 
@@ -330,3 +330,62 @@ def test_train_infinite_snr_is_noiseless(tmp_path):
               "-o", out])
     assert rc == 0
     assert sk.load_system(out).topology.snrs == [float("inf")]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rho", ["nan", -0.5, 1.5])
+def test_design_rejects_rho_outside_unit_interval(tmp_path, capsys, n, rho):
+    out = tmp_path / "d.json"
+    rc = run(["design", "--m", 4, "--n", n, "--pa", 5, "--rho", rho, "-o", out])
+    assert rc == 2
+    assert "rho must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, field", [
+    ("{}", "'points'"),
+    ('{"m": 4, "p_a_uw": 5.0, "rho": 0.0, "meta": {}}', "'points'"),
+    ("[[1.0, 0.0], [-1.0, 0.0]]", "'points'"),
+    ('{"m": 2, "n": 2, "p_a_uw": 5.0, "rho": 0.0, "base_points": [[1.0, 0.0], [-1.0, 0.0]], '
+     '"codewords": [{"indices": [0, 1]}, {"indices": [1, 2]}]}', "codewords"),
+], ids=["empty", "no-points", "list", "index-past-base"])
+def test_simulate_rejects_malformed_design(tmp_path, capsys, content, field):
+    design = tmp_path / "bad.json"
+    design.write_text(content)
+    rc = run(["simulate", "--design", design, "--trials", 1000, "-o", tmp_path / "sim.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "sim.json").exists()
+
+
+def test_sweep_learned_rejects_malformed_system(tmp_path, capsys):
+    system = tmp_path / "bad.json"
+    system.write_text("{}")
+    rc = run(["sweep", "--designer", "learned", "--systems", system, "--trials", 1000,
+              "-o", tmp_path / "s.csv"])
+    assert rc == 2
+    assert "'topology'" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_infinite_snr_files_are_strict_json(tmp_path):
+    sys_path, extract = tmp_path / "sys.json", tmp_path / "des.json"
+    assert run(["train", "--topology", "p2p", "--m", 4, "--snr", "inf", "--iters", 20,
+                "-o", sys_path, "--extract", extract]) == 0
+    assert _strict_json(sys_path)["topology"]["snrs"] == ["inf"]
+    assert sk.load_system(sys_path).topology.snrs == [float("inf")]
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--designer", "learned", "--systems", sys_path, "--trials", 1000,
+                "-o", out]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    sim = tmp_path / "sim.json"
+    assert run(["simulate", "--design", extract, "--snr", "inf", "--trials", 1000,
+                "-o", sim]) == 0
+    assert _strict_json(sim)["snr"] == "inf"

@@ -36,7 +36,7 @@ def test_layout_16_and_64_shapes():
     c64 = sk.layout_info(64, 2.0)
     assert c64.c == 5
     # remainder on the outermost circle
-    outer = np.isclose(np.abs(c64.points), 5 * c64.t)
+    outer = np.isclose(np.abs(c64.base_points), 5 * c64.t)
     assert outer.sum() == 2
 
 
@@ -44,12 +44,12 @@ def test_layout_power_and_min_distance():
     for m in range(2, 65):
         c = sk.layout_info(m, 3.7)
         assert c.avg_power() == pytest.approx(3.7, rel=1e-9)
-        assert c.min_dist() >= c.t * (1.0 - 1e-9)
+        assert math.sqrt(sk.codebook_min_dist(c)) >= c.t * (1.0 - 1e-9)
 
 
 def test_layout_degenerate_single_point():
     c = sk.layout_info(1, 5.0)
-    assert c.degenerate and c.points[0] == 0 and c.t == 0.0
+    assert c.m == 1 and c.base_points[0] == 0 and c.t == 0.0
 
 
 def test_layout_rejects_zero():
@@ -77,7 +77,7 @@ def test_m_on_count_tracks_p():
 def test_swipt_rho0_is_identity():
     base = sk.layout_info(16, 5.0)
     out = sk.swipt_transform(base, 0.0, 0.3)
-    assert np.array_equal(out.points, base.points)
+    assert np.array_equal(out.base_points, base.base_points)
     assert out.m_on == sk.m_on_count(16, 0.3)
 
 
@@ -85,7 +85,7 @@ def test_swipt_rho1_exact_onoff_geometry():
     m, pa = 32, 5.0
     p_star = sk.pon_approx(pa)
     out = sk.swipt_transform(sk.layout_info(m, pa), 1.0, p_star)
-    mods = np.abs(out.points)
+    mods = np.abs(out.base_points)
     target = math.sqrt(m * pa / out.m_on)
     on = mods > target / 2
     assert on.sum() == out.m_on == 1
@@ -98,7 +98,7 @@ def test_swipt_rho1_phases_equally_spaced():
     out = sk.swipt_transform(sk.layout_info(m, pa), 1.0, sk.pon_approx(pa))
     assert out.m_on == 12
     target = math.sqrt(m * pa / 12)
-    pts = out.points[out.on_indices]
+    pts = out.base_points[out.on_indices]
     for i, p in enumerate(pts):
         want = target * np.exp(1j * 2 * math.pi * i / 12)
         assert abs(p - want) <= 1e-12 * target
@@ -106,9 +106,9 @@ def test_swipt_rho1_phases_equally_spaced():
 
 def test_swipt_all_on_limit():
     out = sk.swipt_transform(sk.layout_info(8, 2.0), 1.0, 1.0)
-    mods = np.abs(out.points)
+    mods = np.abs(out.base_points)
     assert np.allclose(mods, math.sqrt(2.0), rtol=1e-14)
-    ph = np.sort(np.mod(np.angle(out.points), 2 * math.pi))
+    ph = np.sort(np.mod(np.angle(out.base_points), 2 * math.pi))
     assert np.allclose(np.diff(ph), 2 * math.pi / 8, atol=1e-12)
 
 
@@ -131,9 +131,9 @@ def test_swipt_continuity_in_rho():
         p_star = sk.pon_approx(pa)
         band = 1e-2 * math.sqrt(m * pa)
         rhos = np.linspace(0.0, 1.0, 1001)
-        prev = sk.swipt_transform(base, 0.0, p_star).points
+        prev = sk.swipt_transform(base, 0.0, p_star).base_points
         for r in rhos[1:]:
-            cur = sk.swipt_transform(base, float(r), p_star).points
+            cur = sk.swipt_transform(base, float(r), p_star).base_points
             step = float(np.max(np.abs(cur - prev)))
             assert step <= (band if r < 1.0 else 2.0 * band)
             prev = cur
@@ -165,7 +165,7 @@ def test_constellation_json_roundtrip(tmp_path):
     c = sk.swipt_transform(sk.layout_info(16, 5.0), 0.7, 0.2)
     path = tmp_path / "c.json"
     c.save(path)
-    back = sk.Constellation.load(path)
-    assert np.array_equal(back.points, c.points)
+    back = sk.Codebook.load(path)
+    assert np.array_equal(back.base_points, c.base_points)
     assert back.m_on == c.m_on and back.rho == c.rho
     assert back.on_indices == c.on_indices

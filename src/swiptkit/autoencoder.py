@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .channel import ChannelSpec, monte_carlo
 from .constellation import Codebook, codebook_min_dist, json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
@@ -83,8 +84,8 @@ class Topology:
             raise ValueError(f"need one SNR per receiver ({self.n_rx})")
         if not all(s > 0 for s in self.snrs):   # inf is noiseless; NaN fails
             raise ValueError("SNRs must be positive")
-        if not self.p_a_uw > 0:
-            raise ValueError("P_a must be positive")
+        if not 0 < self.p_a_uw < math.inf:
+            raise ValueError("P_a must be finite and positive")
         if self.kind == "ic":
             g = np.asarray(self.gains, dtype=float)
             if g.shape != (k, k) or not np.allclose(np.diag(g), 1.0):
@@ -406,6 +407,14 @@ def train(sys: AeSystem):
     runs Adam in place on two preallocated temporaries, in the operation
     order of the textbook update; trace and parameters are bit for bit
     those of that update on concatenated gradients.
+
+    The step loop runs on one OpenBLAS thread (:func:`one_blas_thread`), and
+    the caller's thread count is put back when it ends or raises. At the
+    default batch of 128, OpenBLAS splits each (128, 64) x (64, 64) decoder
+    matmul across two threads, and the split costs more than it saves: the
+    second thread spins through every step, which doubles the CPU time
+    without shortening the step. The bits do not change, since OpenBLAS
+    splits a matmul by output blocks, never along the summed axis.
     """
     sys = copy.deepcopy(sys)
     cfg = sys.config
@@ -418,31 +427,32 @@ def train(sys: AeSystem):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = np.zeros((cfg.iterations, 3))
 
-    for it in range(cfg.iterations):
-        msgs = sample_messages(sys.topology, msg_rng, cfg.batch_size)
-        noises = sample_noises(sys.topology, noise_rng, cfg.batch_size, cfg.n)
-        loss, _, _, parts = composite_loss(sys, msgs, noises, grad)
-        if not math.isfinite(loss):
-            raise TrainDivergedError(it, trace[:it])
-        trace[it] = (loss, parts.xent, parts.power)
+    with one_blas_thread():
+        for it in range(cfg.iterations):
+            msgs = sample_messages(sys.topology, msg_rng, cfg.batch_size)
+            noises = sample_noises(sys.topology, noise_rng, cfg.batch_size, cfg.n)
+            loss, _, _, parts = composite_loss(sys, msgs, noises, grad)
+            if not math.isfinite(loss):
+                raise TrainDivergedError(it, trace[:it])
+            trace[it] = (loss, parts.xent, parts.power)
 
-        t = it + 1
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        np.multiply(grad, 1 - beta1, out=tmp_a)
-        m_state *= beta1
-        m_state += tmp_a
-        np.multiply(grad, 1 - beta2, out=tmp_a)
-        tmp_a *= grad
-        v_state *= beta2
-        v_state += tmp_a
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m_state, 1 - beta1 ** t, out=tmp_a)
-        tmp_a *= cfg.learning_rate
-        np.divide(v_state, 1 - beta2 ** t, out=tmp_b)
-        np.sqrt(tmp_b, out=tmp_b)
-        tmp_b += eps
-        tmp_a /= tmp_b
-        theta -= tmp_a
+            t = it + 1
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            np.multiply(grad, 1 - beta1, out=tmp_a)
+            m_state *= beta1
+            m_state += tmp_a
+            np.multiply(grad, 1 - beta2, out=tmp_a)
+            tmp_a *= grad
+            v_state *= beta2
+            v_state += tmp_a
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m_state, 1 - beta1 ** t, out=tmp_a)
+            tmp_a *= cfg.learning_rate
+            np.divide(v_state, 1 - beta2 ** t, out=tmp_b)
+            np.sqrt(tmp_b, out=tmp_b)
+            tmp_b += eps
+            tmp_a /= tmp_b
+            theta -= tmp_a
 
     sys.final_loss = float(trace[-1, 0])
     return sys, trace

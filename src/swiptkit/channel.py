@@ -46,6 +46,8 @@ class ChannelSpec:
     def __post_init__(self):
         if not self.snr > 0:
             raise ValueError("snr must be positive")
+        if not 0 < self.p_a_uw < math.inf:
+            raise ValueError("P_a must be finite and positive")
 
     @property
     def sigma_sq(self) -> float:

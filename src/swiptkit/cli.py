@@ -169,6 +169,8 @@ def cmd_design(args) -> int:
     params = {k: getattr(args, k) for k in defaults}
     if not 0.0 <= args.rho <= 1.0:   # also NaN
         raise ValueError("rho must be in [0, 1]")
+    if not args.p_star >= 0:   # also NaN; 0 computes p*
+        raise ValueError("p_star must be in (0, 1], or 0 to compute it")
     ps = args.p_star if args.p_star > 0 else _p_star(args.pa, args.eh or None)
 
     cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap,

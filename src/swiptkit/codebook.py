@@ -220,8 +220,8 @@ def onoff_block_code(n: int, p_a_uw: float, p_star: float, m_req: int) -> Codebo
     """
     if n < 1 or m_req < 1:
         raise ValueError("n and m_req must be >= 1")
-    if not p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < p_a_uw < math.inf:
+        raise ValueError("P_a must be finite and positive")
     cand = np.arange(1, n if m_req >= 2 and n >= 2 else n + 1)
     n_on = int(cand[np.argmin(np.abs(p_star - cand / n))])
     bound = math.comb(n, n_on)

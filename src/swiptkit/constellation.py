@@ -204,8 +204,8 @@ def layout_info(m: int, p_a_uw: float) -> Codebook:
     """
     if m < 1:
         raise ValueError("M must be >= 1")
-    if not p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < p_a_uw < math.inf:
+        raise ValueError("P_a must be finite and positive")
     if m == 1:
         return Codebook(base_points=np.zeros(1, dtype=complex), codeword_indices=[[0]],
                         m=1, n=1, p_a_uw=p_a_uw, rho=0.0, c=0, t=0.0)
@@ -325,8 +325,8 @@ def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
     """
     if design.rho != 0.0:
         raise ValueError("base design must have rho = 0")
-    if not design.p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < design.p_a_uw < math.inf:
+        raise ValueError("P_a must be finite and positive")
     m, n, n_base = design.m, design.n, design.base_points.size
     m_on = m_on_count(m * n, p_star)
     refcount = np.bincount(design.codeword_indices.ravel(), minlength=n_base)

@@ -155,8 +155,11 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if not p_max > 0.1:
-        raise ValueError(f"p_max must exceed the grid's lowest power 0.1 uW, got {p_max}")
+    if not 0.1 < p_max < np.inf:
+        raise ValueError(f"p_max must exceed the grid's lowest power 0.1 uW and be finite, "
+                         f"got {p_max}")
+    if not 0 <= noise_rel < np.inf:
+        raise ValueError(f"noise_rel must be finite and >= 0, got {noise_rel}")
     grid = np.logspace(np.log10(0.1), np.log10(p_max), n_points - 1)
     p_in = np.concatenate([[0.0], grid])
     p_out = np.asarray(canonical_curve(p_in), dtype=float)
@@ -342,8 +345,8 @@ class OnOffLaw:
     def __post_init__(self):
         if not (0.0 < self.p_on <= 1.0):
             raise ValueError("p_on must be in (0, 1]")
-        if not self.p_a_uw > 0:
-            raise ValueError("P_a must be positive")
+        if not 0 < self.p_a_uw < np.inf:
+            raise ValueError("P_a must be finite and positive")
         self.amplitude = float(np.sqrt(self.p_a_uw / self.p_on))
 
 
@@ -354,8 +357,8 @@ def _harvest_fn(harvester):
 
 def onoff_delivered(p_a_uw: float, p_on: float, harvester) -> float:
     """Noiseless delivered power of On-Off signalling: p_on * f(P_a / p_on)."""
-    if not p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < p_a_uw < np.inf:
+        raise ValueError("P_a must be finite and positive")
     if p_on == 0:
         raise ValueError("p_on must be nonzero")
     f = _harvest_fn(harvester)
@@ -368,8 +371,8 @@ def optimal_pon(p_a_uw: float, harvester, grid_size: int = 1000) -> float:
     Ties break toward larger p_on (the saturation plateau is the
     information-friendlier side).
     """
-    if not p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < p_a_uw < np.inf:
+        raise ValueError("P_a must be finite and positive")
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
     p = np.arange(1, grid_size + 1) / grid_size
@@ -383,6 +386,6 @@ def pon_approx(p_a_uw: float) -> float:
     """Closed-form approximation of the optimal On probability: the knee of
     the canonical harvester sits at 317 uW.
     """
-    if not p_a_uw > 0:
-        raise ValueError("P_a must be positive")
+    if not 0 < p_a_uw < np.inf:
+        raise ValueError("P_a must be finite and positive")
     return min(p_a_uw / 317.0, 1.0)

@@ -15,6 +15,7 @@ from swiptkit.autoencoder import (
     system_from_json,
     system_to_json,
 )
+from swiptkit._blas import _thread_functions
 from swiptkit.nn import flat, pack
 from conftest import PlateauHarvester
 
@@ -469,12 +470,70 @@ def test_lean_step_is_bit_identical_to_the_reference(link, n, harvester, canonic
     _, enc_new, dec_new, _ = sk.composite_loss(sysm, msgs, noises)   # a buffer of its own
     assert np.concatenate(flat(enc_new + dec_new), axis=None).tobytes() == grad.tobytes()
 
+    _assert_train_is_the_reference(sysm)
+
+
+def _assert_train_is_the_reference(sysm):
     trained, trace = sk.train(sysm)
     ref_sys, ref_trace = _train_reference(sysm)
     assert trace.tobytes() == ref_trace.tobytes()
     assert trained.final_loss == ref_sys.final_loss
     assert (pack(trained.encoders + trained.decoders).tobytes()
             == pack(ref_sys.encoders + ref_sys.decoders).tobytes())
+
+
+@pytest.mark.parametrize("link,harvester", [("p2p", "fitted"), ("p2p", None), ("mac", None),
+                                            ("mac", "fitted")])
+def test_one_blas_thread_is_bit_identical_at_the_threaded_batch(link, harvester, canonical_fit):
+    # at batch 128 OpenBLAS splits the decoder's (128, 64) x (64, 64) matmuls
+    # across its threads (at 64 it already runs one); train steps on one
+    # thread, the reference at the caller's count
+    eh = canonical_fit if harvester else None
+    sysm = small_system(**_LINKS[link], pa=100.0, lam=0.3 if eh else 0.0, harvester=eh,
+                        seed=23, hidden=(64, 64))
+    sysm.config.iterations, sysm.config.batch_size = 60, 128
+    _assert_train_is_the_reference(sysm)
+
+
+@pytest.mark.skipif(_thread_functions() is None, reason="numpy's OpenBLAS not found")
+def test_train_steps_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    import swiptkit.autoencoder as ae
+    get, set_ = _thread_functions()
+    caller = get()
+    seen = []
+    real = ae.composite_loss
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        loss, eg, dg, parts = real(*args, **kwargs)
+        return (float("nan") if len(seen) == 8 else loss), eg, dg, parts
+
+    monkeypatch.setattr(ae, "composite_loss", recording)
+    sysm = small_system(m_list=(4,), pa=1.0)
+    sysm.config.iterations = 5
+    try:
+        set_(2)
+        before = get()
+        ae.train(sysm)
+        assert seen == [1] * 5 and get() == before
+        sysm.config.iterations = 10
+        with pytest.raises(sk.TrainDivergedError):
+            ae.train(sysm)
+        assert seen == [1] * 8 and get() == before
+    finally:
+        set_(caller)
+
+
+def test_train_without_openblas_is_the_same_run(monkeypatch):
+    import swiptkit._blas as blas
+    sysm = small_system(m_list=(8,), pa=60.0, hidden=(64, 64))
+    sysm.config.iterations, sysm.config.batch_size = 40, 128
+    trained, trace = sk.train(sysm)
+    monkeypatch.setattr(blas, "_thread_functions", lambda: None)
+    bare, bare_trace = sk.train(sysm)
+    assert bare_trace.tobytes() == trace.tobytes()
+    assert (pack(bare.encoders + bare.decoders).tobytes()
+            == pack(trained.encoders + trained.decoders).tobytes())
 
 
 def test_value_and_derivative_is_evaluate_and_derivative(canonical_fit):

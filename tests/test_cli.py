@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,53 @@ def test_fit_eh_pmax_below_grid_is_usage_error(tmp_path, capsys):
     rc = run(["fit-eh", "--synthetic", "--pmax", -1, "-o", out])
     assert rc == 2
     assert "p_max must exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--noise-rel", -1], "noise_rel must be finite and >= 0"),
+    (["--noise-rel", "nan"], "noise_rel must be finite and >= 0"),
+    (["--noise-rel", "inf"], "noise_rel must be finite and >= 0"),
+    (["--pmax", "inf"], "p_max must exceed the grid's lowest power 0.1 uW and be finite"),
+])
+def test_fit_eh_rejects_bad_synthetic_numbers(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["fit-eh", "--synthetic", "--points", 200, *flags, "-o", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["design", "--m", 4, "--n", 1],
+    ["design", "--m", 4, "--n", 2],
+    ["train", "--m", 4, "--iters", 5],
+    ["sweep", "--m", 4, "--trials", 1000],
+    ["sweep", "--designer", "learned", "--trials", 1000],
+], ids=["design-n1", "design-n2", "train", "sweep", "sweep-learned"])
+@pytest.mark.parametrize("pa", ["inf", "nan", 0, -1])
+def test_pa_must_be_finite_and_positive(tmp_path, capsys, args, pa):
+    out = tmp_path / "out"
+    if "learned" in args:
+        system = tmp_path / "sys.json"
+        assert run(["train", "--m", 4, "--iters", 5, "-o", system]) == 0
+        args = args + ["--systems", system]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run([*args, "--pa", pa, "-o", out])
+    assert rc == 2
+    assert "P_a must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p_star", ["nan", -0.5])
+def test_design_rejects_p_star_nan_or_negative(tmp_path, capsys, p_star):
+    out = tmp_path / "d.json"
+    rc = run(["design", "--m", 4, "--p-star", p_star, "-o", out])
+    assert rc == 2
+    assert "p_star must be in (0, 1], or 0 to compute it" in capsys.readouterr().err
     assert not out.exists()
 
 

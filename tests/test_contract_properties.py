@@ -1,0 +1,83 @@
+"""Contracts over generated inputs: every design averages exactly P_a, and the
+CLI answers bad numbers with exit 0, 2 or 3 and no traceback."""
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import swiptkit as sk
+from swiptkit.cli import main
+
+P_A = st.floats(0.01, 1000.0)
+RHO = st.floats(0.0, 1.0)
+P_STAR = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def _deform(base, rho, p_star):
+    return sk.swipt_transform(base, rho, p_star) if rho > 0 else base
+
+
+@given(st.integers(1, 64), P_A, RHO, P_STAR)
+def test_ring_averages_p_a(m, pa, rho, p_star):
+    # the undeformed M = 1 layout is its one point at the origin (P_d 0)
+    assume(m > 1 or rho > 0)
+    design = _deform(sk.layout_info(m, pa), rho, p_star)
+    assert design.avg_power() == pytest.approx(pa, rel=1e-9)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       P_A, P_STAR)
+def test_onoff_block_code_averages_p_a(n_and_messages, pa, p_star):
+    # for 1 <= N_on <= n - 1 there are at least n supports, so m_req <= n fits
+    n, m_req = n_and_messages
+    code = sk.onoff_block_code(n, pa, p_star, m_req)
+    assert code.avg_power() == pytest.approx(pa, rel=1e-9)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 8), st.integers(2, 3), P_A, RHO, P_STAR, st.integers(0, 2**16))
+def test_greedy_codebook_averages_p_a(m, n, pa, rho, p_star, seed):
+    base = sk.build_info_codebook(m, n, pa, sk.GreedyConfig(seed=seed, candidate_cap=2000))
+    design = _deform(base, rho, p_star)
+    assert design.avg_power() == pytest.approx(pa, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    assert main(["design", "--m", "4", "-o", str(path / "ring.json")]) == 0
+    return path
+
+
+# each flag with the commands that read it, at small sizes
+_COMMANDS = {
+    "--pa": [["design", "--m", "4"], ["train", "--m", "4", "--iters", "3", "--batch", "8"],
+             ["sweep", "--m", "4", "--trials", "1000", "--rho-grid", "0,1"]],
+    "--snr": [["train", "--m", "4", "--iters", "3", "--batch", "8"],
+              ["sweep", "--m", "4", "--trials", "1000", "--rho-grid", "0,1"],
+              ["simulate", "--design", "{dir}/ring.json", "--trials", "1000"]],
+    "--rho": [["design", "--m", "4"], ["design", "--m", "4", "--n", "2"]],
+    "--p-star": [["design", "--m", "4", "--rho", "0.5"],
+                 ["design", "--m", "4", "--n", "2", "--rho", "0.5"]],
+    "--noise-rel": [["fit-eh", "--synthetic", "--points", "50", "--epochs", "50"]],
+}
+CASES = [(flag, cmd) for flag, cmds in _COMMANDS.items() for cmd in cmds]
+BAD = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+
+
+@settings(max_examples=80)
+@given(case=st.sampled_from(CASES), value=BAD)
+def test_cli_exit_codes_on_bad_numbers(workdir, case, value):
+    flag, cmd = case
+    # flag=value: argparse would take a lone "-inf" or "-1e-05" for an option
+    args = [a.format(dir=workdir) for a in cmd] + [f"{flag}={value!r}", "-o", str(workdir / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(args)
+    assert rc in (0, 2, 3), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()

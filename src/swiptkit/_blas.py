@@ -47,7 +47,9 @@ def one_blas_thread():
     """Run the block on one OpenBLAS thread and put the caller's count back
     when it ends, also when it raises. Does nothing when numpy's OpenBLAS is
     not found. The count is per process: other threads' matmuls run on one
-    BLAS thread while the block runs.
+    BLAS thread while the block runs. Training runs under it, and so does
+    every Monte Carlo pass, whose decode blocks run one per CPU on threads
+    of their own.
     """
     functions = _thread_functions()
     if functions is None:

@@ -414,7 +414,9 @@ def train(sys: AeSystem):
     matmul across two threads, and the split costs more than it saves: the
     second thread spins through every step, which doubles the CPU time
     without shortening the step. The bits do not change, since OpenBLAS
-    splits a matmul by output blocks, never along the summed axis.
+    splits a matmul by output blocks, never along the summed axis. The
+    learned sweeps (:func:`evaluate_ser`) run on one BLAS thread too, with
+    their decode blocks spread over the CPUs by the channel's pool.
     """
     sys = copy.deepcopy(sys)
     cfg = sys.config

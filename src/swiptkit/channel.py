@@ -8,6 +8,10 @@ SER draws uniform messages and AWGN through one seeded sampler and decodes
 them by minimum distance (ML under AWGN) or by a learned decoder. A sweep
 draws each chunk once and decodes every point from it (common random
 numbers), so each row equals ``ser_mc`` of its design at the same seed.
+Draws are per chunk of trials, on the calling thread; decoding is per
+fixed row block, mapped over a process-wide thread pool with one worker per
+CPU and run on one OpenBLAS thread, and block results are summed in block
+order, so every count is the same whatever the number of workers.
 Delivered power is an expectation over a known density: per symbol, |c + w|
 is Rician, and P_d is computed by quadrature, independent of any trial count.
 
@@ -18,16 +22,21 @@ the complex noise per symbol (so "SNR = 50" is 16.98 dB).
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, i0e
 
+from ._blas import one_blas_thread
 from .constellation import Codebook
 from .harvester import _harvest_fn
 
-_CHUNK = 100_000
+_CHUNK = 100_000   # trials per draw: one seed child each
+_BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
 
 
 def qfunc(x) -> np.ndarray | float:
@@ -105,11 +114,35 @@ def sample_channel(m: int, n: int, spec: ChannelSpec, trials: int):
         yield msg, awgn(np.zeros((size, n)), spec, rng)
 
 
+@functools.cache
+def _decode_pool() -> ThreadPoolExecutor | None:
+    """The process-wide pool that decodes row blocks, one worker per CPU the
+    process may run on; None on one CPU, where blocks run inline."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus, thread_name_prefix="swiptkit-decode") if cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads: it makes a pool of its own
+    os.register_at_fork(after_in_child=_decode_pool.cache_clear)
+
+
 def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) -> list:
     """Per codeword matrix ``cws[p]`` (all of one shape), the sum of
     ``stats[p](msg, y)`` over one pass of the sampler, where every matrix sees
     the same messages and noise; a None statistic sums to 0 and is not run.
-    Chunk-outer, so memory stays at one chunk however many matrices there are.
+
+    Each chunk is drawn once on the calling thread, then ``cw[msg] + w`` and
+    every statistic are evaluated per block of ``_BLOCK`` rows on the decode
+    pool, all on one OpenBLAS thread (the caller's count is put back after).
+    A statistic must therefore be additive over rows and safe to call from
+    several threads at once. Block results are summed in block order, so
+    integer counts do not depend on the worker count. Peak memory is one
+    chunk's draws plus one block of decoder state per worker, however many
+    matrices there are.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -118,10 +151,19 @@ def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) ->
         raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
     totals = [0] * len(cws)
     active = [(p, cw, stat) for p, (cw, stat) in enumerate(zip(cws, stats)) if stat is not None]
-    if active:
+    if not active:
+        return totals
+    pool = _decode_pool()
+    run = map if pool is None else pool.map
+    with one_blas_thread():
         for msg, w in sample_channel(*shapes.pop(), spec, trials):
-            for p, cw, stat in active:
-                totals[p] += stat(msg, cw[msg] + w)
+            def block(lo, msg=msg, w=w):
+                m, wb = msg[lo:lo + _BLOCK], w[lo:lo + _BLOCK]
+                return [stat(m, cw[m] + wb) for _, cw, stat in active]
+
+            for sums in run(block, range(0, len(msg), _BLOCK)):
+                for (p, _, _), value in zip(active, sums):
+                    totals[p] += value
     return totals
 
 

@@ -200,15 +200,17 @@ def layout_info(m: int, p_a_uw: float) -> Codebook:
     """Arrange M points on concentric circles with radii {0, t, 2t, ...} so the
     average power equals P_a exactly; circles alternate a half-slot phase
     stagger to help inter-circle spacing. The design is the n = 1 codebook
-    sending point k for message k.
+    sending point k for message k. A single point sits on the first circle,
+    t = sqrt(P_a), since at the origin it would carry no power.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
     if not 0 < p_a_uw < math.inf:
         raise ValueError("P_a must be finite and positive")
     if m == 1:
-        return Codebook(base_points=np.zeros(1, dtype=complex), codeword_indices=[[0]],
-                        m=1, n=1, p_a_uw=p_a_uw, rho=0.0, c=0, t=0.0)
+        t = math.sqrt(p_a_uw)
+        return Codebook(base_points=np.array([complex(t)]), codeword_indices=[[0]],
+                        m=1, n=1, p_a_uw=p_a_uw, rho=0.0, c=1, t=t)
 
     counts = _circle_counts(m)
     c = len(counts) - 1

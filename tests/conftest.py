@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +20,15 @@ def canonical_fit():
     """
     data = sk.synth_dataset(2000, p_max=2000.0, noise_rel=0.0, seed=7)
     return sk.fit_eh(data)
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    """A 2-worker pool to stand in for the channel's decode pool, so threaded
+    decoding is tested whatever the machine's CPU count."""
+    pool = ThreadPoolExecutor(2)
+    yield pool
+    pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""The OpenBLAS thread-count helper that training runs under."""
+"""The OpenBLAS thread-count helper that training and Monte Carlo passes run under."""
 
 import ctypes
 

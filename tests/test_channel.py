@@ -1,11 +1,14 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swiptkit as sk
-from swiptkit.channel import ml_decoder, monte_carlo
+from swiptkit import channel
+from swiptkit._blas import _thread_functions
+from swiptkit.channel import ml_decoder, monte_carlo, sample_channel
 
 
 def test_awgn_zero_noise_identity():
@@ -324,3 +327,104 @@ def test_rp_sweep_memory_is_one_chunk(clipped):
         tracemalloc.stop()
     # 1M trials of noise alone are 16 MB, and their (1M, 16) decoder distances 128 MB
     assert peak < 40e6
+
+
+def _whole_chunk_totals(cws, spec, trials, stats):
+    """The unblocked pass: every chunk decoded as one block on this thread."""
+    totals = [0] * len(cws)
+    for msg, w in sample_channel(*cws[0].shape, spec, trials):
+        for p, (cw, stat) in enumerate(zip(cws, stats)):
+            if stat is not None:
+                totals[p] += stat(msg, cw[msg] + w)
+    return totals
+
+
+def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers):
+    # a block size that divides neither chunk, over two chunks of trials
+    monkeypatch.setattr(channel, "_BLOCK", 777)
+    trials = channel._CHUNK + 5000
+    spec = sk.ChannelSpec(snr=8.0, p_a_uw=60.0, seed=12)
+    ring = sk.swipt_transform(sk.layout_info(16, 60.0), 0.5, 0.3).codewords
+    flat = np.full((16, 1), math.sqrt(60.0), dtype=complex)   # degenerate
+    mac = sk.build_system(sk.Topology(kind="mac", m_list=[4, 4], snrs=[8.0], p_a_uw=60.0),
+                          sk.TrainConfig(seed=3), hidden=(64,))
+    (received,) = sk.received_codebooks(mac)
+    decide = sk.make_decoder(mac, 0, stream=None)
+
+    def ml_errors(cw):
+        decide_ml = ml_decoder(cw)
+        return lambda msg, y: int(np.count_nonzero(decide_ml(y) != msg))
+
+    def mac_errors(msg, y):
+        truth = np.stack(np.unravel_index(msg, (4, 4)), axis=1)
+        return np.count_nonzero(decide(y) != truth, axis=0)
+
+    cws = [ring, flat, received, ring]
+    stats = [ml_errors(ring), ml_errors(flat), mac_errors, None]
+    reference = [np.asarray(t).tolist() for t in _whole_chunk_totals(cws, spec, trials, stats)]
+    assert reference[1] > 0 and min(reference[2]) > 0 and reference[3] == 0
+    for pool in (None, two_workers):
+        monkeypatch.setattr(channel, "_decode_pool", lambda pool=pool: pool)
+        totals = monte_carlo(cws, spec, trials, stats)
+        assert [np.asarray(t).tolist() for t in totals] == reference
+
+
+@pytest.mark.skipif(_thread_functions() is None, reason="numpy's OpenBLAS not found")
+def test_monte_carlo_decodes_on_one_blas_thread_and_restores_the_count():
+    get, set_ = _thread_functions()
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=1.0, seed=2)
+    cw = sk.layout_info(8, 1.0).codewords
+    seen = []
+
+    def record(msg, y):
+        seen.append(get())
+        return 0
+
+    def fail(msg, y):
+        raise KeyError(len(y))
+
+    caller = get()
+    try:
+        set_(2)
+        monte_carlo([cw], spec, 30_000, [record])
+        assert set(seen) == {1}
+        assert get() == 2
+        with pytest.raises(KeyError):
+            monte_carlo([cw], spec, 30_000, [fail])
+        assert get() == 2
+    finally:
+        set_(caller)
+
+
+def _ring_errors(seed):
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=100.0, seed=seed)
+    return sk.ser_mc(sk.layout_info(16, 100.0), spec, 30_000).errors
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_monte_carlo_runs_in_a_forked_child():
+    import multiprocessing
+
+    expected = _ring_errors(3)   # the parent's decode pool now has its threads
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_ring_errors, (3,)).get(timeout=30) == expected
+
+
+def test_ser_mc_memory_is_blocks_not_a_chunk_of_distances(monkeypatch, two_workers):
+    import tracemalloc
+
+    monkeypatch.setattr(channel, "_decode_pool", lambda: two_workers)
+    rng = np.random.default_rng(4)
+    cw = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=2.0, seed=1)
+    sk.ser_mc(cw, spec, 1000)   # the pool's threads exist before tracing starts
+    tracemalloc.start()
+    try:
+        sk.ser_mc(cw, spec, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # decoding a whole chunk needs its (100000, 64) float distances, 51 MB
+    # alone; blocked, the peak (about 21 MB) is one chunk's draws, about 15 MB
+    # while the noise is drawn, plus one (12500, 64) block, 6.4 MB, per worker
+    assert peak < 32e6

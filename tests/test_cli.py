@@ -1,10 +1,16 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swiptkit as sk
+from swiptkit import channel
 from swiptkit.cli import main
 
 
@@ -437,3 +443,32 @@ def test_infinite_snr_files_are_strict_json(tmp_path):
     assert run(["simulate", "--design", extract, "--snr", "inf", "--trials", 1000,
                 "-o", sim]) == 0
     assert _strict_json(sim)["snr"] == "inf"
+
+
+@settings(max_examples=25)
+@given(m=st.sampled_from([2, 4, 8, 16]), n=st.sampled_from([1, 2]), pa=st.floats(1.0, 300.0),
+       snr=st.floats(0.5, 100.0), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       trials=st.integers(1000, 4000))
+def test_monte_carlo_outputs_are_byte_identical_per_seed(two_workers, m, n, pa, snr, rho,
+                                                         seed, trials):
+    # the decode is threaded: outputs must not depend on the run or on the
+    # worker count; small blocks make even these trial counts several blocks.
+    # Every run writes the same paths, which the outputs' config hash covers
+    def outputs(pool):
+        with mock.patch.object(channel, "_BLOCK", 500), \
+                mock.patch.object(channel, "_decode_pool", lambda: pool):
+            common = ["--snr", snr, "--trials", trials, "--seed", seed]
+            assert run(["simulate", "--design", tmp / "d.json", *common,
+                        "-o", tmp / "sim.json"]) == 0
+            assert run(["sweep", "--designer", "algorithmic", "--m", m, "--n", n, "--pa", pa,
+                        "--rho-grid", "0:1:3", "--candidate-cap", 2000, *common,
+                        "-o", tmp / "sweep.csv"]) == 0
+            return [(tmp / name).read_bytes() for name in ("sim.json", "sweep.csv")]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert run(["design", "--m", m, "--n", n, "--pa", pa, "--rho", rho,
+                    "--seed", seed, "--candidate-cap", 2000, "-o", tmp / "d.json"]) == 0
+        first = outputs(two_workers)
+        assert outputs(two_workers) == first
+        assert outputs(None) == first

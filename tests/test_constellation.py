@@ -48,8 +48,11 @@ def test_layout_power_and_min_distance():
 
 
 def test_layout_degenerate_single_point():
+    # one point on the first circle: the design still averages P_a
     c = sk.layout_info(1, 5.0)
-    assert c.m == 1 and c.base_points[0] == 0 and c.t == 0.0
+    assert c.m == 1 and c.c == 1 and c.t == math.sqrt(5.0)
+    assert c.base_points.tolist() == [complex(math.sqrt(5.0))]
+    assert c.avg_power() == pytest.approx(5.0, rel=1e-12)
 
 
 def test_layout_rejects_zero():

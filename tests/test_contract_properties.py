@@ -6,7 +6,7 @@ import io
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptkit as sk
@@ -23,8 +23,6 @@ def _deform(base, rho, p_star):
 
 @given(st.integers(1, 64), P_A, RHO, P_STAR)
 def test_ring_averages_p_a(m, pa, rho, p_star):
-    # the undeformed M = 1 layout is its one point at the origin (P_d 0)
-    assume(m > 1 or rho > 0)
     design = _deform(sk.layout_info(m, pa), rho, p_star)
     assert design.avg_power() == pytest.approx(pa, rel=1e-9)
 

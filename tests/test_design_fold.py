@@ -146,9 +146,9 @@ def test_both_formats_load_to_the_same_codewords(tmp_path):
     assert _dump(sk.Codebook.from_json(n2_file).to_json()) == _dump(n2_file)
 
 
-def test_single_message_ring_is_the_zero_point():
+def test_single_message_ring_is_one_point_at_p_a():
     cb = sk.build_info_codebook(1, 1, 5.0)
-    assert cb.m == cb.n == 1 and cb.codewords.tolist() == [[0j]]
+    assert cb.m == cb.n == 1 and cb.codewords.tolist() == [[complex(math.sqrt(5.0))]]
     assert math.isinf(cb.achieved_dmin_sq)
 
 

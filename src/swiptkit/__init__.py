@@ -17,7 +17,6 @@ from .autoencoder import (
     load_system,
     make_decoder,
     received_codebooks,
-    save_system,
     train,
 )
 from .channel import (
@@ -54,9 +53,7 @@ from .harvester import (
     FitDivergedError,
     FitHyper,
     ModelC,
-    OnOffLaw,
     PowerDataset,
-    canonical_curve,
     canonical_model,
     fit_eh,
     onoff_delivered,

@@ -86,6 +86,10 @@ class Topology:
             raise ValueError("SNRs must be positive")
         if not 0 < self.p_a_uw < math.inf:
             raise ValueError("P_a must be finite and positive")
+        for snr in self.snrs:
+            if not math.isfinite(float(self.p_a_uw) / float(snr)):
+                raise ValueError(f"snr {snr!r} is too small: the noise variance "
+                                 "P_a/snr overflows")
         if self.kind == "ic":
             g = np.asarray(self.gains, dtype=float)
             if g.shape != (k, k) or not np.allclose(np.diag(g), 1.0):
@@ -290,9 +294,9 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
     ``messages``: (B, K) ints; ``noises``: per receiver, complex (B, n).
     P_d is the per-message mean over the n received symbols of the harvester
     output, computed on the noisy samples; its gradient flows through the
-    harvester's derivative (one forward pass for both where the harvester
-    has ``value_and_derivative``). Returns (loss, encoder grads, decoder
-    grads, parts); the grads are views of ``grad``.
+    harvester's derivative, both from one ``value_and_derivative`` call.
+    Returns (loss, encoder grads, decoder grads, parts); the grads are views
+    of ``grad``.
 
     ``grad``: the flat gradient buffer, in :func:`~swiptkit.nn.pack` order of
     ``sys.encoders + sys.decoders``; the backward passes write every weight
@@ -319,7 +323,6 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
                           [_to_real(w) for w in noises])
 
     coeff = topo.coeff()
-    fused = getattr(sys.harvester, "value_and_derivative", None)
     batch = np.arange(bsz)
     xent_total = 0.0
     power_total = 0.0
@@ -347,12 +350,7 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
         d_y.append(d_in)
 
         if lam > 0:
-            p_in = np.abs(y.view(complex)) ** 2
-            if fused is None:
-                f_val = np.asarray(sys.harvester.evaluate(p_in))
-                f_der = np.asarray(sys.harvester.derivative(p_in))
-            else:
-                f_val, f_der = fused(p_in)
+            f_val, f_der = sys.harvester.value_and_derivative(np.abs(y.view(complex)) ** 2)
             p_d = f_val.sum(axis=1) / n
             pd_safe = np.maximum(p_d, cfg.pd_floor)
             power_total += float((lam / pd_safe).sum()) / bsz
@@ -603,10 +601,6 @@ def system_from_json(d: dict, harvester=None) -> AeSystem:
                     encoders=json_field(d, "encoders", nets),
                     decoders=json_field(d, "decoders", nets),
                     harvester=harvester, final_loss=d.get("final_loss"))
-
-
-def save_system(sys: AeSystem, path) -> None:
-    Path(path).write_text(json.dumps(system_to_json(sys), allow_nan=False) + "\n")
 
 
 def load_system(path, harvester=None) -> AeSystem:

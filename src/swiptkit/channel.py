@@ -33,7 +33,6 @@ from scipy.special import erfc, i0e
 
 from ._blas import one_blas_thread
 from .constellation import Codebook
-from .harvester import _harvest_fn
 
 _CHUNK = 100_000   # trials per draw: one seed child each
 _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
@@ -57,6 +56,9 @@ class ChannelSpec:
             raise ValueError("snr must be positive")
         if not 0 < self.p_a_uw < math.inf:
             raise ValueError("P_a must be finite and positive")
+        if not math.isfinite(float(self.p_a_uw) / float(self.snr)):
+            raise ValueError(f"snr {self.snr!r} is too small: the noise variance "
+                             "P_a/snr overflows")
 
     @property
     def sigma_sq(self) -> float:
@@ -222,16 +224,14 @@ def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> flo
     """Mean harvested power per symbol over AWGN trials: the Monte Carlo
     reference for :func:`delivered_power`."""
     cw = design_codewords(design)
-    f = _harvest_fn(harvester)
-    power = lambda msg, y: float(np.sum(np.asarray(f(np.abs(y) ** 2))))
+    power = lambda msg, y: float(np.sum(np.asarray(harvester.evaluate(np.abs(y) ** 2))))
     return monte_carlo([cw], spec, trials, [power])[0] / (trials * cw.shape[1])
 
 
 def delivered_power_noiseless(design, harvester) -> float:
     """Exact enumeration of the per-symbol mean harvested power."""
     cw = design_codewords(design)
-    f = _harvest_fn(harvester)
-    return float(np.mean(np.asarray(f(np.abs(cw) ** 2))))
+    return float(np.mean(np.asarray(harvester.evaluate(np.abs(cw) ** 2))))
 
 
 _PD_GRID = 4001      # quadrature nodes per amplitude, over +-12 noise deviations
@@ -251,7 +251,6 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
     if s == 0.0:
         return delivered_power_noiseless(design, harvester)
     cw = design_codewords(design)
-    f = _harvest_fn(harvester)
     amp, inv = np.unique(np.abs(cw), return_inverse=True)
     half = 12.0 * math.sqrt(s)
     t = np.linspace(0.0, 1.0, _PD_GRID)
@@ -260,8 +259,8 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
         a = amp[k:k + _PD_BLOCK, None]
         lo = np.maximum(a - half, 0.0)
         r = lo + (a + half - lo) * t
-        g = np.asarray(f(r * r)) * (2.0 * r / s) * np.exp(-(r - a) ** 2 / s) \
-            * i0e(2.0 * a * r / s)
+        g = np.asarray(harvester.evaluate(r * r)) * (2.0 * r / s) \
+            * np.exp(-(r - a) ** 2 / s) * i0e(2.0 * a * r / s)
         e[k:k + _PD_BLOCK] = (r[:, 1] - r[:, 0]) * (g.sum(axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
     return float(np.mean(e[inv]))
 

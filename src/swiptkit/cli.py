@@ -1,7 +1,9 @@
 """Batch experiment runner: fit-eh, design, train, sweep, simulate.
 
-Flags mirror config-file keys (INI sections named per subcommand); flags win
-over the config file. Exit codes: 0 success, 2 usage/config error, 3 numeric
+Flags mirror config-file keys (INI sections named per subcommand, keys named
+as the long flags without their leading dashes). A flag wins over the config
+file, which wins over the declared default; INI values are converted by the
+same types as flags. Exit codes: 0 success, 2 usage/config error, 3 numeric
 failure. All outputs carry a metadata header (tool version, config hash,
 seed) and are byte-identical for identical configs and seeds.
 """
@@ -60,53 +62,50 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _config_hash(params: dict) -> str:
+# namespace entries that are not the run's parameters, and so are not hashed
+_NOT_PARAMS = ("command", "func", "config", "output")
+
+
+def _meta(args: argparse.Namespace) -> dict:
+    """Provenance: the tool, a hash of the run's parameters (every option but
+    the config and output paths) and the seed."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
     blob = json.dumps(params, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _meta(params: dict, seed) -> dict:
     return {"tool": f"swiptkit {__version__}",
-            "config_hash": _config_hash(params), "seed": seed}
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16], "seed": args.seed}
 
 
-def _attach_meta(payload: dict, params: dict, seed) -> dict:
+def _attach_meta(payload: dict, args: argparse.Namespace) -> dict:
     """Merge provenance into the payload's meta block (design files already
     carry a meta object of their own).
     """
     meta = payload.setdefault("meta", {})
     if isinstance(meta, dict):
-        meta.update(_meta(params, seed))
+        meta.update(_meta(args))
     return payload
 
 
-def _meta_comment(params: dict, seed) -> str:
-    m = _meta(params, seed)
-    return f"swiptkit={__version__} config_hash={m['config_hash']} seed={seed}"
+def _meta_comment(args: argparse.Namespace) -> str:
+    return f"swiptkit={__version__} config_hash={_meta(args)['config_hash']} seed={args.seed}"
 
 
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict, section: str) -> None:
-    """Fill argparse-None values from the INI section, then from defaults."""
+def _ini_section(args: argparse.Namespace) -> dict:
+    """The config file's values for the options of ``args.command`` that a
+    file may set, as raw strings: neither a switch (``--synthetic``) nor a
+    required option (``--design``) is read from it, and other keys are
+    ignored."""
+    if not Path(args.config).is_file():
+        raise FileNotFoundError(f"config file not found: {args.config}")
     cfg = configparser.ConfigParser()
-    if args.config:
-        if not Path(args.config).is_file():
-            raise FileNotFoundError(f"config file not found: {args.config}")
-        cfg.read(args.config)
-    for key, default in parser_defaults.items():
-        if getattr(args, key) is not None:
-            continue
-        ini_key = key.replace("_", "-")
-        if cfg.has_option(section, ini_key):
-            raw = cfg.get(section, ini_key)
-            cast = type(default) if default is not None else str
-            value = raw if cast is str else cast(raw)
-        else:
-            value = default
-        setattr(args, key, value)
+    cfg.read(args.config)
+    keys = {dest: dest.replace("_", "-") for dest in vars(args)
+            if dest not in _NOT_PARAMS + ("synthetic", "design")}
+    return {dest: cfg.get(args.command, key) for dest, key in keys.items()
+            if cfg.has_option(args.command, key)}
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -140,11 +139,6 @@ def _p_star(pa: float, eh_path: str | None) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_fit_eh(args) -> int:
-    defaults = {"points": 2000, "pmax": 2000.0, "noise_rel": 0.0, "seed": 0,
-                "epochs": 30000, "init_scale": 1.0, "data": ""}
-    _apply_config(args, defaults, "fit-eh")
-    params = {k: getattr(args, k) for k in defaults} | {"synthetic": args.synthetic}
-
     if args.synthetic:
         data = synth_dataset(args.points, p_max=args.pmax,
                              noise_rel=args.noise_rel, seed=args.seed)
@@ -156,17 +150,13 @@ def cmd_fit_eh(args) -> int:
 
     hyper = FitHyper(epochs=args.epochs, seed=args.seed, init_scale=args.init_scale)
     model = fit_eh(data, hyper)
-    payload = _attach_meta(model.to_json(), params, args.seed)
+    payload = _attach_meta(model.to_json(), args)
     _write_json(args.output, payload)
     print(f"fit-eh: {len(data)} points, rmse={model.rmse:.6g} uW -> {args.output}")
     return EXIT_OK
 
 
 def cmd_design(args) -> int:
-    defaults = {"m": 16, "n": 1, "pa": 5.0, "rho": 0.0, "eh": "", "p_star": 0.0,
-                "seed": 0, "candidate_cap": 1_000_000, "max_rounds": 40}
-    _apply_config(args, defaults, "design")
-    params = {k: getattr(args, k) for k in defaults}
     if not 0.0 <= args.rho <= 1.0:   # also NaN
         raise ValueError("rho must be in [0, 1]")
     if not args.p_star >= 0:   # also NaN; 0 computes p*
@@ -179,20 +169,13 @@ def cmd_design(args) -> int:
     design = swipt_transform(base, args.rho, ps) if args.rho > 0 else base
     echo = (f"C={design.c} t={design.t:.6g} M_on={m_on_count(args.m, ps)}" if args.n == 1
             else f"dmin_sq={design.achieved_dmin_sq:.6g}")
-    _write_json(args.output, _attach_meta(design.to_json(), params, args.seed))
+    _write_json(args.output, _attach_meta(design.to_json(), args))
     print(f"design: M={args.m} n={args.n} rho={args.rho} p_star={ps:.6g} {echo} "
           f"-> {args.output}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    defaults = {"topology": "p2p", "m": "4", "n": 1, "pa": 5.0, "snr": "50",
-                "gain": 0.5, "lam": 0.0, "lr": 1e-3, "batch": 128,
-                "iters": 2000, "seed": 0, "pd_floor": 1e-3, "eh": "",
-                "trace": "", "extract": ""}
-    _apply_config(args, defaults, "train")
-    params = {k: getattr(args, k) for k in defaults}
-
     m_list = [int(v) for v in str(args.m).split(",")]
     snrs = [float(v) for v in str(args.snr).split(",")]
     kind = args.topology.lower()
@@ -208,7 +191,7 @@ def cmd_train(args) -> int:
     harvester = _load_harvester(args.eh) if args.eh else None
     system = build_system(topo, cfg, harvester=harvester)
 
-    comment = _meta_comment(params, args.seed)
+    comment = _meta_comment(args)
     try:
         trained, trace = train(system)
     except TrainDivergedError as err:
@@ -217,7 +200,7 @@ def cmd_train(args) -> int:
         print(f"train: diverged at iteration {err.iteration}", file=_sys.stderr)
         return EXIT_NUMERIC
 
-    payload = _attach_meta(system_to_json(trained), params, args.seed)
+    payload = _attach_meta(system_to_json(trained), args)
     _write_json(args.output, payload)
     if args.trace:
         write_trace_csv(args.trace, trace, comment)
@@ -226,18 +209,13 @@ def cmd_train(args) -> int:
         for i, d in enumerate(designs):
             path = args.extract if len(designs) == 1 else \
                 str(Path(args.extract).with_suffix("")) + f".tx{i}.json"
-            _write_json(path, _attach_meta(d.to_json(), params, args.seed))
+            _write_json(path, _attach_meta(d.to_json(), args))
     print(f"train: {kind} M={m_list} n={args.n} lambda={args.lam} "
           f"final_loss={trained.final_loss:.6g} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    defaults = {"designer": "algorithmic", "m": 16, "n": 1, "pa": 5.0,
-                "snr": 50.0, "trials": 100_000, "seed": 0, "rho_grid": "0:1:11",
-                "eh": "", "systems": "", "candidate_cap": 1_000_000}
-    _apply_config(args, defaults, "sweep")
-    params = {k: getattr(args, k) for k in defaults}
     harvester = _load_harvester(args.eh) if args.eh else canonical_model()
     spec = ChannelSpec(snr=args.snr, p_a_uw=args.pa, seed=args.seed)
 
@@ -268,8 +246,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     snr_db = 10.0 * math.log10(args.snr)
-    write_sweep_csv(args.output, points, snr_db, args.trials, args.seed,
-                    _meta_comment(params, args.seed))
+    write_sweep_csv(args.output, points, snr_db, args.trials, args.seed, _meta_comment(args))
     # below turn-on: every row delivers next to nothing against the saturation
     saturation = float(harvester.evaluate(1e6))
     if all(pt.pd_uw < 1e-6 * saturation for pt in points):
@@ -283,9 +260,6 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     """SER of one design file by Monte Carlo at ``--seed``; with ``--eh``,
     also its delivered power by quadrature (independent of ``--trials``)."""
-    defaults = {"snr": 50.0, "trials": 100_000, "seed": 0, "eh": ""}
-    _apply_config(args, defaults, "simulate")
-    params = {k: getattr(args, k) for k in defaults} | {"design": args.design}
     design = Codebook.load(args.design)
     harvester = _load_harvester(args.eh) if args.eh else None
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
@@ -295,7 +269,7 @@ def cmd_simulate(args) -> int:
                "degenerate": res.degenerate}
     if harvester is not None:
         payload["pd_uw"] = delivered_power(design, spec, harvester)
-    _attach_meta(payload, params, args.seed)
+    _attach_meta(payload, args)
     if args.output:
         _write_json(args.output, payload)
     print(f"simulate: ser={res.ser:.6g} +-{res.ci_halfwidth:.2g}"
@@ -307,7 +281,9 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; ``ini`` maps a subcommand to values (INI strings)
+    that replace the defaults its options declare."""
     p = argparse.ArgumentParser(prog="swiptkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -318,86 +294,89 @@ def build_parser() -> argparse.ArgumentParser:
     fe = sub.add_parser("fit-eh", help="fit the harvester model")
     add_common(fe)
     fe.add_argument("--synthetic", action="store_true")
-    fe.add_argument("--data", default=None, help="dataset CSV (p_in_uw,p_out_uw)")
-    fe.add_argument("--points", type=int, default=None)
-    fe.add_argument("--pmax", type=float, default=None)
-    fe.add_argument("--noise-rel", dest="noise_rel", type=float, default=None)
-    fe.add_argument("--seed", type=int, default=None)
-    fe.add_argument("--epochs", type=int, default=None, help="max L-BFGS iterations")
-    fe.add_argument("--init-scale", dest="init_scale", type=float, default=None)
+    fe.add_argument("--data", default="", help="dataset CSV (p_in_uw,p_out_uw)")
+    fe.add_argument("--points", type=int, default=2000)
+    fe.add_argument("--pmax", type=float, default=2000.0)
+    fe.add_argument("--noise-rel", dest="noise_rel", type=float, default=0.0)
+    fe.add_argument("--seed", type=int, default=0)
+    fe.add_argument("--epochs", type=int, default=30000, help="max L-BFGS iterations")
+    fe.add_argument("--init-scale", dest="init_scale", type=float, default=1.0)
     fe.set_defaults(func=cmd_fit_eh)
 
     de = sub.add_parser("design", help="algorithmic constellation/codebook")
     add_common(de)
-    de.add_argument("--m", type=int, default=None)
-    de.add_argument("--n", type=int, default=None)
-    de.add_argument("--pa", type=float, default=None)
-    de.add_argument("--rho", type=float, default=None)
-    de.add_argument("--eh", default=None, help="fitted harvester JSON for p_on*")
-    de.add_argument("--p-star", dest="p_star", type=float, default=None)
-    de.add_argument("--seed", type=int, default=None)
-    de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=None,
-                    help="codeword candidates the greedy search draws from (default "
-                         "1000000; at M=64, n=3 the default takes about 13 s)")
-    de.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
+    de.add_argument("--m", type=int, default=16)
+    de.add_argument("--n", type=int, default=1)
+    de.add_argument("--pa", type=float, default=5.0)
+    de.add_argument("--rho", type=float, default=0.0)
+    de.add_argument("--eh", default="", help="fitted harvester JSON for p_on*")
+    de.add_argument("--p-star", dest="p_star", type=float, default=0.0)
+    de.add_argument("--seed", type=int, default=0)
+    de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000,
+                    help="codeword candidates the greedy search draws from "
+                         "(default %(default)s)")
+    de.add_argument("--max-rounds", dest="max_rounds", type=int, default=40)
     de.set_defaults(func=cmd_design)
 
     tr = sub.add_parser("train", help="end-to-end autoencoder training")
     add_common(tr)
-    tr.add_argument("--topology", default=None, choices=["p2p", "bc", "mac", "ic"])
-    tr.add_argument("--m", default=None, help="message sizes, comma separated")
-    tr.add_argument("--n", type=int, default=None)
-    tr.add_argument("--pa", type=float, default=None)
-    tr.add_argument("--snr", default=None, help="per-receiver SNRs, comma separated")
-    tr.add_argument("--gain", type=float, default=None, help="IC cross gain")
-    tr.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--batch", type=int, default=None)
-    tr.add_argument("--iters", type=int, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--pd-floor", dest="pd_floor", type=float, default=None)
-    tr.add_argument("--eh", default=None)
-    tr.add_argument("--trace", default=None, help="loss trace CSV path")
-    tr.add_argument("--extract", default=None, help="also write the design JSON")
+    tr.add_argument("--topology", default="p2p", choices=["p2p", "bc", "mac", "ic"])
+    tr.add_argument("--m", default="4", help="message sizes, comma separated")
+    tr.add_argument("--n", type=int, default=1)
+    tr.add_argument("--pa", type=float, default=5.0)
+    tr.add_argument("--snr", default="50", help="per-receiver SNRs, comma separated")
+    tr.add_argument("--gain", type=float, default=0.5, help="IC cross gain")
+    tr.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
+    tr.add_argument("--lr", type=float, default=1e-3)
+    tr.add_argument("--batch", type=int, default=128)
+    tr.add_argument("--iters", type=int, default=2000)
+    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--pd-floor", dest="pd_floor", type=float, default=1e-3)
+    tr.add_argument("--eh", default="")
+    tr.add_argument("--trace", default="", help="loss trace CSV path")
+    tr.add_argument("--extract", default="", help="also write the design JSON")
     tr.set_defaults(func=cmd_train)
 
     sw = sub.add_parser("sweep", help="rate-power tradeoff sweep")
     add_common(sw)
-    sw.add_argument("--designer", default=None, choices=["algorithmic", "learned"])
-    sw.add_argument("--m", type=int, default=None)
-    sw.add_argument("--n", type=int, default=None)
-    sw.add_argument("--pa", type=float, default=None)
-    sw.add_argument("--snr", type=float, default=None)
-    sw.add_argument("--trials", type=int, default=None,
-                    help="Monte Carlo trials per row for the SER (default 100000); "
+    sw.add_argument("--designer", default="algorithmic", choices=["algorithmic", "learned"])
+    sw.add_argument("--m", type=int, default=16)
+    sw.add_argument("--n", type=int, default=1)
+    sw.add_argument("--pa", type=float, default=5.0)
+    sw.add_argument("--snr", type=float, default=50.0)
+    sw.add_argument("--trials", type=int, default=100_000,
+                    help="Monte Carlo trials per row for the SER (default %(default)s); "
                          "P_d is computed by quadrature and does not depend on it")
-    sw.add_argument("--seed", type=int, default=None,
-                    help="seed of the draws every row is decoded from (default 0); "
-                         "learned receiver r uses seed + r")
-    sw.add_argument("--rho-grid", dest="rho_grid", default=None,
+    sw.add_argument("--seed", type=int, default=0,
+                    help="seed of the draws every row is decoded from (default "
+                         "%(default)s); learned receiver r uses seed + r")
+    sw.add_argument("--rho-grid", dest="rho_grid", default="0:1:11",
                     help="start:stop:count or comma list")
-    sw.add_argument("--eh", default=None)
-    sw.add_argument("--systems", default=None,
+    sw.add_argument("--eh", default="")
+    sw.add_argument("--systems", default="",
                     help="trained-system JSONs, comma separated (learned mode)")
-    sw.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=None)
+    sw.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000)
     sw.set_defaults(func=cmd_sweep)
 
     si = sub.add_parser("simulate", help="evaluate one design file")
-    si.add_argument("--config", default="")
-    si.add_argument("-o", "--output", default="")
+    add_common(si, output_required=False)
     si.add_argument("--design", required=True)
-    si.add_argument("--snr", type=float, default=None)
-    si.add_argument("--trials", type=int, default=None)
-    si.add_argument("--seed", type=int, default=None)
-    si.add_argument("--eh", default=None)
+    si.add_argument("--snr", type=float, default=50.0)
+    si.add_argument("--trials", type=int, default=100_000)
+    si.add_argument("--seed", type=int, default=0)
+    si.add_argument("--eh", default="")
     si.set_defaults(func=cmd_simulate)
+    for name, values in (ini or {}).items():
+        sub.choices[name].set_defaults(**values)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            # parsed again, so argparse converts the file's strings like flags
+            args = build_parser({args.command: _ini_section(args)}).parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, ValueError, configparser.Error) as err:
         print(f"{args.command}: {err}", file=_sys.stderr)

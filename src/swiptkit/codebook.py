@@ -23,12 +23,9 @@ swipt_codebook = swipt_transform
 
 @dataclass
 class GreedyConfig:
-    """Knobs for the greedy search. ``dmin_init`` and ``epsilon`` default to
-    t^2 and 0.05*t^2 of the underlying Mn-point layout when left None.
-    """
+    """Knobs for the greedy search: the threshold passes it may run, the
+    candidate count it draws from, and the seed of that draw."""
 
-    dmin_init: float | None = None
-    epsilon: float | None = None
     max_rounds: int = 40
     candidate_cap: int = 1_000_000
     seed: int = 0
@@ -118,8 +115,9 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
 
     Candidates are the n-permutations of the Mn base points (exhaustive when
     they fit under ``candidate_cap``, else seeded random distinct samples).
-    The distance threshold walks by +-epsilon until a pass exhausts with
-    exactly M picks; otherwise the largest threshold yielding >= M wins and
+    The distance threshold starts at t^2 of the Mn-point layout and walks
+    to a resolution of epsilon = 0.05*t^2 until a pass exhausts with exactly
+    M picks; otherwise the largest threshold yielding >= M wins and
     the first M picks are kept. A final common rescale enforces the
     average-power equality.
     """
@@ -136,9 +134,8 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     rng = np.random.default_rng(cfg.seed)
 
     t_sq = base.t ** 2 if base.t else p_a_uw
-    d_init = cfg.dmin_init if cfg.dmin_init is not None else t_sq
-    eps = cfg.epsilon if cfg.epsilon is not None else 0.05 * t_sq
-    if eps <= 0:
+    eps = 0.05 * t_sq
+    if eps <= 0:   # t^2 underflowed
         raise ValueError("epsilon must be positive")
     if cfg.candidate_cap < m:
         raise ValueError("candidate_cap must be >= M")
@@ -166,7 +163,7 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
         hi: float | None = None   # pass yields < M here
         best_d: float | None = None
         best_sel: list[int] | None = None
-        d = d_init
+        d = t_sq
         for _ in range(cfg.max_rounds):
             sel = _greedy_pass(cand_real, d, start, max_select=m + 1)
             count = len(sel)

@@ -1,14 +1,18 @@
 """Energy-harvester models: a tanh regression network fitted by L-BFGS-B, the
 sigmoidal saturation model, a canonical synthetic curve, and On-Off analysis.
 
-All powers are in uW, amplitudes in sqrt(uW).
+Every harvester is an object with ``evaluate(p)``, the harvested power at
+instantaneous input power ``p``, and ``value_and_derivative(p)``, the pair
+(``evaluate(p)``, df/dp) bit for bit; the channel, the On-Off analysis and
+the autoencoder's loss take any such object. All powers are in uW,
+amplitudes in sqrt(uW).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -75,6 +79,10 @@ class ModelC:
         out = (self.ls * self.a * e / (1.0 + e) ** 2) / (1.0 - self.omega)
         return out if out.ndim else float(out)
 
+    def value_and_derivative(self, p_in):
+        """(evaluate(p_in), derivative(p_in))."""
+        return self.evaluate(p_in), self.derivative(p_in)
+
 
 # Canonical synthetic harvester: saturation 40 uW, inflection 300 uW, and the
 # steepness solved once so that argmax_x f(x)/x lands at 317 uW, which is the
@@ -86,7 +94,8 @@ _CANON_KNEE = 317.0
 
 @lru_cache(maxsize=1)
 def canonical_model() -> ModelC:
-    """The fixed ModelC instance behind :func:`canonical_curve`."""
+    """Synthetic stand-in for a measured rectifier curve: the fixed ModelC
+    whose knee, argmax f(x)/x, is at 317 uW."""
 
     def knee_condition(a: float) -> float:
         m = ModelC(a=a, b=_CANON_B, ls=_CANON_LS)
@@ -94,11 +103,6 @@ def canonical_model() -> ModelC:
 
     a = brentq(knee_condition, 1e-3, 2.0, xtol=1e-14, rtol=8.9e-16)
     return ModelC(a=a, b=_CANON_B, ls=_CANON_LS)
-
-
-def canonical_curve(p_in) -> np.ndarray | float:
-    """Synthetic stand-in for a measured rectifier curve (knee at 317 uW)."""
-    return canonical_model().evaluate(p_in)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
         raise ValueError(f"noise_rel must be finite and >= 0, got {noise_rel}")
     grid = np.logspace(np.log10(0.1), np.log10(p_max), n_points - 1)
     p_in = np.concatenate([[0.0], grid])
-    p_out = np.asarray(canonical_curve(p_in), dtype=float)
+    p_out = canonical_model().evaluate(p_in)
     if noise_rel > 0:
         rng = np.random.default_rng(seed)
         p_out = p_out * (1.0 + noise_rel * rng.standard_normal(p_out.shape))
@@ -332,52 +336,26 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
 # On-Off signalling analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OnOffLaw:
-    """Two-mass amplitude law: zero w.p. 1-p_on, amplitude sqrt(P_a/p_on)
-    w.p. p_on; the average power bookkeeping p_on * amplitude^2 = P_a is exact.
-    """
-
-    p_on: float
-    p_a_uw: float
-    amplitude: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.p_on <= 1.0):
-            raise ValueError("p_on must be in (0, 1]")
-        if not 0 < self.p_a_uw < np.inf:
-            raise ValueError("P_a must be finite and positive")
-        self.amplitude = float(np.sqrt(self.p_a_uw / self.p_on))
-
-
-def _harvest_fn(harvester):
-    """Accept EhModel / ModelC / plain callable interchangeably."""
-    return harvester.evaluate if hasattr(harvester, "evaluate") else harvester
-
-
 def onoff_delivered(p_a_uw: float, p_on: float, harvester) -> float:
     """Noiseless delivered power of On-Off signalling: p_on * f(P_a / p_on)."""
     if not 0 < p_a_uw < np.inf:
         raise ValueError("P_a must be finite and positive")
     if p_on == 0:
         raise ValueError("p_on must be nonzero")
-    f = _harvest_fn(harvester)
-    return float(p_on * f(p_a_uw / p_on))
+    return float(p_on * harvester.evaluate(p_a_uw / p_on))
 
 
-def optimal_pon(p_a_uw: float, harvester, grid_size: int = 1000) -> float:
-    """Grid argmax of the On-Off delivered power over p_on in (0, 1].
+def optimal_pon(p_a_uw: float, harvester) -> float:
+    """Argmax of the On-Off delivered power over the 1000-point grid of p_on
+    in (0, 1].
 
     Ties break toward larger p_on (the saturation plateau is the
     information-friendlier side).
     """
     if not 0 < p_a_uw < np.inf:
         raise ValueError("P_a must be finite and positive")
-    if grid_size < 100:
-        raise ValueError("grid_size must be >= 100")
-    p = np.arange(1, grid_size + 1) / grid_size
-    f = _harvest_fn(harvester)
-    delivered = p * np.asarray(f(p_a_uw / p), dtype=float)
+    p = np.arange(1, 1001) / 1000
+    delivered = p * np.asarray(harvester.evaluate(p_a_uw / p), dtype=float)
     best = np.flatnonzero(delivered == delivered.max())
     return float(p[best[-1]])
 

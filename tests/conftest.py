@@ -55,3 +55,6 @@ class PlateauHarvester:
         p = np.asarray(p, dtype=float)
         e = np.exp(-self.a * (p - self.b))
         return (self.ls - self.floor) * self.a * e / (1.0 + e) ** 2
+
+    def value_and_derivative(self, p):
+        return self.evaluate(p), self.derivative(p)

@@ -448,11 +448,12 @@ _LINKS = {
 }
 
 
-@pytest.mark.parametrize("harvester", [None, "fitted", "plateau"])
+@pytest.mark.parametrize("harvester", [None, "fitted", "plateau", "sigmoid"])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("link", sorted(_LINKS))
-def test_lean_step_is_bit_identical_to_the_reference(link, n, harvester, canonical_fit):
-    eh = {None: None, "fitted": canonical_fit, "plateau": PlateauHarvester()}[harvester]
+def test_lean_step_is_bit_identical_to_the_reference(link, n, harvester, canonical_fit, canon):
+    eh = {None: None, "fitted": canonical_fit, "plateau": PlateauHarvester(),
+          "sigmoid": canon}[harvester]
     sysm = small_system(**_LINKS[link], n=n, pa=100.0, lam=0.0 if eh is None else 0.3,
                         harvester=eh, seed=17, hidden=(64, 64))
     sysm.config.iterations, sysm.config.batch_size = 50, 64

@@ -1,6 +1,7 @@
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def test_channel_spec_invariant():
     assert spec.sigma_sq * spec.snr == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         sk.ChannelSpec(snr=0.0, p_a_uw=1.0)
+    # a positive SNR whose noise variance P_a/SNR overflows, numpy's too
+    for snr in (1e-310, np.float64(1e-310)):
+        with pytest.raises(ValueError, match="too small"):
+            sk.ChannelSpec(snr=snr, p_a_uw=100.0)
+        with pytest.raises(ValueError, match="too small"):
+            sk.Topology(kind="p2p", m_list=[4], snrs=[snr], p_a_uw=100.0)
 
 
 def test_ser_bpsk_matches_q_function():
@@ -125,7 +132,8 @@ def test_delivered_power_noiseless_cases(canon):
         canon.evaluate(320.0), rel=1e-12)
     # identity harvester: the power constraint itself
     c16 = sk.layout_info(16, 7.0)
-    assert sk.delivered_power_noiseless(c16, lambda p: p) == pytest.approx(7.0, rel=1e-9)
+    identity = SimpleNamespace(evaluate=lambda p: p)
+    assert sk.delivered_power_noiseless(c16, identity) == pytest.approx(7.0, rel=1e-9)
 
 
 def test_delivered_power_mc_matches_enumeration(canon):
@@ -263,8 +271,8 @@ def test_delivered_power_matches_monte_carlo(clipped, case):
     exact = sk.delivered_power(design, spec, clipped)
     mc = sk.delivered_power_mc(design, spec, clipped, trials)
     # per-trial variance is at most the pooled per-symbol variance of f
-    second = sk.delivered_power_mc(design, spec,
-                                   lambda p: np.asarray(clipped.evaluate(p)) ** 2, trials)
+    squared = SimpleNamespace(evaluate=lambda p: np.asarray(clipped.evaluate(p)) ** 2)
+    second = sk.delivered_power_mc(design, spec, squared, trials)
     se = math.sqrt(max(second - mc * mc, 0.0) / trials)
     assert exact > 0.0
     assert abs(exact - mc) <= 4.0 * se

@@ -18,6 +18,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def exit_code(args):
+    """The exit code of a run, returned or raised by argparse."""
+    try:
+        return run(args)
+    except SystemExit as err:
+        return err.code
+
+
 @pytest.fixture(scope="module")
 def quick_eh(tmp_path_factory):
     path = tmp_path_factory.mktemp("eh") / "eh.json"
@@ -308,6 +316,118 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     c = sk.Codebook.load(out)
     assert c.m == 8        # flag wins
     assert c.p_a_uw == 5.0  # config supplies the rest
+
+
+# config_hash of each command run with every option at its default (simulate
+# of the default design, at the relative path de.json)
+_DEFAULT_HASHES = {"fit-eh": "c50d9d7597935e76", "design": "04e26db4e2c3a7e0",
+                   "train": "4f7623ab42bf1e00", "sweep": "c1f4bbda827c6f2e",
+                   "simulate": "ca6e2475add8dd27"}
+
+
+def test_default_config_hashes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = {"fit-eh": ["--synthetic", "-o", "fe.json"], "design": ["-o", "de.json"],
+            "train": ["-o", "tr.json"], "sweep": ["-o", "sw.csv"],
+            "simulate": ["--design", "de.json", "-o", "si.json"]}
+    for command, args in runs.items():
+        assert run([command, *args]) == 0
+    hashes = {c: json.loads((tmp_path / f).read_text())["meta"]["config_hash"]
+              for c, f in [("fit-eh", "fe.json"), ("design", "de.json"),
+                           ("train", "tr.json"), ("simulate", "si.json")]}
+    hashes["sweep"] = (tmp_path / "sw.csv").read_text().split("config_hash=")[1].split()[0]
+    assert hashes == _DEFAULT_HASHES
+
+
+@pytest.mark.parametrize("ini,flags,override", [
+    # an int, a float
+    ("[design]\nm = 8\npa = 100\nrho = 0.5\n",
+     ["design", "--m", 8, "--pa", 100.0, "--rho", 0.5], ["--m", 4]),
+    # a choice, a comma list, an int and a float
+    ("[train]\ntopology = mac\nm = 4,4\niters = 5\nlr = 0.01\n",
+     ["train", "--topology", "mac", "--m", "4,4", "--iters", 5, "--lr", 0.01],
+     ["--topology", "ic", "--snr", "50,50"]),
+])
+def test_ini_values_are_typed_like_flags(tmp_path, ini, flags, override):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    command = flags[:1] + ["--config", cfg]
+
+    def output(name, args):
+        assert run(args + ["-o", tmp_path / name]) == 0
+        return (tmp_path / name).read_bytes()
+
+    assert output("ini.json", command) == output("flags.json", flags)
+    # the flag wins over the file
+    assert output("ini2.json", command + override) == output("flags2.json", flags + override)
+
+
+@pytest.mark.parametrize("ini", ["[design]\nm = abc\n", "[design]\npa = five\n"])
+def test_malformed_ini_value_is_usage_error(tmp_path, capsys, ini):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    assert exit_code(["design", "--config", cfg, "-o", tmp_path / "d.json"]) == 2
+    out = capsys.readouterr().err
+    assert "invalid" in out and "Traceback" not in out
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_ini_keys_of_switches_required_options_and_paths_are_ignored(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("exp.ini").write_text("[fit-eh]\nsynthetic = true\noutput = fe.json\n"
+                               "[design]\noutput = other.json\nconfig = other.ini\n"
+                               "[simulate]\ndesign = d.json\noutput = sim.json\n")
+    assert run(["fit-eh", "--config", "exp.ini", "-o", "x.json"]) == 2
+    assert "need --synthetic or --data" in capsys.readouterr().err
+    assert run(["design", "--config", "exp.ini", "-o", "d.json"]) == 0
+    assert run(["design", "-o", "plain.json"]) == 0
+    assert Path("d.json").read_bytes() == Path("plain.json").read_bytes()
+    assert exit_code(["simulate", "--config", "exp.ini"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "exp.ini", "plain.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--design", "d.json", "-o", "out.json"],
+    ["simulate", "--design", "d.json", "--eh", "eh.json", "-o", "out.json"],
+    ["train", "--m", 8, "--pa", 100, "--iters", 5, "-o", "out.json"],
+    ["sweep", "--m", 8, "--pa", 100, "--trials", 1000, "-o", "out.json"],
+])
+def test_snr_whose_noise_variance_overflows_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                          quick_eh, args):
+    # P_a / SNR = 100 / 1e-310 overflows to inf
+    monkeypatch.chdir(tmp_path)
+    Path("eh.json").write_bytes(quick_eh.read_bytes())
+    assert run(["design", "--m", 8, "--pa", 100, "-o", "d.json"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--snr", "1e-310"]) == 2
+    assert "snr 1e-310 is too small" in capsys.readouterr().err
+    assert not Path("out.json").exists()
+
+
+def test_fit_design_train_and_learned_sweep_are_byte_identical_per_seed(tmp_path,
+                                                                      monkeypatch):
+    # relative paths, since the paths given enter the outputs' config hash;
+    # the second run decodes on one worker
+    def outputs(name, pool):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        common = ["--pa", 100, "--eh", "eh.json", "--seed", 5]
+        with mock.patch.object(channel, "_decode_pool", pool):
+            assert run(["fit-eh", "--synthetic", "--points", 100, "--epochs", 300,
+                        "--noise-rel", 0.05, "--seed", 5, "-o", "eh.json"]) == 0
+            assert run(["design", "--m", 8, "--n", 2, "--rho", 0.5, "--candidate-cap", 2000,
+                        *common, "-o", "design.json"]) == 0
+            assert run(["train", "--m", 8, "--batch", 128, "--iters", 30, "--lam", 0.1,
+                        *common, "-o", "sys.json", "--trace", "trace.csv",
+                        "--extract", "tx.json"]) == 0
+            assert run(["sweep", "--designer", "learned", "--systems", "sys.json",
+                        "--trials", 3000, *common, "-o", "sweep.csv"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+
+    first = outputs("a", channel._decode_pool)
+    assert len(first) == 6
+    assert outputs("b", lambda: None) == first
 
 
 def test_unknown_subcommand_usage_error():

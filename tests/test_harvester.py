@@ -60,22 +60,22 @@ def test_model_c_rejects_bad_params():
         sk.ModelC(a=0.1, b=300.0, ls=0.0)
 
 
-def test_canonical_knee_at_317():
+def test_canonical_knee_at_317(canon):
     x = np.arange(1.0, 2000.0, 0.25)
-    ratio = np.asarray(sk.canonical_curve(x)) / x
+    ratio = canon.evaluate(x) / x
     assert abs(x[np.argmax(ratio)] - 317.0) <= 1.0
 
 
-def test_canonical_zero_and_monotone():
-    assert sk.canonical_curve(0.0) == 0.0
+def test_canonical_zero_and_monotone(canon):
+    assert canon.evaluate(0.0) == 0.0
     xs = np.arange(0.0, 2001.0, 1.0)
-    v = np.asarray(sk.canonical_curve(xs))
+    v = canon.evaluate(xs)
     assert np.all(np.diff(v) >= 0.0)
 
 
-def test_synth_dataset_noiseless_on_curve():
+def test_synth_dataset_noiseless_on_curve(canon):
     d = sk.synth_dataset(100, p_max=1000.0)
-    assert np.allclose(d.p_out, sk.canonical_curve(d.p_in), rtol=0, atol=0)
+    assert np.allclose(d.p_out, canon.evaluate(d.p_in), rtol=0, atol=0)
     assert d.p_in[0] == 0.0 and d.source == "synthetic"
 
 
@@ -242,10 +242,3 @@ def test_pon_approx_values():
     assert sk.pon_approx(317.0) == 1.0
     assert sk.pon_approx(5.0) == pytest.approx(5.0 / 317.0, rel=1e-12)
     assert sk.pon_approx(634.0) == 1.0
-
-
-def test_onoff_law_bookkeeping():
-    law = sk.OnOffLaw(p_on=0.37, p_a_uw=120.0)
-    assert law.p_on * law.amplitude ** 2 == pytest.approx(120.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        sk.OnOffLaw(p_on=0.0, p_a_uw=1.0)

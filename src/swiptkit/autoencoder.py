@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import ChannelSpec, monte_carlo
+from .channel import ChannelSpec, awgn, monte_carlo
 from .constellation import Codebook, codebook_min_dist, json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
@@ -236,8 +236,7 @@ def build_system(topology: Topology, config: TrainConfig, harvester=None,
 def _encode_all_real(sys: AeSystem, tx: int):
     """Normalized real-valued codebook of transmitter tx plus backprop state."""
     topo = sys.topology
-    x_in = _encoder_input(topo, tx)
-    raw, acts = mlp_forward(sys.encoders[tx], x_in, one_hot=topo.kind != "bc")
+    raw, acts = mlp_forward(sys.encoders[tx], _encoder_input(topo, tx))
     s = float((raw ** 2).sum())
     if s == 0.0:
         raise ValueError("encoder produced an all-zero codebook; cannot normalize")
@@ -295,13 +294,12 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
     P_d is the per-message mean over the n received symbols of the harvester
     output, computed on the noisy samples; its gradient flows through the
     harvester's derivative, both from one ``value_and_derivative`` call.
-    Returns (loss, encoder grads, decoder grads, parts); the grads are views
-    of ``grad``.
+    Returns (loss, grad, parts).
 
-    ``grad``: the flat gradient buffer, in :func:`~swiptkit.nn.pack` order of
+    ``grad``: the flat gradient, in :func:`~swiptkit.nn.pack` order of
     ``sys.encoders + sys.decoders``; the backward passes write every weight
-    and bias gradient straight into it (a new buffer when None). Loss and
-    gradients are bit for bit the same with or without one.
+    and bias gradient straight into it (a new vector when None, with the
+    same bits).
     """
     topo, cfg = sys.topology, sys.config
     lam = cfg.lambda_
@@ -328,7 +326,6 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
     power_total = 0.0
     clamps = []
     d_y = []
-    dec_grads = []
     for r in range(topo.n_rx):
         y = ys[r]
         logits, acts = mlp_forward(sys.decoders[r], y)
@@ -345,8 +342,7 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
             xent_total -= float(np.log(flat_logits[hit] + 1e-300).sum()) / bsz
             flat_logits[hit] -= 1.0
             p /= bsz
-        g_w, g_b, d_in = mlp_backward(sys.decoders[r], acts, logits, outs[topo.n_tx + r])
-        dec_grads.append((g_w, g_b))
+        d_in = mlp_backward(sys.decoders[r], acts, logits, outs[topo.n_tx + r])
         d_y.append(d_in)
 
         if lam > 0:
@@ -362,7 +358,6 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
             d_in[:, 1::2] += d_pin * 2.0 * y[:, 1::2]
 
     # back through the channel into each transmitter's codebook
-    enc_grads = []
     for tx in range(topo.n_tx):
         x_norm, raw, acts, g, s = enc_state[tx]
         batch_dx = coeff[tx, 0] * d_y[0]
@@ -372,12 +367,11 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
         np.add.at(d_x, rows[tx], batch_dx)
         # through the common normalization factor
         d_raw = g * d_x - (g / s) * float((d_x * raw).sum()) * raw
-        g_w, g_b, _ = mlp_backward(sys.encoders[tx], acts, d_raw, outs[tx], input_grad=False)
-        enc_grads.append((g_w, g_b))
+        mlp_backward(sys.encoders[tx], acts, d_raw, outs[tx], input_grad=False)
 
     loss = xent_total + power_total
     clamped = np.concatenate(clamps) if clamps else np.zeros(0, dtype=bool)
-    return loss, enc_grads, dec_grads, LossParts(xent_total, power_total, clamped)
+    return loss, grad, LossParts(xent_total, power_total, clamped)
 
 
 def sample_messages(topo: Topology, rng, bsz: int) -> np.ndarray:
@@ -386,14 +380,8 @@ def sample_messages(topo: Topology, rng, bsz: int) -> np.ndarray:
 
 
 def sample_noises(topo: Topology, rng, bsz: int, n: int) -> list[np.ndarray]:
-    out = []
-    for r in range(topo.n_rx):
-        sd = math.sqrt(topo.p_a_uw / topo.snrs[r] / 2.0)
-        w = np.empty((bsz, n), dtype=complex)
-        w.real = rng.normal(0.0, sd, (bsz, n))
-        w.imag = rng.normal(0.0, sd, (bsz, n))
-        out.append(w)
-    return out
+    """Per receiver, the channel's AWGN (B, n) at its SNR (drawn when noiseless too)."""
+    return [awgn(np.zeros((bsz, n)), ChannelSpec(snr, topo.p_a_uw), rng) for snr in topo.snrs]
 
 
 def train(sys: AeSystem):
@@ -431,7 +419,7 @@ def train(sys: AeSystem):
         for it in range(cfg.iterations):
             msgs = sample_messages(sys.topology, msg_rng, cfg.batch_size)
             noises = sample_noises(sys.topology, noise_rng, cfg.batch_size, cfg.n)
-            loss, _, _, parts = composite_loss(sys, msgs, noises, grad)
+            loss, _, parts = composite_loss(sys, msgs, noises, grad)
             if not math.isfinite(loss):
                 raise TrainDivergedError(it, trace[:it])
             trace[it] = (loss, parts.xent, parts.power)
@@ -557,7 +545,7 @@ def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
         lo, kink = [], False
         for k in (2, 1, -1, -2):
             theta[i] = orig + k * step
-            loss, _, _, at = composite_loss(sys, msgs, noises)
+            loss, _, at = composite_loss(sys, msgs, noises)
             lo.append(loss)
             kink |= not np.array_equal(at.clamped, parts.clamped)
         theta[i] = orig

@@ -85,10 +85,9 @@ class SerResult:
 
 
 def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
-    """Add complex Gaussian noise, variance sigma_sq/2 per real dimension."""
+    """Add complex Gaussian noise, variance sigma_sq/2 per real dimension:
+    real parts, then imaginary parts, drawn even when sigma_sq is 0."""
     x = np.asarray(x, dtype=complex)
-    if spec.sigma_sq == 0.0:
-        return x.copy()
     sd = math.sqrt(spec.sigma_sq / 2.0)
     return x + rng.normal(0.0, sd, x.shape) + 1j * rng.normal(0.0, sd, x.shape)
 
@@ -245,7 +244,8 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
     density 2r/s exp(-(r - |c|)^2/s) i0e(2r|c|/s) (s = sigma^2); f(r^2) is
     integrated against it by the trapezoid rule on a fixed grid over
     |c| +- 12 sigma, then averaged over messages and symbols. Noiseless, it
-    is :func:`delivered_power_noiseless`.
+    is :func:`delivered_power_noiseless`. ValueError names an SNR so small
+    that the grid's largest input power (max |c| + 12 sigma)^2 overflows.
     """
     s = spec.sigma_sq
     if s == 0.0:
@@ -253,6 +253,10 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
     cw = design_codewords(design)
     amp, inv = np.unique(np.abs(cw), return_inverse=True)
     half = 12.0 * math.sqrt(s)
+    top = float(amp[-1]) + half
+    if not math.isfinite(top * top):
+        raise ValueError(f"snr {spec.snr!r} is too small: the input power of the "
+                         "delivered-power quadrature overflows")
     t = np.linspace(0.0, 1.0, _PD_GRID)
     e = np.empty(amp.size)
     for k in range(0, amp.size, _PD_BLOCK):
@@ -278,10 +282,10 @@ def rp_sweep(designer, controls, spec: ChannelSpec, harvester,
     if not controls:
         raise ValueError("controls must be nonempty")
     cws = [design_codewords(designer(c)) for c in controls]
-    return [TradeoffPoint(control=float(c), ser=res.ser,
-                          pd_uw=delivered_power(cw, spec, harvester),
+    pds = [delivered_power(cw, spec, harvester) for cw in cws]   # fails before the pass
+    return [TradeoffPoint(control=float(c), ser=res.ser, pd_uw=pd,
                           ci_halfwidth=res.ci_halfwidth)
-            for c, cw, res in zip(controls, cws, _ser_results(cws, spec, trials))]
+            for c, pd, res in zip(controls, pds, _ser_results(cws, spec, trials))]
 
 
 def qam_reference(m: int, p_a_uw: float) -> Codebook:

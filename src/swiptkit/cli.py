@@ -235,10 +235,10 @@ def cmd_sweep(args) -> int:
         for path in paths:
             system = load_system(path)
             # the row reports the mean over streams, and P_d averaged over receivers
-            ser = float(np.mean(evaluate_ser(system, args.trials, seed=args.seed,
-                                             snr=args.snr, p_a_uw=args.pa)))
             pd = float(np.mean([delivered_power(cw, spec, harvester)
                                 for cw in received_codebooks(system)]))
+            ser = float(np.mean(evaluate_ser(system, args.trials, seed=args.seed,
+                                             snr=args.snr, p_a_uw=args.pa)))
             points.append(TradeoffPoint(system.config.lambda_, ser, pd,
                                         binomial_ci(ser, args.trials)))
     else:
@@ -263,12 +263,11 @@ def cmd_simulate(args) -> int:
     design = Codebook.load(args.design)
     harvester = _load_harvester(args.eh) if args.eh else None
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
+    pd = {} if harvester is None else {"pd_uw": delivered_power(design, spec, harvester)}
     res = ser_mc(design, spec, args.trials)
     payload = {"ser": res.ser, "ci_halfwidth": res.ci_halfwidth, "trials": args.trials,
                "snr": "inf" if args.snr == math.inf else args.snr, "seed": args.seed,
-               "degenerate": res.degenerate}
-    if harvester is not None:
-        payload["pd_uw"] = delivered_power(design, spec, harvester)
+               "degenerate": res.degenerate, **pd}
     _attach_meta(payload, args)
     if args.output:
         _write_json(args.output, payload)

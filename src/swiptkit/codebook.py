@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Codebook, codebook_min_dist, layout_info, swipt_transform
+from .constellation import (Codebook, codebook_min_dist, layout_info, m_on_count,
+                            swipt_transform)
 
 # a second name for the one deformation: perfbench/tracer.py wraps both names
 swipt_codebook = swipt_transform
@@ -205,22 +206,21 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
 # ---------------------------------------------------------------------------
 
 def onoff_block_code(n: int, p_a_uw: float, p_star: float, m_req: int) -> Codebook:
-    """Build the position code: N_on best matches p_star among {1..n}/n,
-    r_on carries the whole block power, and the first m_req supports are
-    taken in colexicographic order. It is the rho = 1 codebook over base
-    points (0, r_on) whose codeword k indexes r_on on its support, 0 elsewhere.
+    """Build the position code: N_on = ``m_on_count(n, p_star)``, r_on
+    carries the whole block power, and the first m_req supports are taken in
+    colexicographic order. It is the rho = 1 codebook over base points
+    (0, r_on) whose codeword k indexes r_on on its support, 0 elsewhere.
 
     The all-on support is a single set and carries one message, so for
-    m_req >= 2 (and n >= 2) N_on = n is excluded and the match runs over
-    {1..n-1}/n. ValueError ("exceeds") is raised when the matched N_on has
-    fewer than m_req supports, which includes n = 1 with m_req >= 2.
+    m_req >= 2 (and n >= 2) N_on is capped at n - 1, the best match among
+    {1..n-1}/n. ValueError ("exceeds") is raised when N_on has fewer than
+    m_req supports, which includes n = 1 with m_req >= 2.
     """
     if n < 1 or m_req < 1:
         raise ValueError("n and m_req must be >= 1")
     if not 0 < p_a_uw < math.inf:
         raise ValueError("P_a must be finite and positive")
-    cand = np.arange(1, n if m_req >= 2 and n >= 2 else n + 1)
-    n_on = int(cand[np.argmin(np.abs(p_star - cand / n))])
+    n_on = min(m_on_count(n, p_star), n - 1 if m_req >= 2 and n >= 2 else n)
     bound = math.comb(n, n_on)
     if m_req > bound:
         raise ValueError(f"m_req={m_req} exceeds C({n},{n_on})={bound}")

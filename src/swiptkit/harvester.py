@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
-from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack
+from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 
 class FitDivergedError(RuntimeError):
@@ -237,7 +237,7 @@ class EhModel:
         f, acts = _eh_head(net, p, self.input_scale)
         rel = f[:-1] - f[-1]
         value = self.power_scale * np.maximum(0.0, rel)
-        _, _, dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None], params=False)
+        dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None])
         slope = np.where(rel > 0, dz[:-1, 0], 0.0) * self.power_scale / self.input_scale
         if not p.ndim:
             return float(value[0]), float(slope[0])
@@ -277,7 +277,8 @@ class FitHyper:
 
 def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     """Mean squared error of the zero-offset-corrected network on normalized
-    data, and its gradient as one vector in :func:`pack` order.
+    data, and its gradient as one vector in :func:`pack` order: a new array
+    per call, since L-BFGS-B may keep the last gradient it was given.
     """
     m = z.size
     f, acts = _eh_head(net, z, 1.0)
@@ -286,8 +287,10 @@ def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     d_r = 2.0 * r / m
     # the subtracted zero-input row shares every parameter
     d_f = np.append(d_r, -d_r.sum())
-    g_w, g_b, _ = mlp_backward(net, acts, (d_f * (1.0 - f ** 2))[:, None])
-    return loss, np.concatenate(flat([(g_w, g_b)]), axis=None)
+    grad = np.empty(sum(w.size + b.size for w, b in zip(net.weights, net.biases)))
+    mlp_backward(net, acts, (d_f * (1.0 - f ** 2))[:, None], views(grad, [net])[0],
+                 input_grad=False)
+    return loss, grad
 
 
 def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:

@@ -1,5 +1,9 @@
 """The tanh-MLP core of the harvester model and the autoencoder: forward and
 backward passes, and nets packed into one parameter vector.
+
+Gradients have one form: the flat vector, in :func:`pack` order. A caller
+hands :func:`mlp_backward` the net's :func:`views` of that vector, and the
+backward pass writes each weight and bias gradient into its view.
 """
 
 from __future__ import annotations
@@ -19,23 +23,14 @@ class MlpParams:
     biases: list[np.ndarray]
 
 
-def mlp_forward(net: MlpParams, x: np.ndarray, one_hot: bool = False):
-    """Returns (output, activations); activations[i] is layer i's input.
-
-    With ``one_hot`` the input ``x`` is the identity matrix, and layer 0 is
-    W0.T + b0 without the matmul: the same bits, since every product with an
-    off-diagonal 0 adds an exact 0.
-    """
+def mlp_forward(net: MlpParams, x: np.ndarray):
+    """Returns (output, activations); activations[i] is layer i's input."""
     acts = [x]
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if i == 0 and one_hot:
-            # C order, as the matmul's result: the next matmul rounds by layout
-            h = np.add(w.T, b, out=np.empty((w.shape[1], w.shape[0])))
-        else:
-            h = h @ w.T   # then in place: one (B, width) array per layer
-            h += b
+        h = h @ w.T   # then in place: one (B, width) array per layer
+        h += b
         if i != last:
             np.tanh(h, out=h)
         acts.append(h)
@@ -43,23 +38,19 @@ def mlp_forward(net: MlpParams, x: np.ndarray, one_hot: bool = False):
 
 
 def mlp_backward(net: MlpParams, acts: list[np.ndarray], d_out: np.ndarray,
-                 out: list[np.ndarray] | None = None, params: bool = True,
-                 input_grad: bool = True):
-    """Gradients of all weights/biases plus the input gradient.
+                 out: list[np.ndarray] | None = None, input_grad: bool = True):
+    """Back from the output gradient ``d_out``; returns the input gradient
+    (None with ``input_grad=False``).
 
-    ``out``: arrays in :func:`flat` order ([w0, b0, w1, b1, ...]) that the
-    gradients are written into, in place of new arrays; the same bits either
-    way. ``params=False`` skips the weight and bias gradients (their lists
-    hold None), ``input_grad=False`` the input gradient (None).
+    ``out``: arrays in :func:`flat` order ([w0, b0, w1, b1, ...]), such as a
+    net's :func:`views` of the flat gradient, that the weight and bias
+    gradients are written into; with None they are not computed.
     """
-    n_layers = len(net.weights)
-    g_w = [None] * n_layers
-    g_b = [None] * n_layers
     dz, dh = d_out, None
-    for i in range(n_layers - 1, -1, -1):
-        if params:
-            g_w[i] = np.matmul(dz.T, acts[i], out=None if out is None else out[2 * i])
-            g_b[i] = np.add.reduce(dz, axis=0, out=None if out is None else out[2 * i + 1])
+    for i in range(len(net.weights) - 1, -1, -1):
+        if out is not None:
+            np.matmul(dz.T, acts[i], out=out[2 * i])
+            np.add.reduce(dz, axis=0, out=out[2 * i + 1])
         if i == 0 and not input_grad:
             break
         dh = dz @ net.weights[i]
@@ -68,7 +59,7 @@ def mlp_backward(net: MlpParams, acts: list[np.ndarray], d_out: np.ndarray,
             np.subtract(1.0, slope, out=slope)
             dh *= slope
             dz = dh
-    return g_w, g_b, dh
+    return dh
 
 
 def flat(pairs) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -405,6 +406,33 @@ def test_snr_whose_noise_variance_overflows_is_usage_error(tmp_path, monkeypatch
     assert not Path("out.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--design", "d.json", "--eh", "eh.json", "-o", "out.json"],
+    ["sweep", "--m", 16, "--pa", 100, "--trials", 1000, "-o", "out.json"],
+    ["sweep", "--designer", "learned", "--systems", "sys.json", "--pa", 100,
+     "--trials", 1000, "--eh", "eh.json", "-o", "out.json"],
+])
+def test_snr_whose_quadrature_input_power_overflows_is_usage_error(tmp_path, monkeypatch,
+                                                                   capsys, quick_eh, args):
+    # P_a / SNR = 1e308 is finite, but the quadrature's (max|c| + 12 sigma)^2
+    # is not: the run exits 2 naming the SNR, before any Monte Carlo pass
+    import swiptkit.autoencoder as ae
+    monkeypatch.chdir(tmp_path)
+    Path("eh.json").write_bytes(quick_eh.read_bytes())
+    assert run(["design", "--m", 16, "--pa", 100, "-o", "d.json"]) == 0
+    assert run(["train", "--m", 4, "--pa", 100, "--iters", 5, "-o", "sys.json"]) == 0
+    capsys.readouterr()
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the Monte Carlo pass ran")
+
+    monkeypatch.setattr(channel, "monte_carlo", no_pass)
+    monkeypatch.setattr(ae, "monte_carlo", no_pass)
+    assert run(args + ["--snr", "1e-306"]) == 2
+    assert "snr 1e-306 is too small" in capsys.readouterr().err
+    assert not Path("out.json").exists()
+
+
 def test_fit_design_train_and_learned_sweep_are_byte_identical_per_seed(tmp_path,
                                                                       monkeypatch):
     # relative paths, since the paths given enter the outputs' config hash;
@@ -592,3 +620,58 @@ def test_monte_carlo_outputs_are_byte_identical_per_seed(two_workers, m, n, pa, 
         first = outputs(two_workers)
         assert outputs(two_workers) == first
         assert outputs(None) == first
+
+
+FIXTURE_EH = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "eh_fitted.json"
+
+
+def _run_twice(argv, directory):
+    """The files in ``directory`` after one run of ``argv``, and after a
+    second that writes the same paths (which the outputs' config hash covers)."""
+    runs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(directory.iterdir())})
+    return runs
+
+
+@settings(max_examples=40)
+@given(m=st.integers(1, 16), n=st.integers(1, 3), pa=st.floats(1.0, 300.0),
+       rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), cap=st.integers(200, 3000),
+       eh=st.booleans())
+def test_design_outputs_are_byte_identical_per_seed(m, n, pa, rho, seed, cap, eh):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = _run_twice(["design", "--m", m, "--n", n, "--pa", pa, "--rho", rho,
+                                    "--seed", seed, "--candidate-cap", cap,
+                                    *(["--eh", FIXTURE_EH] if eh else []),
+                                    "-o", Path(tmp) / "d.json"], Path(tmp))
+        assert first == second
+
+
+@st.composite
+def train_configs(draw):
+    kind = draw(st.sampled_from(["p2p", "bc", "mac", "ic"]))
+    m_list = draw(st.lists(st.sampled_from([2, 4, 8]), min_size=1 if kind == "p2p" else 2,
+                           max_size=1 if kind == "p2p" else 2))
+    n_rx = 1 if kind in ("p2p", "mac") else 2
+    snrs = draw(st.lists(st.sampled_from([math.inf, 50.0, 8.0]), min_size=n_rx,
+                         max_size=n_rx))
+    lam = draw(st.sampled_from([0.0, 0.03, 0.3]))
+    return ["--topology", kind, "--m", ",".join(map(str, m_list)),
+            "--snr", ",".join(map(str, snrs)), "--lam", lam,
+            "--n", draw(st.integers(1, 2)), "--pa", draw(st.floats(20.0, 300.0)),
+            "--gain", draw(st.floats(0.0, 1.0)), "--batch", draw(st.integers(8, 128)),
+            "--iters", draw(st.integers(1, 30)), "--seed", draw(st.integers(0, 2**16)),
+            *(["--eh", FIXTURE_EH] if lam > 0 else [])]
+
+
+@settings(max_examples=20)
+@given(config=train_configs())
+def test_train_outputs_are_byte_identical_per_seed(config):
+    # noiseless receivers included: they draw their (zero) noise like the rest
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        first, second = _run_twice(["train", *config, "-o", tmp / "sys.json",
+                                    "--trace", tmp / "trace.csv", "--extract", tmp / "tx.json"],
+                                   tmp)
+        assert first == second

@@ -266,6 +266,13 @@ def test_block_code_multi_message_excludes_all_on():
         assert n_on(sk.onoff_block_code(n, 1.0, 1.0, 2)) == n - 1
 
 
+@pytest.mark.parametrize("p_star", [0.0, -0.25, 1.5, float("nan")])
+def test_block_code_rejects_p_star_outside_unit_interval(p_star):
+    # N_on comes from m_on_count, and so does the check
+    with pytest.raises(ValueError, match=r"p_star must be in \(0, 1\]"):
+        sk.onoff_block_code(4, 1.0, p_star, 2)
+
+
 def test_block_code_single_position_capacity_error():
     with pytest.raises(ValueError, match="exceeds"):
         sk.onoff_block_code(1, 1.0, 0.5, 2)

@@ -17,6 +17,11 @@ is Rician, and P_d is computed by quadrature, independent of any trial count.
 
 SNR convention: snr = P_a / sigma^2 where sigma^2 is the total variance of
 the complex noise per symbol (so "SNR = 50" is 16.98 dB).
+
+SciPy is imported inside the one function that calls it (``erfc`` in
+:func:`qfunc`, ``i0e`` in :func:`delivered_power`), not at module level:
+importing ``scipy.special`` costs about a quarter of a second per process,
+and commands that evaluate no delivered power never call it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, i0e
 
 from ._blas import one_blas_thread
 from .constellation import Codebook
@@ -40,6 +44,8 @@ _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
 
 def qfunc(x) -> np.ndarray | float:
     """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
@@ -87,9 +93,11 @@ class SerResult:
 def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
     """Add complex Gaussian noise, variance sigma_sq/2 per real dimension:
     real parts, then imaginary parts, drawn even when sigma_sq is 0."""
-    x = np.asarray(x, dtype=complex)
+    y = np.array(x, dtype=complex)   # a copy: the draws are added in place
     sd = math.sqrt(spec.sigma_sq / 2.0)
-    return x + rng.normal(0.0, sd, x.shape) + 1j * rng.normal(0.0, sd, x.shape)
+    y.real += rng.normal(0.0, sd, y.shape)
+    y.imag += rng.normal(0.0, sd, y.shape)
+    return y
 
 
 def design_codewords(design) -> np.ndarray:
@@ -257,6 +265,8 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
     if not math.isfinite(top * top):
         raise ValueError(f"snr {spec.snr!r} is too small: the input power of the "
                          "delivered-power quadrature overflows")
+    from scipy.special import i0e
+
     t = np.linspace(0.0, 1.0, _PD_GRID)
     e = np.empty(amp.size)
     for k in range(0, amp.size, _PD_BLOCK):

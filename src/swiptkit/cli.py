@@ -159,7 +159,7 @@ def cmd_fit_eh(args) -> int:
 def cmd_design(args) -> int:
     if not 0.0 <= args.rho <= 1.0:   # also NaN
         raise ValueError("rho must be in [0, 1]")
-    if not args.p_star >= 0:   # also NaN; 0 computes p*
+    if not (args.p_star == 0 or 0 < args.p_star <= 1):   # also NaN; 0 computes p*
         raise ValueError("p_star must be in (0, 1], or 0 to compute it")
     ps = args.p_star if args.p_star > 0 else _p_star(args.pa, args.eh or None)
 

@@ -6,6 +6,11 @@ instantaneous input power ``p``, and ``value_and_derivative(p)``, the pair
 (``evaluate(p)``, df/dp) bit for bit; the channel, the On-Off analysis and
 the autoencoder's loss take any such object. All powers are in uW,
 amplitudes in sqrt(uW).
+
+SciPy is imported inside the one function that calls it (``expit`` in
+:attr:`ModelC.omega`, ``minimize`` in :func:`fit_eh`), not at module level:
+importing ``scipy.optimize`` and ``scipy.special`` costs about half a second
+per process, and most commands call neither.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import expit
 
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
@@ -60,6 +63,8 @@ class ModelC:
     @property
     def omega(self) -> float:
         # in (0,1); cancels the sigmoid's nonzero value at zero input
+        from scipy.special import expit
+
         return float(expit(-self.a * self.b))
 
     def evaluate(self, p_in) -> np.ndarray | float:
@@ -85,24 +90,26 @@ class ModelC:
 
 
 # Canonical synthetic harvester: saturation 40 uW, inflection 300 uW, and the
-# steepness solved once so that argmax_x f(x)/x lands at 317 uW, which is the
-# knee that anchors the On-Off analysis.
+# steepness at which argmax_x f(x)/x lands at 317 uW, the knee that anchors
+# the On-Off analysis.
 _CANON_LS = 40.0
 _CANON_B = 300.0
 _CANON_KNEE = 317.0
+_CANON_A = 0.2584437248178421
 
 
 @lru_cache(maxsize=1)
 def canonical_model() -> ModelC:
     """Synthetic stand-in for a measured rectifier curve: the fixed ModelC
-    whose knee, argmax f(x)/x, is at 317 uW."""
+    whose knee, argmax f(x)/x, is at 317 uW.
 
-    def knee_condition(a: float) -> float:
-        m = ModelC(a=a, b=_CANON_B, ls=_CANON_LS)
-        return m.derivative(_CANON_KNEE) * _CANON_KNEE - m.evaluate(_CANON_KNEE)
-
-    a = brentq(knee_condition, 1e-3, 2.0, xtol=1e-14, rtol=8.9e-16)
-    return ModelC(a=a, b=_CANON_B, ls=_CANON_LS)
+    Its steepness is pinned to the root of the knee condition
+    f'(317) * 317 = f(317), as ``scipy.optimize.brentq`` returns it on
+    [1e-3, 2] at xtol=1e-14, rtol=8.9e-16, so the curve's bits depend on no
+    solver version; ``tests/test_harvester.py::test_canonical_steepness_is_the_knee_root``
+    solves it again and checks the constant.
+    """
+    return ModelC(a=_CANON_A, b=_CANON_B, ls=_CANON_LS)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +328,8 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
     def loss_at(x):
         theta[:] = x
         return eh_loss_and_grad(net, z, targets)
+
+    from scipy.optimize import minimize
 
     res = minimize(loss_at, theta.copy(), jac=True, method="L-BFGS-B",
                    options={"maxiter": hyper.epochs})

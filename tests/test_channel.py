@@ -33,6 +33,35 @@ def test_awgn_reproducible():
     assert np.array_equal(a, b)
 
 
+def _awgn_reference(x, spec, rng):
+    """The three-temporary form of ``awgn``: the byte reference of its in-place one."""
+    x = np.asarray(x, dtype=complex)
+    sd = math.sqrt(spec.sigma_sq / 2.0)
+    return x + rng.normal(0.0, sd, x.shape) + 1j * rng.normal(0.0, sd, x.shape)
+
+
+_SIGNED_ZEROS = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+
+
+@pytest.mark.parametrize("snr", [np.inf, 50.0, 1e-3, 1e-300])   # sigma up to 7e149
+@pytest.mark.parametrize("x", [
+    np.zeros((6, 3)),
+    _SIGNED_ZEROS,
+    np.array(-0.0),
+    np.random.default_rng(1).normal(size=(40, 2)) + 1j * np.random.default_rng(2).normal(size=(40, 2)),
+    1e100 * np.random.default_rng(3).normal(size=17),
+], ids=["zeros", "signed-zeros", "scalar", "random", "large"])
+def test_awgn_is_byte_identical_to_the_reference(x, snr):
+    spec = sk.ChannelSpec(snr=snr, p_a_uw=1.0)
+    before = x.copy()
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    out, ref = sk.awgn(x, spec, rng), _awgn_reference(x, spec, ref_rng)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state   # same draws
+    assert before.tobytes() == x.tobytes()   # the input is not written
+
+
 def test_channel_spec_invariant():
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=5.0)
     assert spec.sigma_sq * spec.snr == pytest.approx(5.0, rel=1e-12)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -125,6 +128,27 @@ def test_design_rejects_p_star_nan_or_negative(tmp_path, capsys, p_star):
     assert rc == 2
     assert "p_star must be in (0, 1], or 0 to compute it" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p_star", [1.5, 1.0000000000000002, "inf"])
+@pytest.mark.parametrize("n, rho", [(2, 0), (1, 0), (1, 0.5), (2, 0.5)])
+def test_design_rejects_p_star_above_one(tmp_path, capsys, p_star, n, rho):
+    out = tmp_path / "d.json"
+    rc = run(["design", "--m", 8, "--n", n, "--rho", rho, "--p-star", p_star,
+              "--pa", 100, "--candidate-cap", 200, "-o", out])
+    assert rc == 2
+    assert "p_star must be in (0, 1], or 0 to compute it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_design_accepts_p_star_one_and_from_a_config_file_rejects_above(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["design", "--m", 8, "--n", 2, "--p-star", 1, "--candidate-cap", 200,
+                "-o", out]) == 0
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[design]\nm = 8\nn = 2\np-star = 2\n")
+    assert run(["design", "--config", cfg, "-o", tmp_path / "e.json"]) == 2
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_design_constellation_m_on_fingerprint(tmp_path, capsys):
@@ -675,3 +699,57 @@ def test_train_outputs_are_byte_identical_per_seed(config):
                                     "--trace", tmp / "trace.csv", "--extract", tmp / "tx.json"],
                                    tmp)
         assert first == second
+
+
+# --- cold start: a command imports only the SciPy it calls ------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_scipy_modules(argv, directory):
+    """(exit code, loaded ``scipy*`` modules) of a fresh interpreter that
+    imports ``swiptkit.cli`` and, unless ``argv`` is None, runs ``main(argv)``."""
+    code = ("import json, sys\n"
+            "import swiptkit.cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "rc = None if argv is None else swiptkit.cli.main(argv)\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    argv = None if argv is None else [str(a) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=directory,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["design", "--m", 8, "--n", 2, "--rho", 0.5, "--candidate-cap", 200, "-o", "d.json"],
+    ["design", "--m", 8, "--rho", 1, "-o", "d.json"],
+    ["train", "--m", 4, "--snr", 50, "--batch", 16, "--iters", 5, "-o", "s.json",
+     "--trace", "t.csv", "--extract", "x.json"],
+], ids=["import", "design-coded", "design-ring", "train"])
+def test_import_design_and_train_load_no_scipy(tmp_path, argv):
+    rc, modules = _fresh_scipy_modules(argv, tmp_path)
+    assert rc == (None if argv is None else 0)
+    assert modules == set()
+
+
+def test_simulate_and_sweep_load_scipy_special_only(tmp_path):
+    assert run(["design", "--m", 4, "--pa", 5, "-o", tmp_path / "d.json"]) == 0
+    for argv in (["simulate", "--design", "d.json", "--snr", 20, "--trials", 1000,
+                  "--eh", FIXTURE_EH],
+                 ["sweep", "--m", 4, "--trials", 1000, "--rho-grid", "0,1",
+                  "--candidate-cap", 200, "-o", "sw.csv"]):
+        rc, modules = _fresh_scipy_modules(argv, tmp_path)
+        assert rc == 0
+        assert "scipy.special" in modules
+        assert "scipy.optimize" not in modules
+
+
+def test_fit_eh_imports_scipy_optimize_when_it_runs(tmp_path):
+    rc, modules = _fresh_scipy_modules(["fit-eh", "--synthetic", "--points", 60,
+                                        "--epochs", 50, "-o", "eh.json"], tmp_path)
+    assert rc == 0 and "scipy.optimize" in modules
+    assert sk.EhModel.load(tmp_path / "eh.json").rmse is not None

@@ -66,6 +66,23 @@ def test_canonical_knee_at_317(canon):
     assert abs(x[np.argmax(ratio)] - 317.0) <= 1.0
 
 
+def test_canonical_steepness_is_the_knee_root(canon):
+    from scipy.optimize import brentq
+
+    from swiptkit.harvester import _CANON_B, _CANON_KNEE, _CANON_LS
+
+    def knee_condition(a):
+        m = sk.ModelC(a=a, b=_CANON_B, ls=_CANON_LS)
+        return m.derivative(_CANON_KNEE) * _CANON_KNEE - m.evaluate(_CANON_KNEE)
+
+    root = brentq(knee_condition, 1e-3, 2.0, xtol=1e-14, rtol=8.9e-16)
+    assert abs(canon.a - root) <= 1e-14 + 8.9e-16 * abs(root)
+    # the pinned value brackets the sign change on its own, whatever the solver
+    assert knee_condition(canon.a - 1e-13) * knee_condition(canon.a + 1e-13) < 0
+    x = np.arange(316.0, 318.0, 1e-3)
+    assert abs(x[np.argmax(canon.evaluate(x) / x)] - 317.0) <= 1e-3
+
+
 def test_canonical_zero_and_monotone(canon):
     assert canon.evaluate(0.0) == 0.0
     xs = np.arange(0.0, 2001.0, 1.0)

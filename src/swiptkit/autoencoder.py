@@ -18,7 +18,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import ChannelSpec, awgn, monte_carlo
-from .constellation import Codebook, codebook_min_dist, json_field
+from .constellation import Codebook, json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 KINDS = ("p2p", "bc", "mac", "ic")
@@ -82,14 +82,8 @@ class Topology:
             raise ValueError("message sizes must be >= 1")
         if len(self.snrs) != self.n_rx:
             raise ValueError(f"need one SNR per receiver ({self.n_rx})")
-        if not all(s > 0 for s in self.snrs):   # inf is noiseless; NaN fails
-            raise ValueError("SNRs must be positive")
-        if not 0 < self.p_a_uw < math.inf:
-            raise ValueError("P_a must be finite and positive")
-        for snr in self.snrs:
-            if not math.isfinite(float(self.p_a_uw) / float(snr)):
-                raise ValueError(f"snr {snr!r} is too small: the noise variance "
-                                 "P_a/snr overflows")
+        for snr in self.snrs:   # the link contract: inf is noiseless
+            ChannelSpec(snr, self.p_a_uw)
         if self.kind == "ic":
             g = np.asarray(self.gains, dtype=float)
             if g.shape != (k, k) or not np.allclose(np.diag(g), 1.0):
@@ -454,12 +448,9 @@ def extract_design(sys: AeSystem) -> list[Codebook]:
     topo, n = sys.topology, sys.config.n
     for tx in range(topo.n_tx):
         rows = topo.tx_messages(tx)
-        cb = Codebook(base_points=encode_all(sys, tx).ravel(),
-                      codeword_indices=np.arange(rows * n).reshape(rows, n),
-                      m=rows, n=n, p_a_uw=topo.p_a_uw, rho="learned")
-        if rows >= 2:
-            cb.achieved_dmin_sq = codebook_min_dist(cb)
-        out.append(cb)
+        out.append(Codebook(base_points=encode_all(sys, tx).ravel(),
+                            codeword_indices=np.arange(rows * n).reshape(rows, n),
+                            m=rows, n=n, p_a_uw=topo.p_a_uw, rho="learned"))
     return out
 
 
@@ -582,13 +573,21 @@ def system_to_json(sys: AeSystem) -> dict:
 
 
 def system_from_json(d: dict, harvester=None) -> AeSystem:
-    """ValueError names a missing or malformed field."""
+    """ValueError names a missing or malformed field, and an encoder or
+    decoder count other than the topology's transmitter or receiver count."""
     nets = lambda v: [_net_from_json(x) for x in v]
-    return AeSystem(topology=json_field(d, "topology", Topology.from_json),
-                    config=json_field(d, "config", TrainConfig.from_json),
-                    encoders=json_field(d, "encoders", nets),
-                    decoders=json_field(d, "decoders", nets),
-                    harvester=harvester, final_loss=d.get("final_loss"))
+    sys = AeSystem(topology=json_field(d, "topology", Topology.from_json),
+                   config=json_field(d, "config", TrainConfig.from_json),
+                   encoders=json_field(d, "encoders", nets),
+                   decoders=json_field(d, "decoders", nets),
+                   harvester=harvester, final_loss=d.get("final_loss"))
+    topo = sys.topology
+    for key, got, want in (("encoders", sys.encoders, topo.n_tx),
+                           ("decoders", sys.decoders, topo.n_rx)):
+        if len(got) != want:
+            raise ValueError(f"bad field {key!r}: a {topo.kind} topology has {want}, "
+                             f"got {len(got)}")
+    return sys
 
 
 def load_system(path, harvester=None) -> AeSystem:

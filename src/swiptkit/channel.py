@@ -304,10 +304,10 @@ def qam_reference(m: int, p_a_uw: float) -> Codebook:
         raise ValueError("supported QAM sizes: 4, 16, 64")
     side = int(math.isqrt(m))
     levels = np.arange(-(side - 1), side, 2, dtype=float)
-    pts = (levels[:, None] + 1j * levels[None, :]).ravel()
-    pts = pts * math.sqrt(p_a_uw / float(np.mean(np.abs(pts) ** 2)))
-    return Codebook(base_points=pts, codeword_indices=np.arange(m)[:, None], m=m, n=1,
-                    p_a_uw=p_a_uw, rho=0.0)
+    qam = Codebook(base_points=(levels[:, None] + 1j * levels[None, :]).ravel(),
+                   codeword_indices=np.arange(m)[:, None], m=m, n=1, p_a_uw=p_a_uw, rho=0.0)
+    qam.scale_to_power()
+    return qam
 
 
 def write_sweep_csv(path, points: list[TradeoffPoint], snr_db: float,

@@ -3,9 +3,10 @@
 Flags mirror config-file keys (INI sections named per subcommand, keys named
 as the long flags without their leading dashes). A flag wins over the config
 file, which wins over the declared default; INI values are converted by the
-same types as flags. Exit codes: 0 success, 2 usage/config error, 3 numeric
-failure. All outputs carry a metadata header (tool version, config hash,
-seed) and are byte-identical for identical configs and seeds.
+same types as flags. Exit codes: 0 success, 2 usage/config error or a file
+that cannot be read or written, 3 numeric failure. All outputs carry a
+metadata header (tool version, config hash, seed) and are byte-identical for
+identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
             # parsed again, so argparse converts the file's strings like flags
             args = build_parser({args.command: _ini_section(args)}).parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, ValueError, configparser.Error) as err:
+    except (OSError, ValueError, configparser.Error) as err:
         print(f"{args.command}: {err}", file=_sys.stderr)
         return EXIT_USAGE
     except (FitDivergedError, TrainDivergedError, FloatingPointError) as err:

@@ -1,9 +1,9 @@
 """Coded modulation for block length n >= 1: greedy minimum-distance codebook
 construction and position-coded On-Off blocks. Both return the one design type
 :class:`~swiptkit.constellation.Codebook` (JSON in the codeword format for
-n > 1, the point format at n = 1), and :func:`swipt_codebook` is the one
-deformation :func:`~swiptkit.constellation.swipt_transform`, whose final
-common rescale runs unless every base point is referenced exactly once.
+n > 1, the point format at n = 1), which derives their minimum distance and
+rescales them to P_a; :func:`swipt_codebook` is the one deformation
+:func:`~swiptkit.constellation.swipt_transform`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import (Codebook, codebook_min_dist, layout_info, m_on_count,
+# codebook_min_dist is unused here, but perfbench/tracer.py wraps it under this
+# module's name, so the name must resolve
+from .constellation import (Codebook, codebook_min_dist, layout_info, m_on_count,  # noqa: F401
                             swipt_transform)
 
 # a second name for the one deformation: perfbench/tracer.py wraps both names
@@ -30,6 +32,10 @@ class GreedyConfig:
     max_rounds: int = 40
     candidate_cap: int = 1_000_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
 
 
 def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
@@ -119,8 +125,8 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     The distance threshold starts at t^2 of the Mn-point layout and walks
     to a resolution of epsilon = 0.05*t^2 until a pass exhausts with exactly
     M picks; otherwise the largest threshold yielding >= M wins and
-    the first M picks are kept. A final common rescale enforces the
-    average-power equality.
+    the first M picks are kept. :meth:`Codebook.scale_to_power` then
+    enforces the average-power equality.
     """
     if m < 1 or n < 1:
         raise ValueError("M and n must be >= 1")
@@ -128,8 +134,6 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     base = layout_info(mn, p_a_uw)
     if n == 1:
         # the search would pick every candidate: the design is the layout itself
-        if m >= 2:
-            base.achieved_dmin_sq = codebook_min_dist(base)
         return base
     cfg = cfg or GreedyConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -192,12 +196,7 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
 
     cb = Codebook(base_points=base.base_points.copy(), codeword_indices=chosen,
                   m=len(chosen), n=n, p_a_uw=p_a_uw, rho=0.0, converged=converged)
-    # common rescale for the average-power equality over codeword symbols
-    tot = float(np.sum(np.abs(cb.codewords) ** 2))
-    g = math.sqrt(len(chosen) * n * p_a_uw / tot)
-    cb.base_points *= g
-    if cb.m >= 2:
-        cb.achieved_dmin_sq = codebook_min_dist(cb)
+    cb.scale_to_power()
     return cb
 
 

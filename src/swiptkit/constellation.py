@@ -2,13 +2,14 @@
 
 Every design, algorithmic or learned, is a :class:`Codebook`: M codewords of
 n complex symbols at average power P_a, each an index tuple into a set of
-base points. The concentric-circle information constellation
+base points; the type checks P_a, derives the minimum distance and holds the
+one rescale to P_a. The concentric-circle information constellation
 (:func:`layout_info`) is its block-length-1 case; greedy codebooks and On-Off
 position codes (``codebook``) and QAM references (``channel``) are built as
 the same type, and saved in one of two JSON formats: the point format at
 n = 1, the codeword format otherwise. :func:`swipt_transform` deforms the base
-points of any rho = 0 design; its final common rescale is skipped when every
-base point is referenced exactly once, where it could only add rounding.
+points of any rho = 0 design; its final rescale is skipped when every base
+point is referenced exactly once, where it could only add rounding.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ class Codebook:
     indices) record a deformation. ``rho`` is 0 for an information design,
     1 at the On-Off extreme, or the sentinel string "learned" for extracted
     autoencoder designs. ``achieved_dmin_sq`` is the minimum squared codeword
-    distance, inf when not computed or M = 1.
+    distance, derived on each read (inf at M = 1).
 
     JSON has two formats: at n = 1 the point format (``points`` in message
     order, plus the ring metadata under ``meta``), otherwise the codeword
     format (``base_points``, and ``indices`` and ``symbols`` per codeword).
     Both load, and an n = 1 file in the codeword format loads to the same
-    codewords.
+    codewords; a ``dmin_sq`` read from a file is ignored, since it is derived.
     """
 
     base_points: np.ndarray        # (B,) complex
@@ -64,7 +65,6 @@ class Codebook:
     n: int
     p_a_uw: float
     rho: float | str = 0.0
-    achieved_dmin_sq: float = math.inf
     converged: bool = True
     c: int | None = None
     t: float | None = None
@@ -80,13 +80,27 @@ class Codebook:
         if idx.min() < 0 or idx.max() >= self.base_points.size:
             raise ValueError(f"codewords: index outside the {self.base_points.size} "
                              "base points")
+        if not 0 < self.p_a_uw < math.inf:
+            raise ValueError("P_a must be finite and positive")
 
     @property
     def codewords(self) -> np.ndarray:
         return self.base_points[self.codeword_indices]
 
+    @property
+    def achieved_dmin_sq(self) -> float:
+        return codebook_min_dist(self) if self.m >= 2 else math.inf
+
     def avg_power(self) -> float:
         return float(np.mean(np.abs(self.codewords) ** 2))
+
+    def scale_to_power(self) -> None:
+        """Rescale the base points in place by one common factor so the M*n
+        codeword symbols average P_a; ValueError when they carry no power."""
+        tot = float(np.sum(np.abs(self.codewords) ** 2))
+        if tot == 0.0:
+            raise ValueError("every codeword symbol is zero: no rescale reaches P_a")
+        self.base_points *= math.sqrt(self.m * self.n * self.p_a_uw / tot)
 
     def to_json(self) -> dict:
         rho = self.rho if isinstance(self.rho, str) else float(self.rho)
@@ -104,12 +118,13 @@ class Codebook:
                     "on_indices": self.on_indices,
                 },
             }
+        dmin = self.achieved_dmin_sq
         return {
             "m": self.m,
             "n": self.n,
             "p_a_uw": self.p_a_uw,
             "rho": rho,
-            "dmin_sq": None if math.isinf(self.achieved_dmin_sq) else self.achieved_dmin_sq,
+            "dmin_sq": None if math.isinf(dmin) else dmin,
             "converged": self.converged,
             "base_points": [[float(p.real), float(p.imag)] for p in self.base_points],
             "codewords": [
@@ -134,11 +149,10 @@ class Codebook:
             base = json_field(d, "points", points)
             idx, n = np.arange(base.size)[:, None], 1
         meta = json_field(d, "meta", dict) if "meta" in d else {}
-        dmin = math.inf if d.get("dmin_sq") is None else json_field(d, "dmin_sq", float)
         return cls(base_points=base, codeword_indices=idx, m=json_field(d, "m", int), n=n,
                    p_a_uw=json_field(d, "p_a_uw", float),
                    rho=json_field(d, "rho", lambda r: r if isinstance(r, str) else float(r)),
-                   achieved_dmin_sq=dmin, converged=bool(d.get("converged", True)),
+                   converged=bool(d.get("converged", True)),
                    c=meta.get("c"), t=meta.get("t"), m_on=meta.get("m_on"),
                    on_indices=meta.get("on_indices"))
 
@@ -320,15 +334,13 @@ def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
     When every base point is referenced exactly once (a ring layout), the
     codeword symbols are the base points and ``transform_points`` already
     holds the average power: nothing more is done, since a rescale could only
-    add rounding. Otherwise a final common rescale restores the average power
-    over the M*n codeword symbols. At rho = 0 the base points are returned
-    unchanged; a ring at rho = 1 has exactly m_on points equally phased on the
-    radius-sqrt(M*P_a/m_on) circle and the rest at the origin.
+    add rounding. Otherwise :meth:`Codebook.scale_to_power` restores the
+    average power over the M*n codeword symbols. At rho = 0 the base points
+    are returned unchanged; a ring at rho = 1 has exactly m_on points equally
+    phased on the radius-sqrt(M*P_a/m_on) circle and the rest at the origin.
     """
     if design.rho != 0.0:
         raise ValueError("base design must have rho = 0")
-    if not 0 < design.p_a_uw < math.inf:
-        raise ValueError("P_a must be finite and positive")
     m, n, n_base = design.m, design.n, design.base_points.size
     m_on = m_on_count(m * n, p_star)
     refcount = np.bincount(design.codeword_indices.ravel(), minlength=n_base)
@@ -337,13 +349,6 @@ def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
     out = Codebook(base_points=pts, codeword_indices=design.codeword_indices.copy(), m=m, n=n,
                    p_a_uw=design.p_a_uw, rho=float(rho), converged=design.converged,
                    c=design.c, t=design.t, m_on=m_on, on_indices=[int(i) for i in on_idx])
-    if rho == 0.0:
-        out.achieved_dmin_sq = design.achieved_dmin_sq
-        return out
-    if np.any(refcount != 1):
-        tot = float(np.sum(np.abs(out.codewords) ** 2))
-        if tot == 0.0:
-            raise ValueError("transform collapsed every referenced base point")
-        out.base_points *= math.sqrt(m * n * design.p_a_uw / tot)
-    out.achieved_dmin_sq = codebook_min_dist(out) if m >= 2 else math.inf
+    if rho != 0.0 and np.any(refcount != 1):
+        out.scale_to_power()
     return out

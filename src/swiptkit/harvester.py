@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constellation import json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 
@@ -140,13 +141,25 @@ class PowerDataset:
 
     @classmethod
     def from_csv(cls, path) -> "PowerDataset":
+        """Read a ``p_in_uw,p_out_uw`` CSV; ValueError names a bad header or
+        the line of a malformed row."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty dataset file: no p_in_uw,p_out_uw header")
             if [h.strip() for h in header] != ["p_in_uw", "p_out_uw"]:
                 raise ValueError(f"bad dataset header: {header!r}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        arr = np.array(rows, dtype=float)
+            rows = []
+            for r in reader:
+                if not r:
+                    continue
+                try:
+                    rows.append((float(r[0]), float(r[1])))
+                except (IndexError, ValueError):
+                    raise ValueError(f"bad dataset row on line {reader.line_num}: "
+                                     f"{r!r} is not p_in_uw,p_out_uw") from None
+        arr = np.array(rows, dtype=float).reshape(-1, 2)   # no rows: the dataset is empty
         return cls(p_in=arr[:, 0], p_out=arr[:, 1], source="file")
 
     def to_csv(self, path) -> None:
@@ -259,9 +272,11 @@ class EhModel:
 
     @classmethod
     def from_json(cls, d: dict) -> "EhModel":
-        return cls(**{name: np.array(d[name]) for name, _ in _EH_SHAPES},
-                   input_scale=float(d["input_scale"]),
-                   power_scale=float(d["power_scale"]), rmse=d.get("rmse"))
+        """ValueError names a missing or malformed field."""
+        arrays = {name: json_field(d, name, lambda v, s=shape: np.array(v, dtype=float).reshape(s))
+                  for name, shape in _EH_SHAPES}
+        return cls(**arrays, input_scale=json_field(d, "input_scale", float),
+                   power_scale=json_field(d, "power_scale", float), rmse=d.get("rmse"))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1, allow_nan=False) + "\n")
@@ -378,4 +393,4 @@ def pon_approx(p_a_uw: float) -> float:
     """
     if not 0 < p_a_uw < np.inf:
         raise ValueError("P_a must be finite and positive")
-    return min(p_a_uw / 317.0, 1.0)
+    return min(p_a_uw / _CANON_KNEE, 1.0)

@@ -532,7 +532,7 @@ def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
     (["--lr", 0], "learning_rate must be finite and positive"),
     (["--lr", -1], "learning_rate must be finite and positive"),
     (["--lr", "nan"], "learning_rate must be finite and positive"),
-    (["--snr", "nan"], "SNRs must be positive"),
+    (["--snr", "nan"], "snr must be positive"),
     (["--pd-floor", "nan"], "pd_floor must be finite and positive"),
     (["--m", 0], "message sizes must be >= 1"),
     (["--n", 0], "n must be >= 1"),
@@ -593,6 +593,75 @@ def test_sweep_learned_rejects_malformed_system(tmp_path, capsys):
     assert rc == 2
     assert "'topology'" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--design", "{dir}", "--trials", 1000],
+    ["design", "--m", 4, "--pa", 5, "-o", "{dir}"],
+    ["sweep", "--designer", "learned", "--systems", "{dir}", "--trials", 1000],
+    ["fit-eh", "--data", "{dir}"],
+], ids=["simulate-design", "design-output", "sweep-systems", "fit-eh-data"])
+def test_directory_path_is_usage_error(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
+    if "-o" not in argv:
+        argv += ["-o", tmp_path / "out"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"w1": [1, 2, 3]}', "missing field 'b1'"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["missing-field", "not-an-object"])
+def test_design_rejects_malformed_harvester(tmp_path, capsys, content, message):
+    eh, out = tmp_path / "eh.json", tmp_path / "d.json"
+    eh.write_text(content)
+    assert run(["design", "--m", 4, "--pa", 5, "--eh", eh, "-o", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("topology, edit, message", [
+    (["--topology", "p2p", "--m", 4], {"decoders": []}, "'decoders'"),
+    (["--topology", "p2p", "--m", 2], {"kind": "mac", "m_list": [2, 2]}, "'encoders'"),
+], ids=["no-decoders", "p2p-edited-to-mac"])
+def test_sweep_learned_rejects_system_with_wrong_net_count(tmp_path, capsys, topology, edit,
+                                                           message):
+    system = tmp_path / "sys.json"
+    assert run(["train", *topology, "--iters", 5, "-o", system]) == 0
+    d = json.loads(system.read_text())
+    (d["topology"] if "kind" in edit else d).update(edit)
+    system.write_text(json.dumps(d))
+    out = tmp_path / "s.csv"
+    rc = run(["sweep", "--designer", "learned", "--systems", system, "--trials", 1000,
+              "-o", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty dataset file"),
+    ("p_in_uw,p_out_uw\n", "dataset must be nonempty"),
+    ("p_in_uw,p_out_uw\n1.0,0.5\n2.0\n", "line 3"),
+], ids=["empty", "header-only", "short-row"])
+def test_fit_eh_rejects_malformed_dataset(tmp_path, capsys, content, message):
+    data, out = tmp_path / "data.csv", tmp_path / "eh.json"
+    data.write_text(content)
+    assert run(["fit-eh", "--data", data, "-o", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_design_rejects_max_rounds_below_one(tmp_path, capsys, rounds):
+    out = tmp_path / "d.json"
+    rc = run(["design", "--m", 16, "--n", 2, "--pa", 100, "--max-rounds", rounds, "-o", out])
+    assert rc == 2
+    assert "max_rounds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _strict_json(path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -110,6 +111,30 @@ def test_codebook_json_roundtrip(tmp_path):
     assert np.array_equal(back.codeword_indices, cb.codeword_indices)
     assert np.allclose(back.base_points, cb.base_points, rtol=0, atol=0)
     assert back.achieved_dmin_sq == pytest.approx(cb.achieved_dmin_sq)
+
+
+def test_dmin_is_derived_and_a_loaded_value_is_ignored():
+    cb = sk.build_info_codebook(16, 2, 5.0, sk.GreedyConfig(seed=1))
+    assert "achieved_dmin_sq" not in {f.name for f in dataclasses.fields(sk.Codebook)}
+    d = cb.to_json()
+    assert d["dmin_sq"] == sk.codebook_min_dist(cb) == cb.achieved_dmin_sq
+    d["dmin_sq"] = "stale"
+    back = sk.Codebook.from_json(d)
+    assert back.achieved_dmin_sq == cb.achieved_dmin_sq
+    assert back.to_json() == cb.to_json()
+
+
+def test_scale_to_power_and_the_p_a_check():
+    kw = dict(codeword_indices=[[0, 1], [1, 0]], m=2, n=2)
+    cb = sk.Codebook(base_points=[0.0, 0.0], p_a_uw=5.0, **kw)
+    with pytest.raises(ValueError, match="zero"):
+        cb.scale_to_power()
+    cb.base_points[:] = [1.0, 3.0]
+    cb.scale_to_power()
+    assert cb.avg_power() == pytest.approx(5.0, rel=1e-15)
+    for pa in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="P_a must be finite and positive"):
+            sk.Codebook(base_points=[1.0, 3.0], p_a_uw=pa, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -164,3 +164,17 @@ def test_onoff_block_code_is_the_former_matrix(n, pa, p_star, m_req):
     for k, sup in enumerate(supports):
         want[k, list(sup)] = math.sqrt(n * pa / n_on)
     assert sk.onoff_block_code(n, pa, p_star, m_req).codewords.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(m=st.sampled_from([4, 16, 64]),
+       pa=st.floats(5e-324, 1e306) | st.sampled_from([5e-324, 1e-200, 1e300, 1e306]))
+def test_qam_is_the_former_rescale(m, pa):
+    """Former ``qam_reference``: the square grid times sqrt(P_a / mean |c|^2).
+    Same bytes wherever M*P_a is finite: M is a power of two and the grid's
+    power sum an integer, so both quotients round the same real number."""
+    side = math.isqrt(m)
+    levels = np.arange(-(side - 1), side, 2, dtype=float)
+    pts = (levels[:, None] + 1j * levels[None, :]).ravel()
+    pts = pts * math.sqrt(pa / float(np.mean(np.abs(pts) ** 2)))
+    assert sk.qam_reference(m, pa).base_points.tobytes() == pts.tobytes()

@@ -206,21 +206,27 @@ def _encoder_input(topo: Topology, tx: int) -> np.ndarray:
     return x
 
 
+def _net_sizes(topo: Topology, n: int) -> dict[str, list[tuple[int, int]]]:
+    """(input, output) width of each encoder and each decoder: an encoder
+    maps its transmitter's one-hot message (all of them, for BC) to n complex
+    symbols, a decoder maps n received symbols to its segments' logits."""
+    enc_in = [sum(topo.m_list) if topo.kind == "bc" else topo.m_list[tx]
+              for tx in range(topo.n_tx)]
+    dec_out = [sum(m for _, m, _ in topo.rx_segments(r)) for r in range(topo.n_rx)]
+    return {"encoders": [(k, 2 * n) for k in enc_in],
+            "decoders": [(2 * n, k) for k in dec_out]}
+
+
 def build_system(topology: Topology, config: TrainConfig, harvester=None,
                  hidden: tuple[int, ...] = (64, 64)) -> AeSystem:
     """Fresh system with seeded Glorot-uniform parameters."""
     if config.lambda_ > 0 and harvester is None:
         raise ValueError("a harvester model is required when lambda > 0")
     init_rng, _, _ = _rng_children(config.seed)
-    encoders, decoders = [], []
-    for tx in range(topology.n_tx):
-        in_dim = sum(topology.m_list) if topology.kind == "bc" else topology.m_list[tx]
-        encoders.append(_init_mlp([in_dim, *hidden, 2 * config.n], init_rng))
-    for r in range(topology.n_rx):
-        out_dim = sum(m for _, m, _ in topology.rx_segments(r))
-        decoders.append(_init_mlp([2 * config.n, *hidden, out_dim], init_rng))
-    return AeSystem(topology=topology, config=config, encoders=encoders,
-                    decoders=decoders, harvester=harvester)
+    nets = {key: [_init_mlp([k_in, *hidden, k_out], init_rng) for k_in, k_out in sizes]
+            for key, sizes in _net_sizes(topology, config.n).items()}
+    return AeSystem(topology=topology, config=config, encoders=nets["encoders"],
+                    decoders=nets["decoders"], harvester=harvester)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +579,9 @@ def system_to_json(sys: AeSystem) -> dict:
 
 
 def system_from_json(d: dict, harvester=None) -> AeSystem:
-    """ValueError names a missing or malformed field, and an encoder or
-    decoder count other than the topology's transmitter or receiver count."""
+    """ValueError names a missing or malformed field, an encoder or decoder
+    count other than the topology's transmitter or receiver count, and a net
+    whose layer shapes do not chain from its input to its output width."""
     nets = lambda v: [_net_from_json(x) for x in v]
     sys = AeSystem(topology=json_field(d, "topology", Topology.from_json),
                    config=json_field(d, "config", TrainConfig.from_json),
@@ -582,11 +589,24 @@ def system_from_json(d: dict, harvester=None) -> AeSystem:
                    decoders=json_field(d, "decoders", nets),
                    harvester=harvester, final_loss=d.get("final_loss"))
     topo = sys.topology
-    for key, got, want in (("encoders", sys.encoders, topo.n_tx),
-                           ("decoders", sys.decoders, topo.n_rx)):
-        if len(got) != want:
-            raise ValueError(f"bad field {key!r}: a {topo.kind} topology has {want}, "
+    for key, sizes in _net_sizes(topo, sys.config.n).items():
+        got = getattr(sys, key)
+        if len(got) != len(sizes):
+            raise ValueError(f"bad field {key!r}: a {topo.kind} topology has {len(sizes)}, "
                              f"got {len(got)}")
+        for i, (net, (width, k_out)) in enumerate(zip(got, sizes)):
+            if not net.weights or len(net.weights) != len(net.biases):
+                raise ValueError(f"bad field {key!r}: net {i} needs as many biases as "
+                                 "weights, and at least one layer")
+            for j, (w, b) in enumerate(zip(net.weights, net.biases)):
+                if w.ndim != 2 or w.shape[1] != width or b.shape != (w.shape[0],):
+                    raise ValueError(f"bad field {key!r}: net {i} layer {j} has weights "
+                                     f"{w.shape} and biases {b.shape}, expected "
+                                     f"(out, {width}) and (out,)")
+                width = w.shape[0]
+            if width != k_out:
+                raise ValueError(f"bad field {key!r}: net {i} has {width} outputs, the "
+                                 f"topology and n = {sys.config.n} need {k_out}")
     return sys
 
 

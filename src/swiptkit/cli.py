@@ -164,8 +164,7 @@ def cmd_design(args) -> int:
         raise ValueError("p_star must be in (0, 1], or 0 to compute it")
     ps = args.p_star if args.p_star > 0 else _p_star(args.pa, args.eh or None)
 
-    cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap,
-                       max_rounds=args.max_rounds)
+    cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap)
     base = build_info_codebook(args.m, args.n, args.pa, cfg)
     design = swipt_transform(base, args.rho, ps) if args.rho > 0 else base
     echo = (f"C={design.c} t={design.t:.6g} M_on={m_on_count(args.m, ps)}" if args.n == 1
@@ -315,7 +314,6 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000,
                     help="codeword candidates the greedy search draws from "
                          "(default %(default)s)")
-    de.add_argument("--max-rounds", dest="max_rounds", type=int, default=40)
     de.set_defaults(func=cmd_design)
 
     tr = sub.add_parser("train", help="end-to-end autoencoder training")

@@ -4,13 +4,16 @@ construction and position-coded On-Off blocks. Both return the one design type
 n > 1, the point format at n = 1), which derives their minimum distance and
 rescales them to P_a; :func:`swipt_codebook` is the one deformation
 :func:`~swiptkit.constellation.swipt_transform`.
+
+The greedy search bisects its distance threshold inside a bracket whose ends
+are proven, not probed, so it always returns exactly M codewords after a
+bounded number of passes (see :func:`build_info_codebook`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +29,16 @@ swipt_codebook = swipt_transform
 
 @dataclass
 class GreedyConfig:
-    """Knobs for the greedy search: the threshold passes it may run, the
-    candidate count it draws from, and the seed of that draw."""
+    """Knobs for the greedy search: the candidate count it draws from and the
+    seed of that draw."""
 
-    max_rounds: int = 40
     candidate_cap: int = 1_000_000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-
 
 def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
-    """``count`` distinct ordered n-permutations of range(mn), seeded."""
+    """``count`` distinct ordered n-permutations of range(mn), seeded, in the
+    order they were first drawn (a uniform sample, not the smallest rows)."""
     packed_seen = np.empty(0, dtype=np.int64)
     rows = []
     weights = mn ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -53,11 +52,10 @@ def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
         packed = batch @ weights
         packed, first = np.unique(packed, return_index=True)
         keep = ~np.isin(packed, packed_seen)
-        batch = batch[first[keep]]
+        batch = batch[np.sort(first[keep])]
         packed_seen = np.concatenate([packed_seen, packed[keep]])
         rows.append(batch)
-    allrows = np.concatenate(rows)[:count]
-    return allrows
+    return np.concatenate(rows)[:count]
 
 
 _CHUNK_ROWS = 8192   # distance rows per chunk: a cache size, not a setting
@@ -122,11 +120,16 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
 
     Candidates are the n-permutations of the Mn base points (exhaustive when
     they fit under ``candidate_cap``, else seeded random distinct samples).
-    The distance threshold starts at t^2 of the Mn-point layout and walks
-    to a resolution of epsilon = 0.05*t^2 until a pass exhausts with exactly
-    M picks; otherwise the largest threshold yielding >= M wins and
-    the first M picks are kept. :meth:`Codebook.scale_to_power` then
-    enforces the average-power equality.
+    The distance threshold is bisected down to epsilon = 0.05*t^2 inside
+    [lo, hi] = [t^2/2, 2*M*E_max/(M - 1)], with E_max = n*max|base point|^2:
+    layout points lie at least t apart, so distinct candidates differ by at
+    least t^2 and a pass at lo drops none; and M codewords pairwise at least
+    d apart have d*M(M - 1)/2 <= sum_{i<j} |c_i - c_j|^2 <= M^2*E_max, so no
+    pass above hi picks M. A probe that picks exactly M ends the search;
+    otherwise the first M picks of the largest probe yielding >= M win, or,
+    if none does, those of one pass at lo. That is at most
+    ceil(log2((hi - lo)/epsilon)) + 1 passes, and always M codewords.
+    :meth:`Codebook.scale_to_power` then enforces the average-power equality.
     """
     if m < 1 or n < 1:
         raise ValueError("M and n must be >= 1")
@@ -138,64 +141,41 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     cfg = cfg or GreedyConfig()
     rng = np.random.default_rng(cfg.seed)
 
-    t_sq = base.t ** 2 if base.t else p_a_uw
+    t_sq = base.t ** 2
     eps = 0.05 * t_sq
     if eps <= 0:   # t^2 underflowed
         raise ValueError("epsilon must be positive")
     if cfg.candidate_cap < m:
         raise ValueError("candidate_cap must be >= M")
 
-    total_perms = math.perm(mn, n)
-    if total_perms <= cfg.candidate_cap:
+    if math.perm(mn, n) <= cfg.candidate_cap:
         cand_idx = np.array(list(itertools.permutations(range(mn), n)), dtype=np.int64)
     else:
         cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
-    if len(cand_idx) < m:
-        raise ValueError(f"candidate set ({len(cand_idx)}) smaller than M ({m})")
-    cvals = base.base_points[cand_idx]
-    cand_real = np.empty((len(cand_idx), 2 * n))
-    cand_real[:, 0::2] = cvals.real
-    cand_real[:, 1::2] = cvals.imag
+    # each candidate's symbols as interleaved re/im (a fresh C-contiguous array)
+    cand_real = base.base_points[cand_idx].view(float)
 
     start = int(rng.integers(len(cand_idx)))
-    if m == 1:
-        chosen = cand_idx[[start]]
-        converged = True
-    else:
-        # bracket the largest threshold still yielding >= M picks by
-        # exponential probing, then bisect down to resolution eps
-        lo: float | None = None   # pass yields >= M here
-        hi: float | None = None   # pass yields < M here
-        best_d: float | None = None
-        best_sel: list[int] | None = None
-        d = t_sq
-        for _ in range(cfg.max_rounds):
-            sel = _greedy_pass(cand_real, d, start, max_select=m + 1)
-            count = len(sel)
-            if count >= m and (best_d is None or d > best_d):
-                best_d, best_sel = d, sel[:m]
-            if count == m:
-                break
-            if count > m:
-                lo = d
-                d = (d + hi) / 2.0 if hi is not None else max(2.0 * d, d + eps)
-            else:
+    sel = [start]
+    if m > 1:
+        sel = []
+        lo = t_sq / 2.0
+        r_max = float(np.max(np.abs(base.base_points)))
+        # capped: an overflowed bound would make every midpoint inf
+        hi = min(2.0 * m * n * r_max * r_max / (m - 1), np.finfo(float).max)
+        while hi - lo > eps:
+            d = lo + (hi - lo) / 2.0
+            probe = _greedy_pass(cand_real, d, start, max_select=m + 1)
+            if len(probe) < m:
                 hi = d
-                d = (d + lo) / 2.0 if lo is not None else d / 2.0
-            if lo is not None and hi is not None and hi - lo <= eps:
+                continue
+            lo, sel = d, probe[:m]
+            if len(probe) == m:
                 break
-        converged = best_sel is not None
-        if converged:
-            chosen = cand_idx[best_sel]
-        else:
-            # best effort at the most permissive threshold visited
-            sel = _greedy_pass(cand_real, d, start, max_select=m)
-            chosen = cand_idx[sel]
-            warnings.warn("greedy search did not reach M codewords; "
-                          f"returning {len(sel)} (max_rounds={cfg.max_rounds})")
+        sel = sel or _greedy_pass(cand_real, lo, start, max_select=m)
 
-    cb = Codebook(base_points=base.base_points.copy(), codeword_indices=chosen,
-                  m=len(chosen), n=n, p_a_uw=p_a_uw, rho=0.0, converged=converged)
+    cb = Codebook(base_points=base.base_points.copy(), codeword_indices=cand_idx[sel],
+                  m=m, n=n, p_a_uw=p_a_uw, rho=0.0)
     cb.scale_to_power()
     return cb
 

@@ -56,7 +56,8 @@ class Codebook:
     order, plus the ring metadata under ``meta``), otherwise the codeword
     format (``base_points``, and ``indices`` and ``symbols`` per codeword).
     Both load, and an n = 1 file in the codeword format loads to the same
-    codewords; a ``dmin_sq`` read from a file is ignored, since it is derived.
+    codewords; a ``dmin_sq`` read from a file is ignored, since it is derived,
+    and so is the ``converged`` key that older files carry.
     """
 
     base_points: np.ndarray        # (B,) complex
@@ -65,7 +66,6 @@ class Codebook:
     n: int
     p_a_uw: float
     rho: float | str = 0.0
-    converged: bool = True
     c: int | None = None
     t: float | None = None
     m_on: int | None = None
@@ -96,10 +96,11 @@ class Codebook:
 
     def scale_to_power(self) -> None:
         """Rescale the base points in place by one common factor so the M*n
-        codeword symbols average P_a; ValueError when they carry no power."""
+        codeword symbols average P_a; ValueError when they carry no power, or
+        more than a float holds."""
         tot = float(np.sum(np.abs(self.codewords) ** 2))
-        if tot == 0.0:
-            raise ValueError("every codeword symbol is zero: no rescale reaches P_a")
+        if not 0.0 < tot < math.inf:
+            raise ValueError("codeword power is zero or overflows: no rescale reaches P_a")
         self.base_points *= math.sqrt(self.m * self.n * self.p_a_uw / tot)
 
     def to_json(self) -> dict:
@@ -125,7 +126,6 @@ class Codebook:
             "p_a_uw": self.p_a_uw,
             "rho": rho,
             "dmin_sq": None if math.isinf(dmin) else dmin,
-            "converged": self.converged,
             "base_points": [[float(p.real), float(p.imag)] for p in self.base_points],
             "codewords": [
                 {
@@ -152,7 +152,6 @@ class Codebook:
         return cls(base_points=base, codeword_indices=idx, m=json_field(d, "m", int), n=n,
                    p_a_uw=json_field(d, "p_a_uw", float),
                    rho=json_field(d, "rho", lambda r: r if isinstance(r, str) else float(r)),
-                   converged=bool(d.get("converged", True)),
                    c=meta.get("c"), t=meta.get("t"), m_on=meta.get("m_on"),
                    on_indices=meta.get("on_indices"))
 
@@ -347,8 +346,8 @@ def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
     tie_rank = np.where(refcount == 0, float(n_base), np.abs(refcount - 1.0))
     pts, on_idx = transform_points(design.base_points, rho, m_on, design.p_a_uw, tie_rank)
     out = Codebook(base_points=pts, codeword_indices=design.codeword_indices.copy(), m=m, n=n,
-                   p_a_uw=design.p_a_uw, rho=float(rho), converged=design.converged,
-                   c=design.c, t=design.t, m_on=m_on, on_indices=[int(i) for i in on_idx])
+                   p_a_uw=design.p_a_uw, rho=float(rho), c=design.c, t=design.t, m_on=m_on,
+                   on_indices=[int(i) for i in on_idx])
     if rho != 0.0 and np.any(refcount != 1):
         out.scale_to_power()
     return out

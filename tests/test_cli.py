@@ -345,7 +345,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 # config_hash of each command run with every option at its default (simulate
 # of the default design, at the relative path de.json)
-_DEFAULT_HASHES = {"fit-eh": "c50d9d7597935e76", "design": "04e26db4e2c3a7e0",
+_DEFAULT_HASHES = {"fit-eh": "c50d9d7597935e76", "design": "a2164d238b6968d5",
                    "train": "4f7623ab42bf1e00", "sweep": "c1f4bbda827c6f2e",
                    "simulate": "ca6e2475add8dd27"}
 
@@ -623,16 +623,21 @@ def test_design_rejects_malformed_harvester(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("topology, edit, message", [
-    (["--topology", "p2p", "--m", 4], {"decoders": []}, "'decoders'"),
-    (["--topology", "p2p", "--m", 2], {"kind": "mac", "m_list": [2, 2]}, "'encoders'"),
-], ids=["no-decoders", "p2p-edited-to-mac"])
-def test_sweep_learned_rejects_system_with_wrong_net_count(tmp_path, capsys, topology, edit,
-                                                           message):
+@pytest.mark.parametrize("topology, section, edit, message", [
+    (["--topology", "p2p", "--m", 4], None, {"decoders": []}, "'decoders'"),
+    (["--topology", "p2p", "--m", 2], "topology", {"kind": "mac", "m_list": [2, 2]},
+     "'encoders'"),
+    # the nets still fit each other, but not the topology or the block length
+    (["--topology", "p2p", "--m", 4], "topology", {"m_list": [8]},
+     "'encoders': net 0 layer 0 has weights (64, 4)"),
+    (["--topology", "p2p", "--m", 4], "config", {"n": 2}, "'encoders': net 0 has 2 outputs"),
+], ids=["no-decoders", "p2p-edited-to-mac", "m-list-edited", "n-edited"])
+def test_sweep_learned_rejects_system_with_wrong_net_count(tmp_path, capsys, topology, section,
+                                                           edit, message):
     system = tmp_path / "sys.json"
     assert run(["train", *topology, "--iters", 5, "-o", system]) == 0
     d = json.loads(system.read_text())
-    (d["topology"] if "kind" in edit else d).update(edit)
+    (d[section] if section else d).update(edit)
     system.write_text(json.dumps(d))
     out = tmp_path / "s.csv"
     rc = run(["sweep", "--designer", "learned", "--systems", system, "--trials", 1000,
@@ -657,10 +662,13 @@ def test_fit_eh_rejects_malformed_dataset(tmp_path, capsys, content, message):
 
 @pytest.mark.parametrize("rounds", [0, -3])
 def test_design_rejects_max_rounds_below_one(tmp_path, capsys, rounds):
+    # --max-rounds is gone: the greedy search's pass count is bounded by its bracket,
+    # so any value, a bad one included, is refused as an unknown option
     out = tmp_path / "d.json"
-    rc = run(["design", "--m", 16, "--n", 2, "--pa", 100, "--max-rounds", rounds, "-o", out])
+    rc = exit_code(["design", "--m", 16, "--n", 2, "--pa", 100, "--max-rounds", rounds,
+                    "-o", out])
     assert rc == 2
-    assert "max_rounds must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-rounds" in capsys.readouterr().err
     assert not out.exists()
 
 

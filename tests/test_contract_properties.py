@@ -4,12 +4,15 @@ CLI answers bad numbers with exit 0, 2 or 3 and no traceback."""
 import contextlib
 import io
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptkit as sk
+from swiptkit import codebook
 from swiptkit.cli import main
 
 P_A = st.floats(0.01, 1000.0)
@@ -39,9 +42,45 @@ def test_onoff_block_code_averages_p_a(n_and_messages, pa, p_star):
 @settings(max_examples=30)
 @given(st.integers(2, 8), st.integers(2, 3), P_A, RHO, P_STAR, st.integers(0, 2**16))
 def test_greedy_codebook_averages_p_a(m, n, pa, rho, p_star, seed):
-    base = sk.build_info_codebook(m, n, pa, sk.GreedyConfig(seed=seed, candidate_cap=2000))
+    with mock.patch.object(codebook, "_greedy_pass", wraps=codebook._greedy_pass) as passes:
+        base = sk.build_info_codebook(m, n, pa, sk.GreedyConfig(seed=seed, candidate_cap=2000))
+    assert base.m == m and len(np.unique(base.codeword_indices, axis=0)) == m
+    assert base.achieved_dmin_sq > 0
+    # the search bisects [t^2/2, 2*M*E_max/(M - 1)] down to 0.05*t^2, plus
+    # one pass at t^2/2 if no probe picks M
+    layout = sk.layout_info(m * n, pa)
+    lo, eps = layout.t ** 2 / 2, 0.05 * layout.t ** 2
+    hi = 2 * m * n * float(np.max(np.abs(layout.base_points))) ** 2 / (m - 1)
+    assert passes.call_count <= math.ceil(math.log2((hi - lo) / eps)) + 1
     design = _deform(base, rho, p_star)
     assert design.avg_power() == pytest.approx(pa, rel=1e-9)
+
+
+# integer parts reach the bound's equality cases (antipodal pairs, centred
+# simplices) and keep squares far from underflow, so a relative tolerance
+# covers the rounding of |.|
+_INT_MATRIX = st.tuples(st.integers(2, 8), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(st.builds(complex, st.integers(-50, 50), st.integers(-50, 50)),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda v: np.array(v).reshape(shape)))
+
+
+@given(_INT_MATRIX)
+def test_min_distance_is_below_the_bracket_top(cw):
+    # M codewords pairwise d apart: d*M(M - 1)/2 <= sum_{i<j} |c_i - c_j|^2 <= M^2*E_max
+    m, n = cw.shape
+    cb = sk.Codebook(base_points=cw.ravel(), codeword_indices=np.arange(m * n).reshape(m, n),
+                     m=m, n=n, p_a_uw=1.0)
+    e_max = float(np.max(np.sum(np.abs(cw) ** 2, axis=1)))
+    assert sk.codebook_min_dist(cb) <= 2 * m * e_max / (m - 1) * (1 + 1e-12)
+
+
+@settings(max_examples=50)
+@given(st.integers(2, 1200), st.floats(1e-3, 3e4))
+def test_layout_points_are_at_least_t_apart(mn, pa):
+    # so distinct greedy candidates differ by >= t^2, and a pass at t^2/2 keeps all
+    layout = sk.layout_info(mn, pa)
+    assert sk.codebook_min_dist(layout) >= layout.t ** 2 * (1 - 1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -39,12 +39,12 @@ def _points_json_reference(points, m, p_a_uw, rho, c=None, t=None, m_on=None,
 
 
 def _codewords_json_reference(base_points, indices, m, n, p_a_uw, rho,
-                              dmin_sq=math.inf, converged=True) -> dict:
+                              dmin_sq=math.inf) -> dict:
     """Former ``Codebook.to_json``."""
     cw = base_points[indices]
     return {"m": m, "n": n, "p_a_uw": p_a_uw,
             "rho": rho if isinstance(rho, str) else float(rho),
-            "dmin_sq": None if math.isinf(dmin_sq) else dmin_sq, "converged": converged,
+            "dmin_sq": None if math.isinf(dmin_sq) else dmin_sq,
             "base_points": [[float(p.real), float(p.imag)] for p in base_points],
             "codewords": [{"indices": [int(i) for i in row],
                            "symbols": [[float(s.real), float(s.imag)] for s in cw[k]]}
@@ -74,7 +74,7 @@ def _swipt_codebook_reference(cb, rho: float, p_star: float) -> dict:
         base *= math.sqrt(cb.m * cb.n * cb.p_a_uw / tot)
         dmin = _min_dist_reference(base[cb.codeword_indices]) if cb.m >= 2 else math.inf
     return _codewords_json_reference(base, cb.codeword_indices, cb.m, cb.n, cb.p_a_uw, rho,
-                                     dmin, cb.converged)
+                                     dmin)
 
 
 @settings(max_examples=300)
@@ -94,7 +94,7 @@ def test_ring_is_the_former_constellation(m, pa, p_star, rho):
 def greedy_cases():
     """The greedy builds of criteria 10 and 11."""
     cases = [(4, 1, sk.GreedyConfig(seed=1)), (16, 2, sk.GreedyConfig(seed=1)),
-             (64, 3, sk.GreedyConfig(seed=2, candidate_cap=200_000, max_rounds=20))]
+             (64, 3, sk.GreedyConfig(seed=2, candidate_cap=200_000))]
     return [sk.build_info_codebook(m, n, 5.0, cfg) for m, n, cfg in cases]
 
 

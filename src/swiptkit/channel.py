@@ -12,6 +12,15 @@ Draws are per chunk of trials, on the calling thread; decoding is per
 fixed row block, mapped over a process-wide thread pool with one worker per
 CPU and run on one OpenBLAS thread, and block results are summed in block
 order, so every count is the same whatever the number of workers.
+
+The minimum-distance error count skips the decode of rows it can prove
+correct: a received row closer to its sent codeword c_m than
+(1 - 1e-6)·Δ_m/2, where Δ_m is the distance from c_m to its nearest other
+codeword, is decided m by :func:`ml_decoder` in floating point as well
+(lemma and guards in :func:`_certified_sq_radii`). Only the other rows are
+decoded, as a row subset of their block, so every count equals that of
+decoding the whole block.
+
 Delivered power is an expectation over a known density: per symbol, |c + w|
 is Rician, and P_d is computed by quadrature, independent of any trial count.
 
@@ -36,10 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .constellation import Codebook
+from .constellation import _DIST_BLOCK, Codebook
 
 _CHUNK = 100_000   # trials per draw: one seed child each
 _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
+_MARGIN = 1e-6     # s: rows within (1 - s)·Δ_m/2 of c_m skip the decode
+_R2_LO, _R2_HI = 2.0 ** -900, 2.0 ** 1020   # certify only if max |c_j|² is in between
 
 
 def qfunc(x) -> np.ndarray | float:
@@ -168,7 +179,7 @@ def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) ->
         for msg, w in sample_channel(*shapes.pop(), spec, trials):
             def block(lo, msg=msg, w=w):
                 m, wb = msg[lo:lo + _BLOCK], w[lo:lo + _BLOCK]
-                return [stat(m, cw[m] + wb) for _, cw, stat in active]
+                return [stat(m, cw.take(m, axis=0) + wb) for _, cw, stat in active]
 
             for sums in run(block, range(0, len(msg), _BLOCK)):
                 for (p, _, _), value in zip(active, sums):
@@ -190,6 +201,108 @@ def ml_decoder(cw: np.ndarray):
     return decide
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k·u/(1 - k·u), u = 2^-53: the relative error bound
+    of k roundings."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
+    """Per codeword m, a float t_m >= 0 such that :func:`ml_decoder` decides
+    m for every row y whose computed |y - c_m|² (as in
+    :func:`_ml_error_counter`) is below t_m.
+
+    With c_j the real K-vectors of ``ml_decoder`` (K = 2n), s = ``_MARGIN``,
+    Δ_m the distance from c_m to its nearest other codeword and
+    R = max_j |c_j|: t_m = fl(T·fl(Δ_m²)), T = fl((1 - s)²/4), where
+    fl(Δ_m²) >= s·fl(R²), and t_m = 0 elsewhere. Duplicate codewords (the
+    zeros of an On-Off design) have Δ_m = 0 and are never certified. All t_m
+    are 0 unless M >= 2, 2^-900 <= fl(R²) <= 2^1020 and s² > 13·γ_{K+1},
+    which holds for n <= 345 (u = 2^-53, γ_k = k·u/(1 - k·u)).
+
+    Lemma. Under those guards, fl(|y - c_m|²) < t_m implies that the
+    decoder's reference value for m is strictly below that of every j ≠ m,
+    so it decides m whatever its tie rule. Proof:
+
+    1. Decoder error. The reference value for j is
+       g_j = fl(fl(y·(-2c_j)) + fl(|c_j|²)), and its exact counterpart is
+       D_j = |y - c_j|² - |y|². Scaling by -2 is exact. A dot product of K
+       terms, in any summation order, with or without FMA, lies within
+       γ_K·Σ_k|y_k·2c_jk| <= 2γ_K|y||c_j| of its exact value, fl(|c_j|²)
+       within γ_K|c_j|², and the last sum adds one rounding, so
+       |g_j - D_j| <= γ_{K+1}(2|y||c_j| + |c_j|²) (Higham, Accuracy and
+       Stability of Numerical Algorithms, 2nd ed., §3.1).
+    2. Computed r² and Δ_m². fl(|y - c_m|²) rounds K differences, K squares
+       and K - 1 sums of non-negative terms, so it is at least
+       (1 - γ_{K+2})·r², r = |y - c_m|. Likewise
+       fl(Δ_m²) <= (1 + γ_{K+2})·Δ_m² and fl(R²) >= (1 - γ_K)·R². With the
+       roundings of T, of t_m and of s·fl(R²), a certified row has
+       r <= (1 - s')·Δ_m/2 with s' >= s - ε, ε = 2γ_{K+2} + 4u, and
+       Δ_m² >= s·(1 - 3γ_{K+2})·R².
+    3. Margin. Every j ≠ m has |c_j - c_m| >= Δ_m > 0, so
+       |y - c_j|² - r² >= (Δ_m - r)² - r² = Δ_m(Δ_m - 2r) >= s'·Δ_m²
+       >= s·s'·(1 - 3γ_{K+2})·R² > (1 - 1e-6)·s²·R².
+    4. Comparison. |y| <= |c_m| + r <= R + Δ_m/2 <= 2R, so by 1,
+       |g_j - D_j| + |g_m - D_m| <= 10γ_{K+1}R², and by 3 and
+       s² > 13·γ_{K+1}, g_j - g_m > ((1 - 1e-6)·13 - 10)·γ_{K+1}R²
+       > 2.9·γ_{K+1}R² > 0.
+    5. Guards. The bounds above hold without overflow or underflow. With
+       fl(R²) <= 2^1020 every term the decoder forms for a certified row is
+       at most 5(1 + γ_{K+1})R² < 2^1023, and every distance term here at
+       most 4R², so none overflows. Gradual underflow adds at most 2^-1075
+       per product, under (K + 1)·2^-1074 per reference value and per
+       computed r² or Δ_m²; with fl(R²) >= 2^-900 that is below 2^-100
+       times the 2.9·γ_{K+1}R² of 4, and below 2^-100 of any positive t_m.
+
+    Δ_m² is computed in row blocks of at most ``_DIST_BLOCK`` distance
+    terms, so memory stays bounded at large M·n.
+    """
+    c = np.hstack([cw.real, cw.imag])
+    m, k = c.shape
+    t = np.zeros(m)
+    r_sq = float(np.max(np.sum(c * c, axis=1), initial=0.0))
+    if m < 2 or not _R2_LO <= r_sq <= _R2_HI or _MARGIN * _MARGIN <= 13.0 * _gamma(k + 1):
+        return t
+    scale = (1.0 - _MARGIN) ** 2 / 4.0
+    rows = max(1, _DIST_BLOCK // (m * k))
+    for lo in range(0, m, rows):
+        d = c[lo:lo + rows, None, :] - c[None, :, :]
+        d_sq = np.sum(d * d, axis=2)
+        d_sq[np.arange(len(d_sq)), np.arange(lo, lo + len(d_sq))] = math.inf
+        delta_sq = d_sq.min(axis=1)
+        t[lo:lo + rows] = np.where(delta_sq >= _MARGIN * r_sq, scale * delta_sq, 0.0)
+    return t
+
+
+def _ml_error_counter(cw: np.ndarray):
+    """``(msg, y) -> errors`` of :func:`ml_decoder` on the rows ``y`` sent as
+    ``cw[msg]``, decoding only the rows that :func:`_certified_sq_radii`
+    does not certify: every certified row is decided m (its lemma).
+
+    The other rows are decoded as a row subset of the block, whose decisions
+    equal those of decoding the whole block: a row of a BLAS product does not
+    depend on the other rows, which the blocks of :func:`monte_carlo` rely on
+    too (``test_monte_carlo_blocks_give_the_whole_chunk_counts``). NumPy
+    computes a one-row product by gemv, whose sums may round differently from
+    gemm's, so a lone row of a longer block is decoded twice over.
+    """
+    decide = ml_decoder(cw)
+    t = _certified_sq_radii(cw)
+
+    def count(msg: np.ndarray, y: np.ndarray) -> int:
+        d = y - cw.take(msg, axis=0)
+        r_sq = np.zeros(len(y))
+        with np.errstate(over="ignore"):   # an overflowing r² is inf: decoded
+            for col in d.T:
+                r_sq += col.real ** 2
+                r_sq += col.imag ** 2
+        rows = np.flatnonzero(~(r_sq < t.take(msg)))   # a NaN row is decoded
+        picked = rows.repeat(2) if rows.size == 1 < len(y) else rows
+        return int(np.count_nonzero(decide(y[picked])[:rows.size] != msg[rows]))
+
+    return count
+
+
 def binomial_ci(ser: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)
 
@@ -198,12 +311,20 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int,
                 decoder=None) -> list[SerResult]:
     """SER of every codeword matrix from one shared pass of the sampler. A
     fully degenerate matrix (all codewords identical) is not decoded: it
-    reports the expected error rate (M-1)/M."""
+    reports the expected error rate (M-1)/M.
+
+    Without a ``decoder``, errors are counted by :func:`_ml_error_counter`:
+    rows provably decided correctly by :func:`ml_decoder` (the lemma of
+    :func:`_certified_sq_radii`) are not decoded, and the rest are decoded
+    as a row subset of their block, so each count equals that of
+    ``ml_decoder`` on every row. A learned ``decoder`` decodes every row.
+    """
     degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
 
     def counter(cw):
-        decide = decoder or ml_decoder(cw)
-        return lambda msg, y: int(np.count_nonzero(decide(y) != msg))
+        if decoder is None:
+            return _ml_error_counter(cw)
+        return lambda msg, y: int(np.count_nonzero(decoder(y) != msg))
 
     counts = monte_carlo(cws, spec, trials,
                          [None if d else counter(cw) for cw, d in zip(cws, degenerate)])
@@ -223,6 +344,10 @@ def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None) -> SerResult:
     Uniform messages, AWGN, minimum-distance decoding (ML under AWGN) or the
     max-softmax decisions of a ``decoder``. A fully degenerate design (all
     codewords identical) is not decoded: it reports the expected error rate.
+    Minimum-distance decoding skips the rows it proves correct: those within
+    (1 - 1e-6)·Δ_m/2 of their codeword c_m, Δ_m the distance from c_m to its
+    nearest other codeword, under the guards of :func:`_certified_sq_radii`;
+    the count is that of decoding every row.
     """
     return _ser_results([design_codewords(design)], spec, trials, decoder)[0]
 

@@ -225,6 +225,9 @@ def layout_info(m: int, p_a_uw: float) -> Codebook:
         return Codebook(base_points=np.array([complex(t)]), codeword_indices=[[0]],
                         m=1, n=1, p_a_uw=p_a_uw, rho=0.0, c=1, t=t)
 
+    if not math.isfinite(m * p_a_uw):
+        raise ValueError(f"P_a {p_a_uw!r} is too large: the total power "
+                         f"{m}·P_a of a {m}-point layout overflows")
     counts = _circle_counts(m)
     c = len(counts) - 1
     denom = sum(k * (ring * ring) for ring, k in enumerate(counts))

@@ -1,15 +1,20 @@
 import math
 import os
+import warnings
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swiptkit as sk
 from swiptkit import channel
 from swiptkit._blas import _thread_functions
-from swiptkit.channel import ml_decoder, monte_carlo, sample_channel
+from swiptkit.channel import (_MARGIN, _certified_sq_radii, _ml_error_counter, ml_decoder,
+                              monte_carlo, sample_channel)
 
 
 def test_awgn_zero_noise_identity():
@@ -465,3 +470,196 @@ def test_ser_mc_memory_is_blocks_not_a_chunk_of_distances(monkeypatch, two_worke
     # alone; blocked, the peak (about 21 MB) is one chunk's draws, about 15 MB
     # while the noise is drawn, plus one (12500, 64) block, 6.4 MB, per worker
     assert peak < 32e6
+
+
+# --- the certified fast path of the minimum-distance error count -----------
+
+def _unit_power(cw: np.ndarray) -> np.ndarray:
+    cw = np.asarray(cw, dtype=complex)
+    cw = cw.reshape(-1, 1) if cw.ndim == 1 else cw
+    return cw / math.sqrt(float(np.mean(np.abs(cw) ** 2)))
+
+
+@cache
+def _greedy(m: int, n: int) -> np.ndarray:
+    cb = sk.build_info_codebook(m, n, 1.0, sk.GreedyConfig(candidate_cap=50_000, seed=1))
+    return _unit_power(cb.codewords)
+
+
+def _near_pair(m: int, n: int, seed: int, factor: float) -> np.ndarray:
+    """Gaussian codewords, then c_0 at the origin and c_1 at squared distance
+    factor·s·R² from it: just certified above factor 1, not below."""
+    rng = np.random.default_rng(seed)
+    cw = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    cw[0] = 0.0
+    r_sq = float(np.max(np.sum(np.abs(cw[2:]) ** 2, axis=1)))
+    direction = rng.normal(size=n) + 1j * rng.normal(size=n)
+    direction /= np.linalg.norm(direction)
+    cw[1] = math.sqrt(factor * _MARGIN * r_sq) * direction
+    return cw
+
+
+_designs = st.one_of(
+    st.builds(lambda m, rho: _unit_power(
+        sk.swipt_transform(sk.layout_info(m, 1.0), rho, 0.3).codewords),
+        st.sampled_from([2, 4, 8, 16, 32]),
+        st.one_of(st.floats(0.0, 1.0), st.just(1.0))),   # ρ = 1: duplicate zeros
+    st.builds(_greedy, st.sampled_from([4, 8, 16]), st.sampled_from([2, 3])),
+    st.builds(lambda m: _unit_power(sk.qam_reference(m, 1.0).codewords),
+              st.sampled_from([4, 16, 64])),
+    st.builds(lambda m, n, seed: _unit_power(
+        np.random.default_rng(seed).normal(size=(m, n, 2)) @ np.array([1.0, 1j])),
+        st.integers(2, 32), st.integers(1, 4), st.integers(0, 2**16)),
+    st.builds(lambda m, n, seed, f: _unit_power(_near_pair(m, n, seed, f)),
+              st.integers(3, 16), st.integers(1, 3), st.integers(0, 2**16),
+              st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3])),
+)
+
+
+def _adversarial_rows(cw: np.ndarray):
+    """Per codeword m: rows at (1 ± 1e-9)·τ_m toward its nearest neighbour
+    c_j, τ_m² = t_m, and on the bisector of c_m and c_j."""
+    t = _certified_sq_radii(cw)
+    d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d_sq, np.inf)
+    msg, rows = [], []
+    for m, j in enumerate(np.argmin(d_sq, axis=1)):
+        step = cw[j] - cw[m]
+        if d_sq[m, j] > 0:
+            unit = step / math.sqrt(d_sq[m, j])
+            for f in (1.0 - 1e-9, 1.0 + 1e-9):
+                msg.append(m)
+                rows.append(cw[m] + f * math.sqrt(t[m]) * unit)
+        msg.append(m)
+        rows.append(cw[m] + 0.5 * step)
+    return np.array(msg), np.array(rows)
+
+
+def _ml_errors(cw, msg, y) -> int:
+    return int(np.count_nonzero(ml_decoder(cw)(y) != msg))
+
+
+@settings(max_examples=150)
+@given(_designs, st.floats(-300.0, 300.0),
+       st.one_of(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e), st.just(math.inf)),
+       st.integers(0, 2**16))
+def test_certified_count_equals_the_ml_count_on_whole_blocks(unit_cw, log_pa, snr, seed):
+    pa = 10.0 ** log_pa
+    cw = unit_cw * math.sqrt(pa)
+    count = _ml_error_counter(cw)
+    spec = sk.ChannelSpec(snr=snr, p_a_uw=pa, seed=seed)
+    (msg, w), = sample_channel(*cw.shape, spec, 3000)
+    y = cw[msg] + w
+    adv_msg, adv_y = _adversarial_rows(cw)
+    for m, rows in ((msg, y), (adv_msg, adv_y),
+                    (np.concatenate([msg, adv_msg]), np.concatenate([y, adv_y]))):
+        assert count(m, rows) == _ml_errors(cw, m, rows)
+    # any two rows, and a lone row of a two-row block, decode as in their block
+    for lo in range(0, 40, 2):
+        assert count(msg[lo:lo + 2], y[lo:lo + 2]) == _ml_errors(cw, msg[lo:lo + 2], y[lo:lo + 2])
+        assert count(msg[lo:lo + 1], y[lo:lo + 1]) == _ml_errors(cw, msg[lo:lo + 1], y[lo:lo + 1])
+
+
+def test_certified_radii_are_half_the_nearest_distance_inside_the_guards():
+    s = _MARGIN
+    for cw in (_unit_power(sk.layout_info(16, 1.0).codewords), _greedy(16, 2),
+               _unit_power(sk.swipt_transform(sk.layout_info(16, 1.0), 1.0, 0.3).codewords),
+               _near_pair(8, 2, 3, 1.0 + 1e-3), _near_pair(8, 2, 3, 1.0 - 1e-3)):
+        d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d_sq, np.inf)
+        delta_sq = d_sq.min(axis=1)
+        r_sq = float(np.max(np.sum(np.abs(cw) ** 2, axis=1)))
+        expect = np.where(delta_sq >= s * r_sq, (1 - s) ** 2 / 4 * delta_sq, 0.0)
+        assert np.allclose(_certified_sq_radii(cw), expect, rtol=1e-12, atol=0.0)
+        for scale in (1e-280, 2e307 / r_sq):   # max |c|² outside the guards: nothing certified
+            assert not np.any(_certified_sq_radii(cw * math.sqrt(scale)))
+    onoff = _unit_power(sk.swipt_transform(sk.layout_info(16, 1.0), 1.0, 0.3).codewords)
+    zeros = np.flatnonzero(onoff[:, 0] == 0)
+    assert zeros.size > 1 and not np.any(_certified_sq_radii(onoff)[zeros])
+    assert _certified_sq_radii(_near_pair(8, 2, 3, 1.0 + 1e-3))[:2].all()
+    assert not _certified_sq_radii(_near_pair(8, 2, 3, 1.0 - 1e-3))[:2].any()
+    # past n = 345 the rounding bound no longer fits under the margin
+    rng = np.random.default_rng(0)
+    for n, certified in ((345, True), (346, False)):
+        cw = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        assert _certified_sq_radii(cw).all() == certified
+
+
+def test_certified_count_skips_most_rows_and_keeps_the_tie_rule():
+    cw = sk.layout_info(16, 100.0).codewords
+    (msg, w), = sample_channel(16, 1, sk.ChannelSpec(snr=50.0, p_a_uw=100.0, seed=2), 20_000)
+    r_sq = np.abs(w[:, 0]) ** 2
+    assert np.mean(r_sq < _certified_sq_radii(cw)[msg]) > 0.98
+    # on the exact bisector of ±a both reference values are equal: the lower
+    # index wins, so the row sent as 1 is an error and the row sent as 0 is not
+    bpsk = np.array([[-2.0 + 0j], [2.0 + 0j]])
+    count = _ml_error_counter(bpsk)
+    y = np.zeros((2, 1), dtype=complex)
+    assert count(np.array([1, 0]), y) == 1 == _ml_errors(bpsk, np.array([1, 0]), y)
+    # one uncertified row among certified ones: decoded as within its block
+    msg, y = np.array([0, 1, 1, 0]), bpsk[[0, 1, 1, 0]] + np.array([[0.0], [0.0], [-2.0], [0.0]])
+    assert count(msg, y) == 1 == _ml_errors(bpsk, msg, y)
+
+
+def test_a_lone_uncertified_row_decides_as_in_its_block():
+    # near a bisector the last bit of a reference value decides; numpy takes
+    # a one-row product through gemv, which may round apart from the block's
+    # gemm, so the counter must not decode a lone row of a block by itself
+    rng = np.random.default_rng(0)
+    cw = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    count = _ml_error_counter(cw)
+    step = cw[1] - cw[0]
+    near = (cw[0] + cw[1]) / 2 + 1j * step * rng.uniform(-1.0, 1.0, (500, 1)) \
+        + step * rng.normal(size=(500, 1)) * 1e-16
+    for row in near:
+        msg, y = np.array([2, 0]), np.array([cw[2], row])   # row 0 is certified
+        assert count(msg, y) == _ml_errors(cw, msg, y)
+
+
+@pytest.mark.parametrize("pa,snr", [(1e-300, 1e-3), (1e-300, math.inf), (1e300, 1e-3),
+                                    (1e300, 1e-8), (1.0, 1e-308)])
+def test_ser_mc_at_extreme_scales_warns_nothing(pa, snr):
+    for design in (sk.layout_info(16, pa), sk.qam_reference(4, pa)):
+        spec = sk.ChannelSpec(snr=snr, p_a_uw=pa, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sk.ser_mc(design, spec, 5000)
+        (msg, w), = sample_channel(*design.codewords.shape, spec, 5000)
+        assert res.errors == _ml_errors(design.codewords, msg, design.codewords[msg] + w)
+
+
+# --- an oracle for the Monte Carlo SER: the closed-form bracket ------------
+
+def _ser_bracket(cw: np.ndarray, sigma_sq: float) -> tuple[float, float]:
+    """ML SER of distinct codewords under AWGN lies between the
+    nearest-neighbour term (1/M)·Σ_i max_j Q(d_ij/sqrt(2σ²)) and the union
+    bound (1/M)·Σ_i Σ_{j≠i} Q(d_ij/sqrt(2σ²))."""
+    d = np.sqrt(np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2))
+    q = sk.qfunc(d / math.sqrt(2.0 * sigma_sq))
+    np.fill_diagonal(q, 0.0)
+    return float(np.mean(q.max(axis=1))), float(np.mean(q.sum(axis=1)))
+
+
+_oracle_designs = st.one_of(
+    st.builds(lambda m, rho: _unit_power(
+        sk.swipt_transform(sk.layout_info(m, 1.0), rho, 0.3).codewords),
+        st.sampled_from([4, 8, 16, 32]), st.floats(0.0, 0.9)),
+    st.builds(_greedy, st.sampled_from([8, 16, 64]), st.sampled_from([2, 3])),
+    st.builds(lambda m: _unit_power(sk.qam_reference(m, 1.0).codewords),
+              st.sampled_from([4, 16, 64])),
+)
+
+
+@settings(max_examples=30)
+@given(_oracle_designs, st.sampled_from([0.5, 1.0, 1.5]), st.integers(0, 2**16))
+def test_ser_mc_lies_in_the_closed_form_bracket(unit_cw, x, seed):
+    # distinct codewords at P_a = 100; the SNR puts the nearest pair x noise
+    # deviations from its bisector
+    cw = unit_cw * 10.0
+    d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
+    dmin_sq = float(d_sq[~np.eye(len(cw), dtype=bool)].min())
+    sigma_sq = dmin_sq / (2.0 * x * x)
+    spec = sk.ChannelSpec(snr=100.0 / sigma_sq, p_a_uw=100.0, seed=seed)
+    res = sk.ser_mc(cw, spec, 50_000)
+    lower, upper = _ser_bracket(cw, spec.sigma_sq)
+    assert lower - res.ci_halfwidth <= res.ser <= upper + res.ci_halfwidth

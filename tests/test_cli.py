@@ -121,6 +121,23 @@ def test_pa_must_be_finite_and_positive(tmp_path, capsys, args, pa):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["design", "--m", 16, "--n", 1],
+    ["design", "--m", 4, "--n", 2],
+    ["sweep", "--designer", "algorithmic", "--m", 16, "--trials", 1000],
+], ids=["design-n1", "design-n2", "sweep"])
+def test_pa_whose_layout_power_overflows_is_usage_error(tmp_path, capsys, args):
+    # M·P_a overflows: the layout once turned every point to NaN, then failed
+    # on JSON output, on a short codebook, or blamed the SNR
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run([*args, "--pa", "5e307", "-o", out])
+    assert rc == 2
+    assert "P_a 5e+307 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p_star", ["nan", -0.5])
 def test_design_rejects_p_star_nan_or_negative(tmp_path, capsys, p_star):
     out = tmp_path / "d.json"

@@ -55,6 +55,14 @@ def test_layout_degenerate_single_point():
     assert c.avg_power() == pytest.approx(5.0, rel=1e-12)
 
 
+def test_layout_rejects_a_p_a_whose_total_power_overflows():
+    with pytest.raises(ValueError, match="P_a 5e\\+307 is too large"):
+        sk.layout_info(16, 5e307)
+    # the largest P_a whose M·P_a is finite keeps its points finite
+    big = sk.layout_info(16, 1e307)
+    assert np.all(np.isfinite(big.base_points))
+
+
 def test_layout_rejects_zero():
     with pytest.raises(ValueError):
         sk.layout_info(0, 1.0)

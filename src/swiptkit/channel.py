@@ -158,6 +158,8 @@ def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) ->
     Each chunk is drawn once on the calling thread, then ``cw[msg] + w`` and
     every statistic are evaluated per block of ``_BLOCK`` rows on the decode
     pool, all on one OpenBLAS thread (the caller's count is put back after).
+    A chunk's one-row tail is part of the block before it: NumPy decodes a
+    lone row by gemv, whose sums may round differently from a block's gemm.
     A statistic must therefore be additive over rows and safe to call from
     several threads at once. Block results are summed in block order, so
     integer counts do not depend on the worker count. Peak memory is one
@@ -177,11 +179,14 @@ def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) ->
     run = map if pool is None else pool.map
     with one_blas_thread():
         for msg, w in sample_channel(*shapes.pop(), spec, trials):
-            def block(lo, msg=msg, w=w):
-                m, wb = msg[lo:lo + _BLOCK], w[lo:lo + _BLOCK]
+            def block(lo, hi, msg=msg, w=w):
+                m, wb = msg[lo:hi], w[lo:hi]
                 return [stat(m, cw.take(m, axis=0) + wb) for _, cw, stat in active]
 
-            for sums in run(block, range(0, len(msg), _BLOCK)):
+            ends = [*range(0, len(msg), _BLOCK), len(msg)]
+            if len(ends) > 2 and ends[-1] - ends[-2] == 1:
+                del ends[-2]   # a one-row tail joins the block before it
+            for sums in run(block, ends[:-1], ends[1:]):
                 for (p, _, _), value in zip(active, sums):
                     totals[p] += value
     return totals

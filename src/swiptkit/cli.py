@@ -45,7 +45,7 @@ from .channel import (
     write_sweep_csv,
 )
 from .codebook import GreedyConfig, build_info_codebook
-from .constellation import Codebook, m_on_count, swipt_transform
+from .constellation import Codebook, m_on_count, swipt_transform, write_json
 from .harvester import (
     EhModel,
     FitDivergedError,
@@ -90,10 +90,6 @@ def _meta_comment(args: argparse.Namespace) -> str:
     return f"swiptkit={__version__} config_hash={_meta(args)['config_hash']} seed={args.seed}"
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-
-
 def _ini_section(args: argparse.Namespace) -> dict:
     """The config file's values for the options of ``args.command`` that a
     file may set, as raw strings: neither a switch (``--synthetic``) nor a
@@ -129,10 +125,11 @@ def _load_harvester(path) -> EhModel:
     return EhModel.load(path)
 
 
-def _p_star(pa: float, eh_path: str | None) -> float:
-    if eh_path:
-        return optimal_pon(pa, _load_harvester(eh_path))
-    return pon_approx(pa)
+def _p_star(pa: float, harvester: EhModel | None) -> float:
+    """The On probability of the deformation: the one that maximizes the
+    On-Off power through the command's ``--eh`` harvester, else Eq. 13's
+    approximation."""
+    return pon_approx(pa) if harvester is None else optimal_pon(pa, harvester)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +146,10 @@ def cmd_fit_eh(args) -> int:
         print("fit-eh: need --synthetic or --data", file=_sys.stderr)
         return EXIT_USAGE
 
-    hyper = FitHyper(epochs=args.epochs, seed=args.seed, init_scale=args.init_scale)
+    hyper = FitHyper(epochs=args.epochs, seed=args.seed)
     model = fit_eh(data, hyper)
     payload = _attach_meta(model.to_json(), args)
-    _write_json(args.output, payload)
+    write_json(args.output, payload)
     print(f"fit-eh: {len(data)} points, rmse={model.rmse:.6g} uW -> {args.output}")
     return EXIT_OK
 
@@ -160,16 +157,14 @@ def cmd_fit_eh(args) -> int:
 def cmd_design(args) -> int:
     if not 0.0 <= args.rho <= 1.0:   # also NaN
         raise ValueError("rho must be in [0, 1]")
-    if not (args.p_star == 0 or 0 < args.p_star <= 1):   # also NaN; 0 computes p*
-        raise ValueError("p_star must be in (0, 1], or 0 to compute it")
-    ps = args.p_star if args.p_star > 0 else _p_star(args.pa, args.eh or None)
+    ps = _p_star(args.pa, _load_harvester(args.eh) if args.eh else None)
 
     cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap)
     base = build_info_codebook(args.m, args.n, args.pa, cfg)
     design = swipt_transform(base, args.rho, ps) if args.rho > 0 else base
     echo = (f"C={design.c} t={design.t:.6g} M_on={m_on_count(args.m, ps)}" if args.n == 1
             else f"dmin_sq={design.achieved_dmin_sq:.6g}")
-    _write_json(args.output, _attach_meta(design.to_json(), args))
+    write_json(args.output, _attach_meta(design.to_json(), args))
     print(f"design: M={args.m} n={args.n} rho={args.rho} p_star={ps:.6g} {echo} "
           f"-> {args.output}")
     return EXIT_OK
@@ -201,7 +196,7 @@ def cmd_train(args) -> int:
         return EXIT_NUMERIC
 
     payload = _attach_meta(system_to_json(trained), args)
-    _write_json(args.output, payload)
+    write_json(args.output, payload)
     if args.trace:
         write_trace_csv(args.trace, trace, comment)
     if args.extract:
@@ -209,19 +204,20 @@ def cmd_train(args) -> int:
         for i, d in enumerate(designs):
             path = args.extract if len(designs) == 1 else \
                 str(Path(args.extract).with_suffix("")) + f".tx{i}.json"
-            _write_json(path, _attach_meta(d.to_json(), args))
+            write_json(path, _attach_meta(d.to_json(), args))
     print(f"train: {kind} M={m_list} n={args.n} lambda={args.lam} "
           f"final_loss={trained.final_loss:.6g} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    harvester = _load_harvester(args.eh) if args.eh else canonical_model()
+    fitted = _load_harvester(args.eh) if args.eh else None
+    harvester = fitted or canonical_model()
     spec = ChannelSpec(snr=args.snr, p_a_uw=args.pa, seed=args.seed)
 
     if args.designer == "algorithmic":
         controls = _parse_grid(args.rho_grid)
-        ps = _p_star(args.pa, args.eh or None)
+        ps = _p_star(args.pa, fitted)
         cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap)
         base = build_info_codebook(args.m, args.n, args.pa, cfg)
         points = rp_sweep(lambda rho: swipt_transform(base, rho, ps), controls, spec,
@@ -270,7 +266,7 @@ def cmd_simulate(args) -> int:
                "degenerate": res.degenerate, **pd}
     _attach_meta(payload, args)
     if args.output:
-        _write_json(args.output, payload)
+        write_json(args.output, payload)
     print(f"simulate: ser={res.ser:.6g} +-{res.ci_halfwidth:.2g}"
           + (f" pd={payload['pd_uw']:.6g} uW" if "pd_uw" in payload else ""))
     return EXIT_OK
@@ -299,7 +295,6 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     fe.add_argument("--noise-rel", dest="noise_rel", type=float, default=0.0)
     fe.add_argument("--seed", type=int, default=0)
     fe.add_argument("--epochs", type=int, default=30000, help="max L-BFGS iterations")
-    fe.add_argument("--init-scale", dest="init_scale", type=float, default=1.0)
     fe.set_defaults(func=cmd_fit_eh)
 
     de = sub.add_parser("design", help="algorithmic constellation/codebook")
@@ -309,7 +304,6 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     de.add_argument("--pa", type=float, default=5.0)
     de.add_argument("--rho", type=float, default=0.0)
     de.add_argument("--eh", default="", help="fitted harvester JSON for p_on*")
-    de.add_argument("--p-star", dest="p_star", type=float, default=0.0)
     de.add_argument("--seed", type=int, default=0)
     de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000,
                     help="codeword candidates the greedy search draws from "

@@ -2,8 +2,9 @@
 construction and position-coded On-Off blocks. Both return the one design type
 :class:`~swiptkit.constellation.Codebook` (JSON in the codeword format for
 n > 1, the point format at n = 1), which derives their minimum distance and
-rescales them to P_a; :func:`swipt_codebook` is the one deformation
-:func:`~swiptkit.constellation.swipt_transform`.
+rescales them to P_a. :func:`swipt_codebook` is a second name for
+:func:`~swiptkit.constellation.swipt_transform`, the whole On-Off
+deformation of any rho = 0 design, the greedy codebooks included.
 
 The greedy search bisects its distance threshold inside a bracket whose ends
 are proven, not probed, so it always returns exactly M codewords after a

@@ -7,9 +7,13 @@ one rescale to P_a. The concentric-circle information constellation
 (:func:`layout_info`) is its block-length-1 case; greedy codebooks and On-Off
 position codes (``codebook``) and QAM references (``channel``) are built as
 the same type, and saved in one of two JSON formats: the point format at
-n = 1, the codeword format otherwise. :func:`swipt_transform` deforms the base
-points of any rho = 0 design; its final rescale is skipped when every base
-point is referenced exactly once, where it could only add rounding.
+n = 1, the codeword format otherwise, by the one JSON writer
+(:func:`write_json`) that every artifact goes through.
+:func:`swipt_transform` is the whole deformation of any rho = 0 design: it
+picks the On set among the base points, moves it along amplitude/phase
+interpolants, rescales the rest, and restores P_a over the codeword symbols
+unless every base point is referenced exactly once, where a rescale could
+only add rounding.
 """
 
 from __future__ import annotations
@@ -155,9 +159,6 @@ class Codebook:
                    c=meta.get("c"), t=meta.get("t"), m_on=meta.get("m_on"),
                    on_indices=meta.get("on_indices"))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1, allow_nan=False) + "\n")
-
     @classmethod
     def load(cls, path) -> "Codebook":
         return cls.from_json(json.loads(Path(path).read_text()))
@@ -176,6 +177,12 @@ def json_field(d, key: str, parse=None):
         return d[key] if parse is None else parse(d[key])
     except (KeyError, IndexError, TypeError, ValueError) as err:
         raise ValueError(f"bad field {key!r}: {err}") from None
+
+
+def write_json(path, payload: dict) -> None:
+    """The one JSON artifact format: one-space indent, no NaN or inf, and a
+    trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
 
 
 _DIST_BLOCK = 1 << 20   # codeword-pair symbols per distance block: bounds memory
@@ -257,97 +264,57 @@ def m_on_count(m: int, p_star: float) -> int:
     return int(cand[np.argmin(np.abs(p_star - cand / m))])
 
 
-def _phase_02pi(pts: np.ndarray) -> np.ndarray:
-    return np.mod(np.angle(pts), 2.0 * math.pi)
-
-
-def select_on_points(points: np.ndarray, m_on: int,
-                     tie_rank: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the m_on largest-modulus points, ordered by ascending phase.
-
-    Modulus ties break by ``tie_rank`` (smaller first) when given, then by
-    ascending phase, then by index; the returned on-set is phase-sorted so it
-    can be matched one-to-one with the equally spaced target phases.
-    """
-    mod = np.abs(points)
-    ph = _phase_02pi(points)
-    n = points.size
-    rank = np.zeros(n) if tie_rank is None else np.asarray(tie_rank, dtype=float)
-    order = sorted(range(n), key=lambda i: (-mod[i], rank[i], ph[i], i))
-    chosen = order[:m_on]
-    chosen.sort(key=lambda i: (ph[i], i))
-    return np.array(chosen, dtype=int)
-
-
-def transform_points(points: np.ndarray, rho: float, m_on: int,
-                     p_a_uw: float, tie_rank: np.ndarray | None = None):
-    """On-Off deformation of a point set at average power P_a.
-
-    The m_on selected points move along amplitude/phase interpolants toward
-    the circle of radius sqrt(M*P_a/m_on) with equally spaced phases; the
-    rest rescale by the common factor restoring the average-power equality.
-    When the off points carry no power (or none exist) a global rescale
-    enforces the equality instead; that factor is exactly 1 at rho in {0,1}.
-
-    Returns (new_points, on_indices).
-    """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError("rho must be in [0, 1]")
-    pts = np.asarray(points, dtype=complex).copy()
-    m = pts.size
-    total = m * p_a_uw
-    r_target = math.sqrt(total / m_on)
-
-    on_idx = select_on_points(pts, m_on, tie_rank)
-    if rho == 0.0:
-        # amplitude and phase shifts vanish and the off rescale is exactly 1
-        return pts, on_idx
-    mod = np.abs(pts[on_idx])
-    ph = _phase_02pi(pts[on_idx])
-    target_ph = 2.0 * math.pi * np.arange(m_on) / m_on
-    # interpolated form of |c|+alpha and angle(c)+beta; exact at both endpoints
-    new_mod = (1.0 - rho) * mod + rho * r_target
-    new_ph = (1.0 - rho) * ph + rho * target_ph
-    pts[on_idx] = new_mod * np.exp(1j * new_ph)
-
-    off_mask = np.ones(m, dtype=bool)
-    off_mask[on_idx] = False
-    on_power = float(np.sum(np.abs(pts[on_idx]) ** 2))
-    off_power = float(np.sum(np.abs(pts[off_mask]) ** 2))
-    if off_power > 0.0:
-        # s vanishes exactly at the On-Off endpoint
-        s = 0.0 if rho == 1.0 else math.sqrt(max(0.0, total - on_power) / off_power)
-        pts[off_mask] *= s
-    elif on_power > 0.0:
-        pts *= math.sqrt(total / on_power)
-    return pts, on_idx
-
-
 def swipt_transform(design: Codebook, rho: float, p_star: float) -> Codebook:
     """Deform a rho = 0 design toward the On-Off extreme through its base points.
 
-    m_on = m_on_count(M*n, p_star) base points move as in
-    :func:`transform_points` (target modulus sqrt(B*P_a/m_on) over B base
-    points), and every codeword referencing a moved point moves with it.
-    Equal-modulus ties prefer singly-referenced base points (exact On-Off
-    bookkeeping), then low multiplicity; unreferenced points go last, since
-    the rho = 1 design would deliver nothing through them.
+    The On set is m_on = m_on_count(M*n, p_star) of the B base points: the
+    largest moduli, with equal-modulus ties to singly-referenced points (exact
+    On-Off bookkeeping), then low multiplicity, unreferenced points last (the
+    rho = 1 design would deliver nothing through them), then phase, then
+    index. In phase order, it moves along amplitude/phase interpolants toward
+    equally spaced phases on the radius-sqrt(B*P_a/m_on) circle, and every
+    codeword referencing a moved point moves with it. The other base points
+    rescale by the common factor restoring B*P_a, exactly 0 at rho = 1; when
+    they carry no power, a global rescale restores it instead.
 
     When every base point is referenced exactly once (a ring layout), the
-    codeword symbols are the base points and ``transform_points`` already
-    holds the average power: nothing more is done, since a rescale could only
-    add rounding. Otherwise :meth:`Codebook.scale_to_power` restores the
-    average power over the M*n codeword symbols. At rho = 0 the base points
+    codeword symbols are the base points and hold P_a already: a rescale
+    could only add rounding. Otherwise :meth:`Codebook.scale_to_power`
+    restores P_a over the M*n codeword symbols. At rho = 0 the base points
     are returned unchanged; a ring at rho = 1 has exactly m_on points equally
     phased on the radius-sqrt(M*P_a/m_on) circle and the rest at the origin.
     """
     if design.rho != 0.0:
         raise ValueError("base design must have rho = 0")
+    if not 0.0 <= rho <= 1.0:   # also NaN
+        raise ValueError("rho must be in [0, 1]")
     m, n, n_base = design.m, design.n, design.base_points.size
     m_on = m_on_count(m * n, p_star)
+    pts = design.base_points.copy()
     refcount = np.bincount(design.codeword_indices.ravel(), minlength=n_base)
     tie_rank = np.where(refcount == 0, float(n_base), np.abs(refcount - 1.0))
-    pts, on_idx = transform_points(design.base_points, rho, m_on, design.p_a_uw, tie_rank)
+    mod, ph = np.abs(pts), np.mod(np.angle(pts), 2.0 * math.pi)
+    order = sorted(range(n_base), key=lambda i: (-mod[i], tie_rank[i], ph[i], i))
+    on_idx = np.array(sorted(order[:m_on], key=lambda i: (ph[i], i)), dtype=int)
+    if rho != 0.0:   # at rho = 0 every shift vanishes and the off rescale is 1
+        total = n_base * design.p_a_uw
+        on_mod = np.abs(pts[on_idx])
+        on_ph = np.mod(np.angle(pts[on_idx]), 2.0 * math.pi)
+        target_ph = 2.0 * math.pi * np.arange(m_on) / m_on
+        # interpolated form of |c|+alpha and angle(c)+beta; exact at both endpoints
+        new_mod = (1.0 - rho) * on_mod + rho * math.sqrt(total / m_on)
+        new_ph = (1.0 - rho) * on_ph + rho * target_ph
+        pts[on_idx] = new_mod * np.exp(1j * new_ph)
+
+        off_mask = np.ones(n_base, dtype=bool)
+        off_mask[on_idx] = False
+        on_power = float(np.sum(np.abs(pts[on_idx]) ** 2))
+        off_power = float(np.sum(np.abs(pts[off_mask]) ** 2))
+        if off_power > 0.0:
+            s = 0.0 if rho == 1.0 else math.sqrt(max(0.0, total - on_power) / off_power)
+            pts[off_mask] *= s
+        elif on_power > 0.0:
+            pts *= math.sqrt(total / on_power)
     out = Codebook(base_points=pts, codeword_indices=design.codeword_indices.copy(), m=m, n=n,
                    p_a_uw=design.p_a_uw, rho=float(rho), c=design.c, t=design.t, m_on=m_on,
                    on_indices=[int(i) for i in on_idx])

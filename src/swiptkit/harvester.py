@@ -123,7 +123,6 @@ class PowerDataset:
 
     p_in: np.ndarray
     p_out: np.ndarray
-    source: str = "file"
 
     def __post_init__(self):
         self.p_in = np.asarray(self.p_in, dtype=float)
@@ -160,7 +159,7 @@ class PowerDataset:
                     raise ValueError(f"bad dataset row on line {reader.line_num}: "
                                      f"{r!r} is not p_in_uw,p_out_uw") from None
         arr = np.array(rows, dtype=float).reshape(-1, 2)   # no rows: the dataset is empty
-        return cls(p_in=arr[:, 0], p_out=arr[:, 1], source="file")
+        return cls(p_in=arr[:, 0], p_out=arr[:, 1])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -190,7 +189,7 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
     if noise_rel > 0:
         rng = np.random.default_rng(seed)
         p_out = p_out * (1.0 + noise_rel * rng.standard_normal(p_out.shape))
-    return PowerDataset(p_in=p_in, p_out=np.maximum(p_out, 0.0), source="synthetic")
+    return PowerDataset(p_in=p_in, p_out=np.maximum(p_out, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +277,6 @@ class EhModel:
         return cls(**arrays, input_scale=json_field(d, "input_scale", float),
                    power_scale=json_field(d, "power_scale", float), rmse=d.get("rmse"))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1, allow_nan=False) + "\n")
-
     @classmethod
     def load(cls, path) -> "EhModel":
         return cls.from_json(json.loads(Path(path).read_text()))
@@ -290,7 +286,6 @@ class EhModel:
 class FitHyper:
     epochs: int = 30000   # max L-BFGS-B iterations
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -317,7 +312,8 @@ def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
 
 def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
     """Fit the tanh network to a power dataset by L-BFGS-B on its flat
-    parameter vector, at scipy's default tolerances.
+    parameter vector, at scipy's default tolerances, from parameters drawn
+    uniformly from [-1, 1] at the seed.
 
     Inputs are normalized by the largest input power; targets are scaled into
     [0, 0.9] so the tanh head can reach them. Deterministic per seed.
@@ -335,8 +331,7 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
     targets = data.p_out / power_scale
 
     rng = np.random.default_rng(hyper.seed)
-    s = hyper.init_scale
-    w1, b1, w2, b2, w3, b3 = (rng.uniform(-s, s, shape) for _, shape in _EH_SHAPES)
+    w1, b1, w2, b2, w3, b3 = (rng.uniform(-1.0, 1.0, shape) for _, shape in _EH_SHAPES)
     net = MlpParams(weights=[w1, w2, w3], biases=[b1, b2, b3])
     theta = pack([net])
 

@@ -1,7 +1,7 @@
 import math
 import os
 import warnings
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -409,6 +409,23 @@ def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers
         monkeypatch.setattr(channel, "_decode_pool", lambda pool=pool: pool)
         totals = monte_carlo(cws, spec, trials, stats)
         assert [np.asarray(t).tolist() for t in totals] == reference
+
+
+def test_a_one_row_tail_is_decoded_with_the_block_before_it():
+    # 12,501 trials are one chunk of one full block and one row. NumPy decodes
+    # a lone row by gemv, whose sums can round differently from the gemm of a
+    # longer block, so a tail row on the bisector of two codewords could be
+    # decided differently from the whole chunk's decision
+    trials = channel._BLOCK + 1
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=1.0, seed=0)
+    ((msg, w),) = sample_channel(2, 1, spec, trials)
+    sent, noise = int(msg[-1]), w[-1, 0]
+    rng = np.random.default_rng(1)
+    for c in rng.normal(size=(16, 2)) @ np.array([1.0, 1j]):
+        cw = np.empty((2, 1), dtype=complex)
+        cw[sent, 0], cw[1 - sent, 0] = c, c + 2.0 * noise   # y = c + noise: the bisector
+        reference = _whole_chunk_totals([cw], spec, trials, [partial(_ml_errors, cw)])[0]
+        assert sk.ser_mc(cw, spec, trials).errors == reference
 
 
 @pytest.mark.skipif(_thread_functions() is None, reason="numpy's OpenBLAS not found")

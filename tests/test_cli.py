@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import swiptkit as sk
 from swiptkit import channel
 from swiptkit.cli import main
+from swiptkit.constellation import write_json
 
 
 def run(args):
@@ -138,40 +139,31 @@ def test_pa_whose_layout_power_overflows_is_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("p_star", ["nan", -0.5])
-def test_design_rejects_p_star_nan_or_negative(tmp_path, capsys, p_star):
-    out = tmp_path / "d.json"
-    rc = run(["design", "--m", 4, "--p-star", p_star, "-o", out])
-    assert rc == 2
-    assert "p_star must be in (0, 1], or 0 to compute it" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("p_star", [1.5, 1.0000000000000002, "inf"])
+@pytest.mark.parametrize("p_star", [1.5, 1.0000000000000002, "inf", "nan", -0.5, 1])
 @pytest.mark.parametrize("n, rho", [(2, 0), (1, 0), (1, 0.5), (2, 0.5)])
 def test_design_rejects_p_star_above_one(tmp_path, capsys, p_star, n, rho):
+    # --p-star is gone: p* comes only from the command's harvester (Eq. 13
+    # without --eh), so any value, a valid one included, is an unknown option
     out = tmp_path / "d.json"
-    rc = run(["design", "--m", 8, "--n", n, "--rho", rho, "--p-star", p_star,
-              "--pa", 100, "--candidate-cap", 200, "-o", out])
+    rc = exit_code(["design", "--m", 8, "--n", n, "--rho", rho, "--p-star", p_star,
+                    "--pa", 100, "--candidate-cap", 200, "-o", out])
     assert rc == 2
-    assert "p_star must be in (0, 1], or 0 to compute it" in capsys.readouterr().err
+    assert "unrecognized arguments: --p-star" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_design_accepts_p_star_one_and_from_a_config_file_rejects_above(tmp_path):
-    out = tmp_path / "d.json"
-    assert run(["design", "--m", 8, "--n", 2, "--p-star", 1, "--candidate-cap", 200,
-                "-o", out]) == 0
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[design]\nm = 8\nn = 2\np-star = 2\n")
-    assert run(["design", "--config", cfg, "-o", tmp_path / "e.json"]) == 2
-    assert not (tmp_path / "e.json").exists()
+def test_fit_eh_rejects_init_scale(tmp_path, capsys):
+    # --init-scale is gone: the initial weights are drawn from [-1, 1]
+    out = tmp_path / "eh.json"
+    assert exit_code(["fit-eh", "--synthetic", "--init-scale", 1.0, "-o", out]) == 2
+    assert "unrecognized arguments: --init-scale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_design_constellation_m_on_fingerprint(tmp_path, capsys):
+    # without --eh, p* is pon_approx(5) = 5/317, one point of 32
     out = tmp_path / "d.json"
-    rc = run(["design", "--m", 32, "--n", 1, "--pa", 5, "--rho", 1,
-              "--p-star", 5.0 / 317.0, "-o", out])
+    rc = run(["design", "--m", 32, "--n", 1, "--pa", 5, "--rho", 1, "-o", out])
     assert rc == 0
     assert "M_on=1" in capsys.readouterr().out
     c = sk.Codebook.load(out)
@@ -180,7 +172,7 @@ def test_design_constellation_m_on_fingerprint(tmp_path, capsys):
 
 def test_design_m_on_12_with_harvester(tmp_path, canonical_fit, capsys):
     eh = tmp_path / "eh.json"
-    canonical_fit.save(eh)
+    write_json(eh, canonical_fit.to_json())
     rc = run(["design", "--m", 32, "--n", 1, "--pa", 120, "--rho", 1,
               "--eh", eh, "-o", tmp_path / "d.json"])
     assert rc == 0
@@ -270,7 +262,7 @@ def test_sweep_rows_and_idempotency(tmp_path):
 @pytest.mark.parametrize("pa, warned", [(5, True), (100, False)])
 def test_sweep_warns_below_turn_on(tmp_path, canonical_fit, capsys, pa, warned):
     eh = tmp_path / "eh.json"
-    canonical_fit.save(eh)
+    write_json(eh, canonical_fit.to_json())
     out = tmp_path / "s.csv"
     rc = run(["sweep", "--designer", "algorithmic", "--m", 8, "--n", 1, "--pa", pa,
               "--snr", 50, "--trials", 1000, "--rho-grid", "0:1:3", "--seed", 4,
@@ -351,7 +343,7 @@ def test_sweep_learned_mode(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[design]\nm = 16\nn = 1\npa = 5\nrho = 0\np-star = 0.5\n")
+    cfg.write_text("[design]\nm = 16\nn = 1\npa = 5\nrho = 0\n")
     out = tmp_path / "d.json"
     rc = run(["design", "--config", cfg, "--m", 8, "-o", out])
     assert rc == 0
@@ -362,7 +354,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 # config_hash of each command run with every option at its default (simulate
 # of the default design, at the relative path de.json)
-_DEFAULT_HASHES = {"fit-eh": "c50d9d7597935e76", "design": "a2164d238b6968d5",
+_DEFAULT_HASHES = {"fit-eh": "893e989177715575", "design": "5e5a01cdb2b0dd4a",
                    "train": "4f7623ab42bf1e00", "sweep": "c1f4bbda827c6f2e",
                    "simulate": "ca6e2475add8dd27"}
 

@@ -12,6 +12,7 @@ from scipy.special import i0e
 import swiptkit as sk
 from swiptkit import codebook
 from swiptkit.codebook import _greedy_pass, decode_onoff_block_many
+from swiptkit.constellation import write_json
 
 
 def test_build_m2_n1_example():
@@ -118,7 +119,7 @@ def test_codebook_json_roundtrip(tmp_path):
     cb = sk.swipt_codebook(sk.build_info_codebook(16, 2, 5.0, sk.GreedyConfig(seed=1)),
                            0.6, 0.3)
     path = tmp_path / "cb.json"
-    cb.save(path)
+    write_json(path, cb.to_json())
     back = sk.Codebook.load(path)
     assert np.array_equal(back.codeword_indices, cb.codeword_indices)
     assert np.allclose(back.base_points, cb.base_points, rtol=0, atol=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swiptkit as sk
+from swiptkit.constellation import write_json
 
 
 def chord_ok(k: int, radius: float, t: float) -> bool:
@@ -165,17 +166,19 @@ def test_swipt_requires_unperturbed_base():
 
 
 def test_selection_tie_break_by_phase():
-    from swiptkit.constellation import select_on_points
     pts = np.array([1.0 + 0j, 0.0 + 1.0j, -1.0 + 0j, 0.5 + 0j])
-    idx = select_on_points(pts, 2)
+    cb = sk.Codebook(base_points=pts, codeword_indices=np.arange(4)[:, None], m=4, n=1,
+                     p_a_uw=0.8125)
     # equal moduli 1.0: ascending phase picks 0 (phase 0) then 1 (phase pi/2)
-    assert list(idx) == [0, 1]
+    for rho in (0.0, 0.5):
+        out = sk.swipt_transform(cb, rho, 0.5)
+        assert out.m_on == 2 and out.on_indices == [0, 1]
 
 
 def test_constellation_json_roundtrip(tmp_path):
     c = sk.swipt_transform(sk.layout_info(16, 5.0), 0.7, 0.2)
     path = tmp_path / "c.json"
-    c.save(path)
+    write_json(path, c.to_json())
     back = sk.Codebook.load(path)
     assert np.array_equal(back.base_points, c.base_points)
     assert back.m_on == c.m_on and back.rho == c.rho

@@ -98,8 +98,6 @@ _COMMANDS = {
               ["sweep", "--m", "4", "--trials", "1000", "--rho-grid", "0,1"],
               ["simulate", "--design", "{dir}/ring.json", "--trials", "1000"]],
     "--rho": [["design", "--m", "4"], ["design", "--m", "4", "--n", "2"]],
-    "--p-star": [["design", "--m", "4", "--rho", "0.5"],
-                 ["design", "--m", "4", "--n", "2", "--rho", "0.5"]],
     "--noise-rel": [["fit-eh", "--synthetic", "--points", "50", "--epochs", "50"]],
 }
 CASES = [(flag, cmd) for flag, cmds in _COMMANDS.items() for cmd in cmds]

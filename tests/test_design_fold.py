@@ -1,9 +1,11 @@
 """The one design type against reference copies of the paths it replaced.
 
 Ring constellations, greedy codebooks and On-Off block codes were three
-classes with two On-Off deformations. The copies below are those former
-paths: ``Constellation.to_json``, the n = 1 ``swipt_transform``,
-``swipt_codebook`` and the codeword-format ``Codebook.to_json``. The one
+classes with two On-Off deformations over a shared points-level layer. The
+copies below are those former paths: ``Constellation.to_json``, the n = 1
+``swipt_transform``, ``swipt_codebook``, the points-level
+``transform_points`` and ``select_on_points`` they both called, and the
+codeword-format ``Codebook.to_json``. The one
 :class:`swiptkit.Codebook` and its one deformation must write the same JSON,
 byte for byte.
 """
@@ -18,7 +20,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptkit as sk
-from swiptkit.constellation import transform_points
+
+
+def _phase_02pi(pts: np.ndarray) -> np.ndarray:
+    return np.mod(np.angle(pts), 2.0 * math.pi)
+
+
+def _select_on_points(points: np.ndarray, m_on: int,
+                      tie_rank: np.ndarray | None = None) -> np.ndarray:
+    """Former ``constellation.select_on_points``."""
+    mod = np.abs(points)
+    ph = _phase_02pi(points)
+    n = points.size
+    rank = np.zeros(n) if tie_rank is None else np.asarray(tie_rank, dtype=float)
+    order = sorted(range(n), key=lambda i: (-mod[i], rank[i], ph[i], i))
+    chosen = order[:m_on]
+    chosen.sort(key=lambda i: (ph[i], i))
+    return np.array(chosen, dtype=int)
+
+
+def _transform_points(points: np.ndarray, rho: float, m_on: int,
+                      p_a_uw: float, tie_rank: np.ndarray | None = None):
+    """Former ``constellation.transform_points``: (new_points, on_indices)."""
+    if not (0.0 <= rho <= 1.0):
+        raise ValueError("rho must be in [0, 1]")
+    pts = np.asarray(points, dtype=complex).copy()
+    m = pts.size
+    total = m * p_a_uw
+    r_target = math.sqrt(total / m_on)
+
+    on_idx = _select_on_points(pts, m_on, tie_rank)
+    if rho == 0.0:
+        return pts, on_idx
+    mod = np.abs(pts[on_idx])
+    ph = _phase_02pi(pts[on_idx])
+    target_ph = 2.0 * math.pi * np.arange(m_on) / m_on
+    new_mod = (1.0 - rho) * mod + rho * r_target
+    new_ph = (1.0 - rho) * ph + rho * target_ph
+    pts[on_idx] = new_mod * np.exp(1j * new_ph)
+
+    off_mask = np.ones(m, dtype=bool)
+    off_mask[on_idx] = False
+    on_power = float(np.sum(np.abs(pts[on_idx]) ** 2))
+    off_power = float(np.sum(np.abs(pts[off_mask]) ** 2))
+    if off_power > 0.0:
+        s = 0.0 if rho == 1.0 else math.sqrt(max(0.0, total - on_power) / off_power)
+        pts[off_mask] *= s
+    elif on_power > 0.0:
+        pts *= math.sqrt(total / on_power)
+    return pts, on_idx
 
 
 def _dump(d: dict) -> str:
@@ -55,7 +105,7 @@ def _swipt_transform_reference(ring, rho: float, p_star: float) -> dict:
     """Former n = 1 ``swipt_transform``: m_on from M, no tie rank, no final
     rescale."""
     m_on = sk.m_on_count(ring.m, p_star)
-    pts, on_idx = transform_points(ring.base_points, rho, m_on, ring.p_a_uw)
+    pts, on_idx = _transform_points(ring.base_points, rho, m_on, ring.p_a_uw)
     return _points_json_reference(pts, ring.m, ring.p_a_uw, rho, ring.c, ring.t, m_on,
                                   [int(i) for i in on_idx])
 
@@ -67,7 +117,7 @@ def _swipt_codebook_reference(cb, rho: float, p_star: float) -> dict:
     m_on_c = int(np.argmin(np.abs(p_star - np.arange(1, mn + 1) / mn))) + 1
     refcount = np.bincount(cb.codeword_indices.ravel(), minlength=mn)
     tie_rank = np.where(refcount == 0, float(mn), np.abs(refcount - 1.0))
-    base, _ = transform_points(cb.base_points, rho, m_on_c, cb.p_a_uw, tie_rank=tie_rank)
+    base, _ = _transform_points(cb.base_points, rho, m_on_c, cb.p_a_uw, tie_rank=tie_rank)
     dmin = cb.achieved_dmin_sq
     if rho != 0.0:
         tot = float(np.sum(np.abs(base[cb.codeword_indices]) ** 2))

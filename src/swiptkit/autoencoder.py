@@ -507,13 +507,13 @@ def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
         streams = [s for _, _, s in topo.rx_segments(r)]
         decide = make_decoder(sys, r, stream=None)
 
-        def count(msg, y, streams=streams, decide=decide):
+        def count(msg, w, cw=cw, streams=streams, decide=decide):
             truth, out = np.unravel_index(msg, topo.m_list), np.zeros(topo.k, dtype=int)
-            for s, est in zip(streams, decide(y).T):
+            for s, est in zip(streams, decide(cw.take(msg, axis=0) + w).T):
                 out[s] = np.count_nonzero(est != truth[s])
             return out
 
-        errors += monte_carlo([cw], spec, trials, [count])[0]
+        errors += monte_carlo(cw.shape, spec, trials, [count])[0]
     return errors / trials
 
 

@@ -8,18 +8,22 @@ SER draws uniform messages and AWGN through one seeded sampler and decodes
 them by minimum distance (ML under AWGN) or by a learned decoder. A sweep
 draws each chunk once and decodes every point from it (common random
 numbers), so each row equals ``ser_mc`` of its design at the same seed.
-Draws are per chunk of trials, on the calling thread; decoding is per
-fixed row block, mapped over a process-wide thread pool with one worker per
-CPU and run on one OpenBLAS thread, and block results are summed in block
-order, so every count is the same whatever the number of workers.
+Draws are per chunk of trials, on the calling thread; statistics of the
+messages and the noise are evaluated per fixed row block, mapped over a
+process-wide thread pool with one worker per CPU and run on one OpenBLAS
+thread, and block results are summed in block order, so every count is the
+same whatever the number of workers.
 
-The minimum-distance error count skips the decode of rows it can prove
-correct: a received row closer to its sent codeword c_m than
-(1 - 1e-6)·Δ_m/2, where Δ_m is the distance from c_m to its nearest other
-codeword, is decided m by :func:`ml_decoder` in floating point as well
-(lemma and guards in :func:`_certified_sq_radii`). Only the other rows are
-decoded, as a row subset of their block, so every count equals that of
-decoding the whole block.
+The minimum-distance error count certifies rows from the noise alone: a
+row whose noise w has |w| below (1 - 1e-6)·Δ_m/2, where Δ_m is the distance
+from its sent codeword c_m to the nearest other codeword (the nearest
+nonzero one from a zero codeword), is decided by :func:`ml_decoder` in
+floating point as m, or as the first zero codeword when c_m is a repeated
+zero such as an On-Off off-point (lemma and guards in
+:func:`_certified_sq_radii`). |w|² is computed once per block and shared by
+every design of a sweep; only the other rows are built and decoded, as a
+row subset of their block, so every count equals that of decoding the whole
+block.
 
 Delivered power is an expectation over a known density: per symbol, |c + w|
 is Rician, and P_d is computed by quadrature, independent of any trial count.
@@ -150,44 +154,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_decode_pool.cache_clear)
 
 
-def monte_carlo(cws: list[np.ndarray], spec: ChannelSpec, trials: int, stats) -> list:
-    """Per codeword matrix ``cws[p]`` (all of one shape), the sum of
-    ``stats[p](msg, y)`` over one pass of the sampler, where every matrix sees
-    the same messages and noise; a None statistic sums to 0 and is not run.
+def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -> list:
+    """Per statistic ``stats[p]``, the sum of ``stats[p](msg, w)`` over one
+    pass of the sampler for ``shape`` = (M, n): ``msg`` indexes M codewords
+    and ``w`` is the (rows, n) noise, the same for every statistic (common
+    random numbers). The received rows of a codeword matrix ``cw`` are
+    ``cw.take(msg, axis=0) + w``, so a statistic may score several designs.
 
-    Each chunk is drawn once on the calling thread, then ``cw[msg] + w`` and
-    every statistic are evaluated per block of ``_BLOCK`` rows on the decode
-    pool, all on one OpenBLAS thread (the caller's count is put back after).
-    A chunk's one-row tail is part of the block before it: NumPy decodes a
-    lone row by gemv, whose sums may round differently from a block's gemm.
-    A statistic must therefore be additive over rows and safe to call from
-    several threads at once. Block results are summed in block order, so
-    integer counts do not depend on the worker count. Peak memory is one
-    chunk's draws plus one block of decoder state per worker, however many
-    matrices there are.
+    Each chunk is drawn once on the calling thread, then every statistic is
+    evaluated per block of ``_BLOCK`` rows on the decode pool, all on one
+    OpenBLAS thread (the caller's count is put back after). A chunk's one-row
+    tail is part of the block before it: NumPy decodes a lone row by gemv,
+    whose sums may round differently from a block's gemm. A statistic must
+    therefore be additive over rows and safe to call from several threads at
+    once; it may return a number or an array. Block results are summed in
+    block order, so integer counts do not depend on the worker count. Peak
+    memory is one chunk's draws plus one block of decoder state per worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    shapes = {cw.shape for cw in cws}
-    if len(shapes) != 1:
-        raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
-    totals = [0] * len(cws)
-    active = [(p, cw, stat) for p, (cw, stat) in enumerate(zip(cws, stats)) if stat is not None]
-    if not active:
+    totals = [0] * len(stats)
+    if not stats:
         return totals
     pool = _decode_pool()
     run = map if pool is None else pool.map
     with one_blas_thread():
-        for msg, w in sample_channel(*shapes.pop(), spec, trials):
+        for msg, w in sample_channel(*shape, spec, trials):
             def block(lo, hi, msg=msg, w=w):
                 m, wb = msg[lo:hi], w[lo:hi]
-                return [stat(m, cw.take(m, axis=0) + wb) for _, cw, stat in active]
+                return [stat(m, wb) for stat in stats]
 
             ends = [*range(0, len(msg), _BLOCK), len(msg)]
             if len(ends) > 2 and ends[-1] - ends[-2] == 1:
                 del ends[-2]   # a one-row tail joins the block before it
             for sums in run(block, ends[:-1], ends[1:]):
-                for (p, _, _), value in zip(active, sums):
+                for p, value in enumerate(sums):
                     totals[p] += value
     return totals
 
@@ -214,20 +215,23 @@ def _gamma(k: int) -> float:
 
 def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     """Per codeword m, a float t_m >= 0 such that :func:`ml_decoder` decides
-    m for every row y whose computed |y - c_m|² (as in
-    :func:`_ml_error_counter`) is below t_m.
+    m, or z (the first zero codeword) when c_m is a repeated zero codeword,
+    for the received row y = fl(c_m + w) of every noise row w whose computed
+    |w|² (as in :func:`_ml_error_counter`) is below t_m.
 
     With c_j the real K-vectors of ``ml_decoder`` (K = 2n), s = ``_MARGIN``,
-    Δ_m the distance from c_m to its nearest other codeword and
-    R = max_j |c_j|: t_m = fl(T·fl(Δ_m²)), T = fl((1 - s)²/4), where
-    fl(Δ_m²) >= s·fl(R²), and t_m = 0 elsewhere. Duplicate codewords (the
-    zeros of an On-Off design) have Δ_m = 0 and are never certified. All t_m
-    are 0 unless M >= 2, 2^-900 <= fl(R²) <= 2^1020 and s² > 13·γ_{K+1},
-    which holds for n <= 345 (u = 2^-53, γ_k = k·u/(1 - k·u)).
+    Δ_m the distance from c_m to its nearest other codeword (from a zero
+    codeword, to the nearest nonzero one) and R = max_j |c_j|:
+    t_m = fl(T·fl(Δ_m²)), T = fl((1 - s)²/4), where fl(Δ_m²) >= s·fl(R²),
+    and t_m = 0 elsewhere. So a repeated nonzero codeword has Δ_m = 0 and is
+    never certified. All t_m are 0 unless M >= 2, 2^-900 <= fl(R²) <= 2^1020
+    and s² > 13·γ_{K+1}, which holds for n <= 345 (u = 2^-53,
+    γ_k = k·u/(1 - k·u)).
 
-    Lemma. Under those guards, fl(|y - c_m|²) < t_m implies that the
-    decoder's reference value for m is strictly below that of every j ≠ m,
-    so it decides m whatever its tie rule. Proof:
+    Lemma. Under those guards, fl(|w|²) < t_m implies that the decoder's
+    reference value for m is strictly below that of every j with c_j ≠ c_m,
+    and, when c_m = 0, exactly +0.0 in every zero column. Ties go to the
+    first index (``np.argmin``), so it decides m, or z when c_m = 0. Proof:
 
     1. Decoder error. The reference value for j is
        g_j = fl(fl(y·(-2c_j)) + fl(|c_j|²)), and its exact counterpart is
@@ -236,28 +240,35 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
        γ_K·Σ_k|y_k·2c_jk| <= 2γ_K|y||c_j| of its exact value, fl(|c_j|²)
        within γ_K|c_j|², and the last sum adds one rounding, so
        |g_j - D_j| <= γ_{K+1}(2|y||c_j| + |c_j|²) (Higham, Accuracy and
-       Stability of Numerical Algorithms, 2nd ed., §3.1).
-    2. Computed r² and Δ_m². fl(|y - c_m|²) rounds K differences, K squares
-       and K - 1 sums of non-negative terms, so it is at least
-       (1 - γ_{K+2})·r², r = |y - c_m|. Likewise
+       Stability of Numerical Algorithms, 2nd ed., §3.1). In a zero column
+       (c_j = 0, -0.0 parts included) every product of a finite y is ±0,
+       their sum is ±0 and fl(|c_j|²) = +0, so g_j = +0.0 exactly.
+    2. Computed |w|² and Δ_m². fl(|w|²) rounds K squares and K - 1 sums of
+       non-negative terms, so it is at least (1 - γ_{K+2})·|w|². Likewise
        fl(Δ_m²) <= (1 + γ_{K+2})·Δ_m² and fl(R²) >= (1 - γ_K)·R². With the
        roundings of T, of t_m and of s·fl(R²), a certified row has
-       r <= (1 - s')·Δ_m/2 with s' >= s - ε, ε = 2γ_{K+2} + 4u, and
+       |w| <= (1 - s')·Δ_m/2 with s' >= s - ε, ε = 2γ_{K+2} + 4u, and
        Δ_m² >= s·(1 - 3γ_{K+2})·R².
-    3. Margin. Every j ≠ m has |c_j - c_m| >= Δ_m > 0, so
-       |y - c_j|² - r² >= (Δ_m - r)² - r² = Δ_m(Δ_m - 2r) >= s'·Δ_m²
-       >= s·s'·(1 - 3γ_{K+2})·R² > (1 - 1e-6)·s²·R².
-    4. Comparison. |y| <= |c_m| + r <= R + Δ_m/2 <= 2R, so by 1,
-       |g_j - D_j| + |g_m - D_m| <= 10γ_{K+1}R², and by 3 and
+    3. Received row. Each part of y is (c_mk + w_k)(1 + δ_k), |δ_k| <= u, so
+       r = |y - c_m| <= (1 + u)|w| + u·R, and by 2, u·R < 1.12e-13·Δ_m.
+       Hence r <= (1 - s'')·Δ_m/2 with s'' >= s' - u - 2.3e-13
+       > (1 - 4e-7)·s, since ε < 1.6e-13 for K <= 690.
+    4. Margin. Every j with c_j ≠ c_m has |c_j - c_m| >= Δ_m > 0, so
+       |y - c_j|² - r² >= (Δ_m - r)² - r² = Δ_m(Δ_m - 2r) >= s''·Δ_m²
+       >= s·s''·(1 - 3γ_{K+2})·R² > (1 - 1e-6)·s²·R².
+    5. Comparison. |y| <= |c_m| + r <= R + Δ_m/2 <= 2R, so by 1,
+       |g_j - D_j| + |g_m - D_m| <= 10γ_{K+1}R², and by 4 and
        s² > 13·γ_{K+1}, g_j - g_m > ((1 - 1e-6)·13 - 10)·γ_{K+1}R²
        > 2.9·γ_{K+1}R² > 0.
-    5. Guards. The bounds above hold without overflow or underflow. With
+    6. Guards. The bounds above hold without overflow or underflow. With
        fl(R²) <= 2^1020 every term the decoder forms for a certified row is
        at most 5(1 + γ_{K+1})R² < 2^1023, and every distance term here at
-       most 4R², so none overflows. Gradual underflow adds at most 2^-1075
-       per product, under (K + 1)·2^-1074 per reference value and per
-       computed r² or Δ_m²; with fl(R²) >= 2^-900 that is below 2^-100
-       times the 2.9·γ_{K+1}R² of 4, and below 2^-100 of any positive t_m.
+       most 4R², so none overflows; an overflowing |w|² is inf and is never
+       certified. Gradual underflow adds at most 2^-1075 per product, under
+       (K + 1)·2^-1074 per reference value and per computed |w|² or Δ_m²;
+       with fl(R²) >= 2^-900 that is below 2^-100 times the
+       2.9·γ_{K+1}R² of 5, and below 2^-100 of any positive t_m. A sum
+       whose result is subnormal is exact, so the bound of 3 holds there.
 
     Δ_m² is computed in row blocks of at most ``_DIST_BLOCK`` distance
     terms, so memory stays bounded at large M·n.
@@ -268,42 +279,60 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     r_sq = float(np.max(np.sum(c * c, axis=1), initial=0.0))
     if m < 2 or not _R2_LO <= r_sq <= _R2_HI or _MARGIN * _MARGIN <= 13.0 * _gamma(k + 1):
         return t
+    zero = ~np.any(c, axis=1)
     scale = (1.0 - _MARGIN) ** 2 / 4.0
     rows = max(1, _DIST_BLOCK // (m * k))
     for lo in range(0, m, rows):
         d = c[lo:lo + rows, None, :] - c[None, :, :]
         d_sq = np.sum(d * d, axis=2)
         d_sq[np.arange(len(d_sq)), np.arange(lo, lo + len(d_sq))] = math.inf
+        d_sq[np.ix_(zero[lo:lo + rows], zero)] = math.inf   # zeros tie exactly: z wins
         delta_sq = d_sq.min(axis=1)
         t[lo:lo + rows] = np.where(delta_sq >= _MARGIN * r_sq, scale * delta_sq, 0.0)
     return t
 
 
-def _ml_error_counter(cw: np.ndarray):
-    """``(msg, y) -> errors`` of :func:`ml_decoder` on the rows ``y`` sent as
-    ``cw[msg]``, decoding only the rows that :func:`_certified_sq_radii`
-    does not certify: every certified row is decided m (its lemma).
+def _ml_error_counter(cws: list[np.ndarray]):
+    """``(msg, w) -> errors``: per codeword matrix ``cws[p]``, the errors of
+    :func:`ml_decoder` on its received rows ``cws[p][msg] + w``, as an int
+    array. A row is certified by its noise alone, fl(|w|²) < t_msg of
+    :func:`_certified_sq_radii`, and its decision is then known without a
+    decode: msg, or the first zero codeword when c_msg is a repeated zero.
+    |w|² is computed once per block for all matrices, and y only for the
+    rows that are not certified.
 
-    The other rows are decoded as a row subset of the block, whose decisions
+    Those rows are decoded as a row subset of the block, whose decisions
     equal those of decoding the whole block: a row of a BLAS product does not
     depend on the other rows, which the blocks of :func:`monte_carlo` rely on
     too (``test_monte_carlo_blocks_give_the_whole_chunk_counts``). NumPy
     computes a one-row product by gemv, whose sums may round differently from
     gemm's, so a lone row of a longer block is decoded twice over.
     """
-    decide = ml_decoder(cw)
-    t = _certified_sq_radii(cw)
+    designs = []
+    for cw in cws:
+        t = _certified_sq_radii(cw)
+        zero = ~np.any(cw, axis=1)   # -0.0 parts included
+        # a certified row sent as a repeated zero is decided as the first zero
+        wrong = zero & (np.arange(len(cw)) != np.argmax(zero))
+        designs.append((cw, ml_decoder(cw), t, wrong if wrong.any() else None))
 
-    def count(msg: np.ndarray, y: np.ndarray) -> int:
-        d = y - cw.take(msg, axis=0)
-        r_sq = np.zeros(len(y))
-        with np.errstate(over="ignore"):   # an overflowing r² is inf: decoded
-            for col in d.T:
-                r_sq += col.real ** 2
-                r_sq += col.imag ** 2
-        rows = np.flatnonzero(~(r_sq < t.take(msg)))   # a NaN row is decoded
-        picked = rows.repeat(2) if rows.size == 1 < len(y) else rows
-        return int(np.count_nonzero(decide(y[picked])[:rows.size] != msg[rows]))
+    def count(msg: np.ndarray, w: np.ndarray) -> np.ndarray:
+        w_sq = np.zeros(len(w))
+        with np.errstate(over="ignore"):   # an overflowing |w|² is inf: decoded
+            for col in w.T:
+                w_sq += col.real ** 2
+                w_sq += col.imag ** 2
+        out = np.zeros(len(designs), dtype=np.int64)
+        for p, (cw, decide, t, wrong) in enumerate(designs):
+            rows = np.flatnonzero(~(w_sq < t.take(msg)))
+            sent = msg.take(rows)
+            if rows.size:
+                picked = rows.repeat(2) if rows.size == 1 < len(w) else rows
+                y = cw.take(msg.take(picked), axis=0) + w.take(picked, axis=0)
+                out[p] = np.count_nonzero(decide(y)[:rows.size] != sent)
+            if wrong is not None:   # certified rows sent as a later repeated zero
+                out[p] += np.count_nonzero(wrong.take(msg)) - np.count_nonzero(wrong.take(sent))
+        return out
 
     return count
 
@@ -318,27 +347,33 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int,
     fully degenerate matrix (all codewords identical) is not decoded: it
     reports the expected error rate (M-1)/M.
 
-    Without a ``decoder``, errors are counted by :func:`_ml_error_counter`:
-    rows provably decided correctly by :func:`ml_decoder` (the lemma of
-    :func:`_certified_sq_radii`) are not decoded, and the rest are decoded
-    as a row subset of their block, so each count equals that of
+    Without a ``decoder``, one statistic, :func:`_ml_error_counter`, counts
+    the errors of every matrix: rows provably decided by :func:`ml_decoder`
+    (the lemma of :func:`_certified_sq_radii`) are not decoded, and the rest
+    are decoded as a row subset of their block, so each count equals that of
     ``ml_decoder`` on every row. A learned ``decoder`` decodes every row.
     """
+    shapes = {cw.shape for cw in cws}
+    if len(shapes) != 1:
+        raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
     degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
-
-    def counter(cw):
-        if decoder is None:
-            return _ml_error_counter(cw)
-        return lambda msg, y: int(np.count_nonzero(decoder(y) != msg))
-
-    counts = monte_carlo(cws, spec, trials,
-                         [None if d else counter(cw) for cw, d in zip(cws, degenerate)])
+    live = [cw for cw, d in zip(cws, degenerate) if not d]
+    if decoder is None:
+        count = _ml_error_counter(live)
+    else:
+        count = lambda msg, w: np.array([np.count_nonzero(
+            decoder(cw.take(msg, axis=0) + w) != msg) for cw in live])
+    totals = monte_carlo(shapes.pop(), spec, trials, [count] if live else [])
+    counts = iter(totals[0] if live else [])
     out = []
-    for cw, d, errors in zip(cws, degenerate, counts):
+    for cw, d in zip(cws, degenerate):
         m = cw.shape[0]
-        ser = (m - 1) / m if d else errors / trials
         if d:
+            ser = (m - 1) / m
             errors = int(round(ser * trials))
+        else:
+            errors = int(next(counts))
+            ser = errors / trials
         out.append(SerResult(ser, binomial_ci(ser, trials), trials, errors, d))
     return out
 
@@ -349,10 +384,11 @@ def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None) -> SerResult:
     Uniform messages, AWGN, minimum-distance decoding (ML under AWGN) or the
     max-softmax decisions of a ``decoder``. A fully degenerate design (all
     codewords identical) is not decoded: it reports the expected error rate.
-    Minimum-distance decoding skips the rows it proves correct: those within
-    (1 - 1e-6)·Δ_m/2 of their codeword c_m, Δ_m the distance from c_m to its
-    nearest other codeword, under the guards of :func:`_certified_sq_radii`;
-    the count is that of decoding every row.
+    Minimum-distance decoding skips the rows whose decision it proves: those
+    with noise below (1 - 1e-6)·Δ_m/2, Δ_m the distance from their codeword
+    c_m to the nearest other codeword (the nearest nonzero one from a zero
+    codeword), under the guards of
+    :func:`_certified_sq_radii`; the count is that of decoding every row.
     """
     return _ser_results([design_codewords(design)], spec, trials, decoder)[0]
 
@@ -361,8 +397,9 @@ def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> flo
     """Mean harvested power per symbol over AWGN trials: the Monte Carlo
     reference for :func:`delivered_power`."""
     cw = design_codewords(design)
-    power = lambda msg, y: float(np.sum(np.asarray(harvester.evaluate(np.abs(y) ** 2))))
-    return monte_carlo([cw], spec, trials, [power])[0] / (trials * cw.shape[1])
+    power = lambda msg, w: float(np.sum(np.asarray(
+        harvester.evaluate(np.abs(cw.take(msg, axis=0) + w) ** 2))))
+    return monte_carlo(cw.shape, spec, trials, [power])[0] / (trials * cw.shape[1])
 
 
 def delivered_power_noiseless(design, harvester) -> float:

@@ -1,18 +1,21 @@
 """Batch experiment runner: fit-eh, design, train, sweep, simulate.
 
 Flags mirror config-file keys (INI sections named per subcommand, keys named
-as the long flags without their leading dashes). A flag wins over the config
-file, which wins over the declared default; INI values are converted by the
-same types as flags. Exit codes: 0 success, 2 usage/config error or a file
-that cannot be read or written, 3 numeric failure. All outputs carry a
-metadata header (tool version, config hash, seed) and are byte-identical for
-identical configs and seeds.
+as the first long flag without its leading dashes, so ``lam`` for
+``--lam``/``--lambda``); a key of a command's section that is no option of
+the command is a usage error. A flag wins over the config file, which wins
+over the declared default; INI values are converted by the same types as
+flags. Exit codes: 0 success, 2 usage/config error or a file that cannot be
+read or written, 3 numeric failure. All outputs carry a metadata header
+(tool version, config hash, seed) and are byte-identical for identical
+configs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -93,16 +96,24 @@ def _meta_comment(args: argparse.Namespace) -> str:
 def _ini_section(args: argparse.Namespace) -> dict:
     """The config file's values for the options of ``args.command`` that a
     file may set, as raw strings: neither a switch (``--synthetic``) nor a
-    required option (``--design``) is read from it, and other keys are
-    ignored."""
+    required option (``--design``) is read from it, nor the config and output
+    paths. A key of the command's own section that names no option of the
+    command is a ValueError; keys it inherits from ``[DEFAULT]`` are not."""
     if not Path(args.config).is_file():
         raise FileNotFoundError(f"config file not found: {args.config}")
     cfg = configparser.ConfigParser()
     cfg.read(args.config)
-    keys = {dest: dest.replace("_", "-") for dest in vars(args)
-            if dest not in _NOT_PARAMS + ("synthetic", "design")}
+    keys = {dest: dest.replace("_", "-") for dest in vars(args) if dest not in ("command", "func")}
+    own = configparser.ConfigParser(default_section="\n", interpolation=None)   # no inheritance
+    own.read(args.config)
+    if own.has_section(args.command):
+        unknown = sorted(set(own.options(args.command)) - set(keys.values()))
+        if unknown:
+            raise ValueError(f"[{args.command}] in {args.config} sets {', '.join(unknown)}: "
+                             f"not an option of {args.command}")
     return {dest: cfg.get(args.command, key) for dest, key in keys.items()
-            if cfg.has_option(args.command, key)}
+            if dest not in _NOT_PARAMS + ("synthetic", "design")
+            and cfg.has_option(args.command, key)}
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -363,8 +374,17 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser without config values, built once per process: building
+    it costs about as much as a small command, and parsing leaves it
+    unchanged. ``build_parser(ini)`` builds a fresh one, since it sets the
+    config values on its parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config:
             # parsed again, so argparse converts the file's strings like flags

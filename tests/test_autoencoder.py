@@ -579,8 +579,8 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
     def stream_errors(s):
         decide = sk.make_decoder(st, 0, s)
         truth = lambda msg: np.unravel_index(msg, (4, 4))[s]
-        return monte_carlo([cw], spec, trials,
-                           [lambda msg, y: np.count_nonzero(decide(y) != truth(msg))])[0]
+        return monte_carlo(cw.shape, spec, trials,
+                           [lambda msg, w: np.count_nonzero(decide(cw[msg] + w) != truth(msg))])[0]
 
     expected = [stream_errors(0) / trials, stream_errors(1) / trials]
     passes = []

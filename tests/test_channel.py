@@ -1,9 +1,10 @@
 import math
 import os
 import warnings
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,9 +258,9 @@ def test_ser_mc_reports_pd_of_the_same_samples(canon):
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=120.0, seed=17)
     cw = design.base_points.reshape(-1, 1)
     errors, power = monte_carlo(
-        [cw, cw], spec, 150_000,
-        [lambda msg, y: int(np.count_nonzero(ml_decoder(cw)(y) != msg)),
-         lambda msg, y: float(np.sum(canon.evaluate(np.abs(y) ** 2)))])
+        cw.shape, spec, 150_000,
+        [lambda msg, w: _ml_errors(cw, msg, cw[msg] + w),
+         lambda msg, w: float(np.sum(canon.evaluate(np.abs(cw[msg] + w) ** 2)))])
     assert errors == sk.ser_mc(design, spec, 150_000).errors
     assert power / 150_000 == sk.delivered_power_mc(design, spec, canon, 150_000)
 
@@ -371,13 +372,12 @@ def test_rp_sweep_memory_is_one_chunk(clipped):
     assert peak < 40e6
 
 
-def _whole_chunk_totals(cws, spec, trials, stats):
+def _whole_chunk_totals(shape, spec, trials, stats):
     """The unblocked pass: every chunk decoded as one block on this thread."""
-    totals = [0] * len(cws)
-    for msg, w in sample_channel(*cws[0].shape, spec, trials):
-        for p, (cw, stat) in enumerate(zip(cws, stats)):
-            if stat is not None:
-                totals[p] += stat(msg, cw[msg] + w)
+    totals = [0] * len(stats)
+    for msg, w in sample_channel(*shape, spec, trials):
+        for p, stat in enumerate(stats):
+            totals[p] += stat(msg, w)
     return totals
 
 
@@ -395,19 +395,22 @@ def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers
 
     def ml_errors(cw):
         decide_ml = ml_decoder(cw)
-        return lambda msg, y: int(np.count_nonzero(decide_ml(y) != msg))
+        return lambda msg, w: int(np.count_nonzero(decide_ml(cw[msg] + w) != msg))
 
-    def mac_errors(msg, y):
+    def mac_errors(msg, w):
         truth = np.stack(np.unravel_index(msg, (4, 4)), axis=1)
-        return np.count_nonzero(decide(y) != truth, axis=0)
+        return np.count_nonzero(decide(received[msg] + w) != truth, axis=0)
 
-    cws = [ring, flat, received, ring]
-    stats = [ml_errors(ring), ml_errors(flat), mac_errors, None]
-    reference = [np.asarray(t).tolist() for t in _whole_chunk_totals(cws, spec, trials, stats)]
-    assert reference[1] > 0 and min(reference[2]) > 0 and reference[3] == 0
+    # the certified statistic counts the errors of several designs at once
+    stats = [ml_errors(ring), ml_errors(flat), mac_errors,
+             _ml_error_counter([ring, flat, received])]
+    reference = [np.asarray(t).tolist()
+                 for t in _whole_chunk_totals(ring.shape, spec, trials, stats)]
+    assert reference[1] > 0 and min(reference[2]) > 0
+    assert reference[3][:2] == reference[:2] and reference[3][2] > 0
     for pool in (None, two_workers):
         monkeypatch.setattr(channel, "_decode_pool", lambda pool=pool: pool)
-        totals = monte_carlo(cws, spec, trials, stats)
+        totals = monte_carlo(ring.shape, spec, trials, stats)
         assert [np.asarray(t).tolist() for t in totals] == reference
 
 
@@ -424,7 +427,8 @@ def test_a_one_row_tail_is_decoded_with_the_block_before_it():
     for c in rng.normal(size=(16, 2)) @ np.array([1.0, 1j]):
         cw = np.empty((2, 1), dtype=complex)
         cw[sent, 0], cw[1 - sent, 0] = c, c + 2.0 * noise   # y = c + noise: the bisector
-        reference = _whole_chunk_totals([cw], spec, trials, [partial(_ml_errors, cw)])[0]
+        reference = _whole_chunk_totals(cw.shape, spec, trials,
+                                        [lambda msg, w: _ml_errors(cw, msg, cw[msg] + w)])[0]
         assert sk.ser_mc(cw, spec, trials).errors == reference
 
 
@@ -445,11 +449,11 @@ def test_monte_carlo_decodes_on_one_blas_thread_and_restores_the_count():
     caller = get()
     try:
         set_(2)
-        monte_carlo([cw], spec, 30_000, [record])
+        monte_carlo(cw.shape, spec, 30_000, [record])
         assert set(seen) == {1}
         assert get() == 2
         with pytest.raises(KeyError):
-            monte_carlo([cw], spec, 30_000, [fail])
+            monte_carlo(cw.shape, spec, 30_000, [fail])
         assert get() == 2
     finally:
         set_(caller)
@@ -491,6 +495,11 @@ def test_ser_mc_memory_is_blocks_not_a_chunk_of_distances(monkeypatch, two_worke
 
 # --- the certified fast path of the minimum-distance error count -----------
 
+# the examples the loaded profile asks for: the certification properties
+# draw at least that many (1,000 under the randomized profile of CI)
+_PROFILE_EXAMPLES = settings.default.max_examples
+
+
 def _unit_power(cw: np.ndarray) -> np.ndarray:
     cw = np.asarray(cw, dtype=complex)
     cw = cw.reshape(-1, 1) if cw.ndim == 1 else cw
@@ -498,9 +507,12 @@ def _unit_power(cw: np.ndarray) -> np.ndarray:
 
 
 @cache
+def _greedy_codebook(m: int, n: int) -> sk.Codebook:
+    return sk.build_info_codebook(m, n, 1.0, sk.GreedyConfig(candidate_cap=50_000, seed=1))
+
+
 def _greedy(m: int, n: int) -> np.ndarray:
-    cb = sk.build_info_codebook(m, n, 1.0, sk.GreedyConfig(candidate_cap=50_000, seed=1))
-    return _unit_power(cb.codewords)
+    return _unit_power(_greedy_codebook(m, n).codewords)
 
 
 def _near_pair(m: int, n: int, seed: int, factor: float) -> np.ndarray:
@@ -516,11 +528,23 @@ def _near_pair(m: int, n: int, seed: int, factor: float) -> np.ndarray:
     return cw
 
 
+def _zeros_and_a_repeat(m: int, n: int, seed: int) -> np.ndarray:
+    """Gaussian codewords (m >= 8) with zero codewords at rows 2, 5 and
+    m - 1, the last two with -0.0 parts, and row m - 2 repeating row 3."""
+    rng = np.random.default_rng(seed)
+    cw = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    cw[2] = 0.0
+    cw.real[5], cw.imag[5] = -0.0, 0.0
+    cw.real[m - 1], cw.imag[m - 1] = 0.0, -0.0
+    cw[m - 2] = cw[3]
+    return cw
+
+
 _designs = st.one_of(
     st.builds(lambda m, rho: _unit_power(
         sk.swipt_transform(sk.layout_info(m, 1.0), rho, 0.3).codewords),
         st.sampled_from([2, 4, 8, 16, 32]),
-        st.one_of(st.floats(0.0, 1.0), st.just(1.0))),   # ρ = 1: duplicate zeros
+        st.one_of(st.floats(0.0, 1.0), st.just(1.0))),   # ρ = 1: repeated zeros
     st.builds(_greedy, st.sampled_from([4, 8, 16]), st.sampled_from([2, 3])),
     st.builds(lambda m: _unit_power(sk.qam_reference(m, 1.0).codewords),
               st.sampled_from([4, 16, 64])),
@@ -530,69 +554,113 @@ _designs = st.one_of(
     st.builds(lambda m, n, seed, f: _unit_power(_near_pair(m, n, seed, f)),
               st.integers(3, 16), st.integers(1, 3), st.integers(0, 2**16),
               st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3])),
+    st.builds(lambda m, n, seed: _unit_power(_zeros_and_a_repeat(m, n, seed)),
+              st.integers(8, 16), st.integers(1, 3), st.integers(0, 2**16)),
 )
 
 
-def _adversarial_rows(cw: np.ndarray):
-    """Per codeword m: rows at (1 ± 1e-9)·τ_m toward its nearest neighbour
-    c_j, τ_m² = t_m, and on the bisector of c_m and c_j."""
+def _adversarial_noise(cw: np.ndarray):
+    """Per codeword m: noise at (1 ± 1e-9)·τ_m, τ_m² = t_m, toward the
+    nearest codeword c_j of another value, and to the bisector of c_m and
+    c_j."""
     t = _certified_sq_radii(cw)
     d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d_sq, np.inf)
-    msg, rows = [], []
+    d_sq[np.all(cw[:, None, :] == cw[None, :, :], axis=2)] = np.inf
+    msg, noise = [], []
     for m, j in enumerate(np.argmin(d_sq, axis=1)):
         step = cw[j] - cw[m]
-        if d_sq[m, j] > 0:
-            unit = step / math.sqrt(d_sq[m, j])
-            for f in (1.0 - 1e-9, 1.0 + 1e-9):
-                msg.append(m)
-                rows.append(cw[m] + f * math.sqrt(t[m]) * unit)
+        unit = step / math.sqrt(d_sq[m, j])
+        for f in (1.0 - 1e-9, 1.0 + 1e-9):
+            msg.append(m)
+            noise.append(f * math.sqrt(t[m]) * unit)
         msg.append(m)
-        rows.append(cw[m] + 0.5 * step)
-    return np.array(msg), np.array(rows)
+        noise.append(0.5 * step)
+    return np.array(msg), np.array(noise)
 
 
 def _ml_errors(cw, msg, y) -> int:
     return int(np.count_nonzero(ml_decoder(cw)(y) != msg))
 
 
-@settings(max_examples=150)
+@settings(max_examples=max(150, _PROFILE_EXAMPLES))
 @given(_designs, st.floats(-300.0, 300.0),
        st.one_of(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e), st.just(math.inf)),
        st.integers(0, 2**16))
 def test_certified_count_equals_the_ml_count_on_whole_blocks(unit_cw, log_pa, snr, seed):
     pa = 10.0 ** log_pa
     cw = unit_cw * math.sqrt(pa)
-    count = _ml_error_counter(cw)
+    count = _ml_error_counter([cw])
     spec = sk.ChannelSpec(snr=snr, p_a_uw=pa, seed=seed)
     (msg, w), = sample_channel(*cw.shape, spec, 3000)
-    y = cw[msg] + w
-    adv_msg, adv_y = _adversarial_rows(cw)
-    for m, rows in ((msg, y), (adv_msg, adv_y),
-                    (np.concatenate([msg, adv_msg]), np.concatenate([y, adv_y]))):
-        assert count(m, rows) == _ml_errors(cw, m, rows)
+    adv_msg, adv_w = _adversarial_noise(cw)
+    for m, noise in ((msg, w), (adv_msg, adv_w),
+                     (np.concatenate([msg, adv_msg]), np.concatenate([w, adv_w]))):
+        assert count(m, noise).tolist() == [_ml_errors(cw, m, cw[m] + noise)]
     # any two rows, and a lone row of a two-row block, decode as in their block
     for lo in range(0, 40, 2):
-        assert count(msg[lo:lo + 2], y[lo:lo + 2]) == _ml_errors(cw, msg[lo:lo + 2], y[lo:lo + 2])
-        assert count(msg[lo:lo + 1], y[lo:lo + 1]) == _ml_errors(cw, msg[lo:lo + 1], y[lo:lo + 1])
+        for hi in (lo + 2, lo + 1):
+            m, noise = msg[lo:hi], w[lo:hi]
+            assert count(m, noise).tolist() == [_ml_errors(cw, m, cw[m] + noise)]
+
+
+@settings(max_examples=max(40, _PROFILE_EXAMPLES))
+@given(st.sampled_from([8, 16]), st.sampled_from([1, 2]),
+       st.lists(st.one_of(st.floats(0.0, 1.0), st.just(1.0)), min_size=1, max_size=6),
+       st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e), st.integers(0, 2**16))
+def test_certified_pass_counts_every_design_as_ml_decoder_does(m, n, rhos, snr, seed):
+    # one pass scores every design from one |w|² per block: each count equals
+    # ml_decoder's on every row of the chunk, and a degenerate design reports
+    # (M - 1)/M without a decode
+    base = sk.layout_info(m, 1.0) if n == 1 else _greedy_codebook(m, n)
+    cws = [np.full((m, n), 1.0 + 0j),
+           *(sk.swipt_transform(base, rho, 0.3).codewords for rho in rhos),
+           _unit_power(_zeros_and_a_repeat(m, n, seed))]
+    spec = sk.ChannelSpec(snr=snr, p_a_uw=1.0, seed=seed)
+    trials = 3001
+    reference = _whole_chunk_totals((m, n), spec, trials, [
+        lambda msg, w, cw=cw: _ml_errors(cw, msg, cw[msg] + w) for cw in cws])
+    with mock.patch.object(channel, "_BLOCK", 500):
+        results = channel._ser_results(cws, spec, trials)
+    assert results[0].degenerate and results[0].errors == round((m - 1) / m * trials)
+    assert [r.errors for r in results[1:]] == reference[1:]
+    assert not any(r.degenerate for r in results[1:])
+
+
+def _expected_radii(cw: np.ndarray) -> np.ndarray:
+    """t_m by its definition: (1 - s)²/4 of the squared distance from c_m to
+    its nearest other codeword, the nearest nonzero one from a zero codeword,
+    where that is at least s·R², else 0."""
+    d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d_sq, np.inf)
+    zero = np.all(cw == 0, axis=1)
+    d_sq[np.ix_(zero, zero)] = np.inf
+    delta_sq = d_sq.min(axis=1)
+    r_sq = float(np.max(np.sum(np.abs(cw) ** 2, axis=1)))
+    return np.where(delta_sq >= _MARGIN * r_sq, (1 - _MARGIN) ** 2 / 4 * delta_sq, 0.0)
 
 
 def test_certified_radii_are_half_the_nearest_distance_inside_the_guards():
-    s = _MARGIN
-    for cw in (_unit_power(sk.layout_info(16, 1.0).codewords), _greedy(16, 2),
-               _unit_power(sk.swipt_transform(sk.layout_info(16, 1.0), 1.0, 0.3).codewords),
+    onoff = _unit_power(sk.swipt_transform(sk.layout_info(16, 1.0), 1.0, 0.3).codewords)
+    mixed = _unit_power(_zeros_and_a_repeat(12, 2, 3))
+    for cw in (_unit_power(sk.layout_info(16, 1.0).codewords), _greedy(16, 2), onoff, mixed,
                _near_pair(8, 2, 3, 1.0 + 1e-3), _near_pair(8, 2, 3, 1.0 - 1e-3)):
-        d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d_sq, np.inf)
-        delta_sq = d_sq.min(axis=1)
         r_sq = float(np.max(np.sum(np.abs(cw) ** 2, axis=1)))
-        expect = np.where(delta_sq >= s * r_sq, (1 - s) ** 2 / 4 * delta_sq, 0.0)
-        assert np.allclose(_certified_sq_radii(cw), expect, rtol=1e-12, atol=0.0)
+        assert np.allclose(_certified_sq_radii(cw), _expected_radii(cw), rtol=1e-12, atol=0.0)
         for scale in (1e-280, 2e307 / r_sq):   # max |c|² outside the guards: nothing certified
             assert not np.any(_certified_sq_radii(cw * math.sqrt(scale)))
-    onoff = _unit_power(sk.swipt_transform(sk.layout_info(16, 1.0), 1.0, 0.3).codewords)
+    # repeated zeros take their radius from the nearest nonzero codeword,
+    # whatever the signs of their zero parts
+    t = _certified_sq_radii(onoff)
     zeros = np.flatnonzero(onoff[:, 0] == 0)
-    assert zeros.size > 1 and not np.any(_certified_sq_radii(onoff)[zeros])
+    nearest_sq = float(np.min(np.abs(onoff[onoff[:, 0] != 0, 0]) ** 2))
+    assert zeros.size > 1
+    assert np.allclose(t[zeros], (1 - _MARGIN) ** 2 / 4 * nearest_sq, rtol=1e-12, atol=0.0)
+    signed = onoff.copy()
+    signed.real[zeros[1::2]], signed.imag[zeros[::3]] = -0.0, -0.0
+    assert np.signbit(signed.real[zeros[1]]) and _certified_sq_radii(signed).tolist() == t.tolist()
+    # a repeated nonzero codeword is never certified; the zeros of the same design are
+    t = _certified_sq_radii(mixed)
+    assert t[3] == t[10] == 0.0 and t[[2, 5, 11]].all()
     assert _certified_sq_radii(_near_pair(8, 2, 3, 1.0 + 1e-3))[:2].all()
     assert not _certified_sq_radii(_near_pair(8, 2, 3, 1.0 - 1e-3))[:2].any()
     # past n = 345 the rounding bound no longer fits under the margin
@@ -602,20 +670,46 @@ def test_certified_radii_are_half_the_nearest_distance_inside_the_guards():
         assert _certified_sq_radii(cw).all() == certified
 
 
+def test_ml_decoder_decides_the_first_zero_near_a_repeated_zero():
+    # for a finite row every zero column's reference value is exactly +0.0
+    # (±0 products, and |c|² = +0), so np.argmin takes the first zero index
+    rng = np.random.default_rng(5)
+    for n in (1, 3):
+        cw = _zeros_and_a_repeat(12, n, 7)
+        nearest = float(np.sqrt(np.min(np.sum(np.abs(cw[np.any(cw != 0, axis=1)]) ** 2,
+                                               axis=1))))
+        direction = rng.normal(size=(400, n)) + 1j * rng.normal(size=(400, n))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        y = np.concatenate([direction * rng.uniform(0.0, 0.49, (400, 1)) * nearest,
+                            np.zeros((1, n)), np.full((1, n), complex(-0.0, -0.0)),
+                            np.full((1, n), complex(5e-324, -5e-324))])
+        assert ml_decoder(cw)(y).tolist() == [2] * len(y)
+
+
 def test_certified_count_skips_most_rows_and_keeps_the_tie_rule():
-    cw = sk.layout_info(16, 100.0).codewords
     (msg, w), = sample_channel(16, 1, sk.ChannelSpec(snr=50.0, p_a_uw=100.0, seed=2), 20_000)
-    r_sq = np.abs(w[:, 0]) ** 2
-    assert np.mean(r_sq < _certified_sq_radii(cw)[msg]) > 0.98
+    w_sq = np.abs(w[:, 0]) ** 2
+    ring = sk.layout_info(16, 100.0)
+    onoff = sk.swipt_transform(ring, 1.0, sk.pon_approx(100.0)).codewords
+    assert np.count_nonzero(onoff == 0) > 1
+    for cw in (ring.codewords, onoff):   # the On-Off zeros are certified too
+        assert np.mean(w_sq < _certified_sq_radii(cw)[msg]) > 0.98
+    # certified rows sent as a later repeated zero are errors: decided as the
+    # first zero, without a decode
+    zeros = np.flatnonzero(onoff[:, 0] == 0)
+    sent = np.isin(msg, zeros) & (w_sq < _certified_sq_radii(onoff)[msg])
+    assert _ml_error_counter([onoff])(msg[sent], w[sent]).tolist() \
+        == [np.count_nonzero(msg[sent] != zeros[0])] == [_ml_errors(onoff, msg[sent],
+                                                                    onoff[msg[sent]] + w[sent])]
     # on the exact bisector of ±a both reference values are equal: the lower
     # index wins, so the row sent as 1 is an error and the row sent as 0 is not
     bpsk = np.array([[-2.0 + 0j], [2.0 + 0j]])
-    count = _ml_error_counter(bpsk)
-    y = np.zeros((2, 1), dtype=complex)
-    assert count(np.array([1, 0]), y) == 1 == _ml_errors(bpsk, np.array([1, 0]), y)
+    count = _ml_error_counter([bpsk])
+    msg = np.array([1, 0])
+    assert count(msg, -bpsk[msg]).tolist() == [1] == [_ml_errors(bpsk, msg, 0 * bpsk[msg])]
     # one uncertified row among certified ones: decoded as within its block
-    msg, y = np.array([0, 1, 1, 0]), bpsk[[0, 1, 1, 0]] + np.array([[0.0], [0.0], [-2.0], [0.0]])
-    assert count(msg, y) == 1 == _ml_errors(bpsk, msg, y)
+    msg, w = np.array([0, 1, 1, 0]), np.array([[0.0], [0.0], [-2.0], [0.0]], dtype=complex)
+    assert count(msg, w).tolist() == [1] == [_ml_errors(bpsk, msg, bpsk[msg] + w)]
 
 
 def test_a_lone_uncertified_row_decides_as_in_its_block():
@@ -624,13 +718,13 @@ def test_a_lone_uncertified_row_decides_as_in_its_block():
     # gemm, so the counter must not decode a lone row of a block by itself
     rng = np.random.default_rng(0)
     cw = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-    count = _ml_error_counter(cw)
+    count = _ml_error_counter([cw])
     step = cw[1] - cw[0]
     near = (cw[0] + cw[1]) / 2 + 1j * step * rng.uniform(-1.0, 1.0, (500, 1)) \
         + step * rng.normal(size=(500, 1)) * 1e-16
     for row in near:
-        msg, y = np.array([2, 0]), np.array([cw[2], row])   # row 0 is certified
-        assert count(msg, y) == _ml_errors(cw, msg, y)
+        msg, w = np.array([2, 0]), np.array([[0.0], row - cw[0]])   # row 0 is certified
+        assert count(msg, w).tolist() == [_ml_errors(cw, msg, cw[msg] + w)]
 
 
 @pytest.mark.parametrize("pa,snr", [(1e-300, 1e-3), (1e-300, math.inf), (1e300, 1e-3),
@@ -657,21 +751,35 @@ def _ser_bracket(cw: np.ndarray, sigma_sq: float) -> tuple[float, float]:
     return float(np.mean(q.max(axis=1))), float(np.mean(q.sum(axis=1)))
 
 
+@cache
+def _learned(m: int, n: int) -> sk.AeSystem:
+    """A P2P system trained for 300 iterations at P_a = 100."""
+    topo = sk.Topology(kind="p2p", m_list=[m], snrs=[20.0], p_a_uw=100.0)
+    cfg = sk.TrainConfig(n=n, iterations=300, seed=m + n)
+    return sk.train(sk.build_system(topo, cfg, hidden=(32,)))[0]
+
+
+# (unit-power codewords, the learned system that sends them or None)
 _oracle_designs = st.one_of(
-    st.builds(lambda m, rho: _unit_power(
-        sk.swipt_transform(sk.layout_info(m, 1.0), rho, 0.3).codewords),
+    st.builds(lambda m, rho: (_unit_power(
+        sk.swipt_transform(sk.layout_info(m, 1.0), rho, 0.3).codewords), None),
         st.sampled_from([4, 8, 16, 32]), st.floats(0.0, 0.9)),
-    st.builds(_greedy, st.sampled_from([8, 16, 64]), st.sampled_from([2, 3])),
-    st.builds(lambda m: _unit_power(sk.qam_reference(m, 1.0).codewords),
+    st.builds(lambda m, n: (_greedy(m, n), None),
+              st.sampled_from([8, 16, 64]), st.sampled_from([2, 3])),
+    st.builds(lambda m: (_unit_power(sk.qam_reference(m, 1.0).codewords), None),
               st.sampled_from([4, 16, 64])),
+    st.builds(lambda m, n: (_unit_power(sk.extract_design(_learned(m, n))[0].codewords),
+                            _learned(m, n)),
+              st.sampled_from([4, 8]), st.sampled_from([1, 2])),
 )
 
 
-@settings(max_examples=30)
+@settings(max_examples=40)
 @given(_oracle_designs, st.sampled_from([0.5, 1.0, 1.5]), st.integers(0, 2**16))
-def test_ser_mc_lies_in_the_closed_form_bracket(unit_cw, x, seed):
+def test_ser_mc_lies_in_the_closed_form_bracket(design, x, seed):
     # distinct codewords at P_a = 100; the SNR puts the nearest pair x noise
     # deviations from its bisector
+    unit_cw, system = design
     cw = unit_cw * 10.0
     d_sq = np.sum(np.abs(cw[:, None, :] - cw[None, :, :]) ** 2, axis=2)
     dmin_sq = float(d_sq[~np.eye(len(cw), dtype=bool)].min())
@@ -680,3 +788,8 @@ def test_ser_mc_lies_in_the_closed_form_bracket(unit_cw, x, seed):
     res = sk.ser_mc(cw, spec, 50_000)
     lower, upper = _ser_bracket(cw, spec.sigma_sq)
     assert lower - res.ci_halfwidth <= res.ser <= upper + res.ci_halfwidth
+    if system is not None:
+        # ML is the least-error decoder, so a learned one is no better than
+        # the ML lower bound; the system sends the same codewords at P_a = 100
+        ser = float(sk.evaluate_ser(system, 50_000, seed=seed, snr=spec.snr, p_a_uw=100.0)[0])
+        assert ser >= lower - channel.binomial_ci(ser, 50_000)

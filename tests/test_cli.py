@@ -421,6 +421,48 @@ def test_ini_keys_of_switches_required_options_and_paths_are_ignored(tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "exp.ini", "plain.json"]
 
 
+def test_ini_key_that_is_no_option_of_the_command_is_usage_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a file written for an older version (p-star, max-rounds) must not run
+    # with another meaning; keys inherited from [DEFAULT] are not the
+    # section's own, so only a key the section sets itself is refused
+    monkeypatch.chdir(tmp_path)
+    Path("old.ini").write_text("[DEFAULT]\nsystems = a.json\ntrials = 5000\n"
+                               "[design]\nm = 8\np-star = 2\nmax-rounds = 0\n")
+    assert run(["design", "--config", "old.ini", "-o", "d.json"]) == 2
+    assert capsys.readouterr().err == ("design: [design] in old.ini sets max-rounds, p-star: "
+                                       "not an option of design\n")
+    Path("own.ini").write_text("[DEFAULT]\nsystems = a.json\n[design]\nsystems = b.json\n")
+    assert run(["design", "--config", "own.ini", "-o", "d.json"]) == 2
+    assert "sets systems: not an option of design" in capsys.readouterr().err
+    Path("fe.ini").write_text("[fit-eh]\ninit-scale = 2\n[design]\nm = 8\n")
+    assert run(["fit-eh", "--config", "fe.ini", "--synthetic", "-o", "f.json"]) == 2
+    assert "sets init-scale" in capsys.readouterr().err
+    assert not any(Path(name).exists() for name in ("d.json", "f.json"))
+    Path("ok.ini").write_text("[DEFAULT]\nsystems = a.json\ntrials = 5000\n[design]\nm = 8\n")
+    assert run(["design", "--config", "ok.ini", "-o", "d.json"]) == 0
+    assert sk.Codebook.load("d.json").m == 8
+
+
+def test_parser_is_built_once_and_a_config_run_leaves_it_unchanged(tmp_path, monkeypatch):
+    from swiptkit import cli
+
+    monkeypatch.chdir(tmp_path)
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *ini: built.append(ini) or real(*ini))
+    cli._parser.cache_clear()
+    try:
+        Path("exp.ini").write_text("[design]\nm = 8\n")
+        assert run(["design", "-o", "a.json"]) == 0
+        assert run(["design", "--config", "exp.ini", "-o", "b.json"]) == 0
+        assert run(["design", "-o", "c.json"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [(), ({"design": {"m": "8"}},)]
+    assert sk.Codebook.load("b.json").m == 8
+    assert Path("a.json").read_bytes() == Path("c.json").read_bytes()
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--design", "d.json", "-o", "out.json"],
     ["simulate", "--design", "d.json", "--eh", "eh.json", "-o", "out.json"],

@@ -1,7 +1,7 @@
 """Batch experiment runner: fit-eh, design, train, sweep, simulate.
 
 Flags mirror config-file keys (INI sections named per subcommand, keys named
-as the first long flag without its leading dashes, so ``lam`` for
+as any long flag without its leading dashes, so ``lam`` or ``lambda`` for
 ``--lam``/``--lambda``); a key of a command's section that is no option of
 the command is a usage error. A flag wins over the config file, which wins
 over the declared default; INI values are converted by the same types as
@@ -93,27 +93,37 @@ def _meta_comment(args: argparse.Namespace) -> str:
     return f"swiptkit={__version__} config_hash={_meta(args)['config_hash']} seed={args.seed}"
 
 
-def _ini_section(args: argparse.Namespace) -> dict:
+def _ini_section(args: argparse.Namespace, keys: dict[str, str]) -> dict:
     """The config file's values for the options of ``args.command`` that a
-    file may set, as raw strings: neither a switch (``--synthetic``) nor a
-    required option (``--design``) is read from it, nor the config and output
-    paths. A key of the command's own section that names no option of the
-    command is a ValueError; keys it inherits from ``[DEFAULT]`` are not."""
+    file may set, as raw strings by destination; ``keys`` maps each INI key
+    of the command to its destination. Neither a switch (``--synthetic``) nor
+    a required option (``--design``) is read from the file, nor the config
+    and output paths. A key of the command's own section that names no
+    option of the command is a ValueError that lists the keys it reads, and
+    so are two keys of one option (``lam`` and ``lambda``); keys the section
+    inherits from ``[DEFAULT]`` are not."""
     if not Path(args.config).is_file():
         raise FileNotFoundError(f"config file not found: {args.config}")
     cfg = configparser.ConfigParser()
     cfg.read(args.config)
-    keys = {dest: dest.replace("_", "-") for dest in vars(args) if dest not in ("command", "func")}
+    read = {key: dest for key, dest in keys.items()
+            if dest not in _NOT_PARAMS + ("synthetic", "design")}
     own = configparser.ConfigParser(default_section="\n", interpolation=None)   # no inheritance
     own.read(args.config)
     if own.has_section(args.command):
-        unknown = sorted(set(own.options(args.command)) - set(keys.values()))
+        unknown = sorted(set(own.options(args.command)) - set(keys))
         if unknown:
             raise ValueError(f"[{args.command}] in {args.config} sets {', '.join(unknown)}: "
-                             f"not an option of {args.command}")
-    return {dest: cfg.get(args.command, key) for dest, key in keys.items()
-            if dest not in _NOT_PARAMS + ("synthetic", "design")
-            and cfg.has_option(args.command, key)}
+                             f"not an option of {args.command}; its keys are "
+                             f"{', '.join(sorted(read))}")
+    found = {}
+    for key, dest in read.items():
+        if cfg.has_option(args.command, key):
+            if dest in found:
+                raise ValueError(f"[{args.command}] in {args.config} sets {found[dest]} "
+                                 f"and {key}, two keys of one option")
+            found[dest] = key
+    return {dest: cfg.get(args.command, key) for dest, key in found.items()}
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -289,7 +299,8 @@ def cmd_simulate(args) -> int:
 
 def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; ``ini`` maps a subcommand to values (INI strings)
-    that replace the defaults its options declare."""
+    that replace the defaults its options declare. Its ``ini_keys`` maps a
+    subcommand to {INI key: destination}, one key per long option string."""
     p = argparse.ArgumentParser(prog="swiptkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -371,6 +382,12 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     si.set_defaults(func=cmd_simulate)
     for name, values in (ini or {}).items():
         sub.choices[name].set_defaults(**values)
+    # per subcommand, INI key -> destination: each long option but --help,
+    # without its dashes
+    p.ini_keys = {name: {opt[2:]: action.dest for action in sp._actions
+                         if action.dest != "help"
+                         for opt in action.option_strings if opt.startswith("--")}
+                  for name, sp in sub.choices.items()}
     return p
 
 
@@ -384,11 +401,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
             # parsed again, so argparse converts the file's strings like flags
-            args = build_parser({args.command: _ini_section(args)}).parse_args(argv)
+            ini = _ini_section(args, parser.ini_keys[args.command])
+            args = build_parser({args.command: ini}).parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, configparser.Error) as err:
         print(f"{args.command}: {err}", file=_sys.stderr)

@@ -7,16 +7,16 @@ instantaneous input power ``p``, and ``value_and_derivative(p)``, the pair
 the autoencoder's loss take any such object. All powers are in uW,
 amplitudes in sqrt(uW).
 
-SciPy is imported inside the one function that calls it (``expit`` in
-:attr:`ModelC.omega`, ``minimize`` in :func:`fit_eh`), not at module level:
-importing ``scipy.optimize`` and ``scipy.special`` costs about half a second
-per process, and most commands call neither.
+SciPy is imported only inside :func:`fit_eh` (``minimize``), not at module
+level: importing ``scipy.optimize`` costs about half a second per process,
+and only the ``fit-eh`` command calls it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -63,10 +63,13 @@ class ModelC:
 
     @property
     def omega(self) -> float:
-        # in (0,1); cancels the sigmoid's nonzero value at zero input
-        from scipy.special import expit
-
-        return float(expit(-self.a * self.b))
+        """The logistic at zero input, 1/(1 + exp(a·b)) in [0, 1), bit for bit
+        ``scipy.special.expit(-a·b)``; 0.0 where exp(a·b) overflows. The
+        output subtracts it, so that zero input gives exactly 0."""
+        try:
+            return 1.0 / (1.0 + math.exp(self.a * self.b))
+        except OverflowError:
+            return 0.0
 
     def evaluate(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)

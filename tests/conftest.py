@@ -8,8 +8,8 @@ from hypothesis import settings
 import swiptkit as sk
 
 # property tests draw the same examples on every run, with no time limit;
-# HYPOTHESIS_PROFILE=randomized draws new ones, and the certification
-# properties of tests/test_channel.py draw at least 1,000 of them
+# HYPOTHESIS_PROFILE=randomized draws new ones, and the certification and
+# i0e properties of tests/test_channel.py draw at least 1,000 of them
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("randomized", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))

@@ -330,6 +330,41 @@ def test_delivered_power_noiseless_limit(clipped, canon):
             assert sk.delivered_power(design, spec, h) == sk.delivered_power_noiseless(design, h)
 
 
+# --- the Bessel kernel of the delivered-power quadrature --------------------
+
+_I0E_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, np.nextafter(2.0 ** -1022, 0.0),
+                       8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), -8.0, 1e308,
+                       -1e308, np.finfo(float).max, np.inf, -np.inf])
+
+
+def test_i0e_is_scipys_bit_for_bit():
+    from scipy.special import i0e
+
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.uniform(-16.0, 16.0, 400_000), rng.exponential(60.0, 400_000),
+                        rng.choice([-1.0, 1.0], 300_000) * 10.0 ** rng.uniform(-320, 308, 300_000),
+                        _I0E_EDGES])
+    assert channel._i0e(x).tobytes() == i0e(x).tobytes()
+    # shape kept, blocks of any length, NaN propagated
+    grid = x[:60_005].reshape(-1, 5)   # three blocks and a part of one
+    assert channel._i0e(grid).shape == grid.shape
+    assert channel._i0e(grid).tobytes() == i0e(grid).tobytes()
+    assert np.isnan(channel._i0e(np.array([np.nan, -np.nan]))).all()
+    assert channel._i0e(np.zeros(0)).shape == (0,)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=40),
+       st.sampled_from([1, 2, 3, 7]))
+def test_i0e_property_equals_scipy(values, block):
+    # under the randomized profile of CI, on new examples; tiny blocks make
+    # every mix of the two Chebyshev branches within a block
+    from scipy.special import i0e
+
+    x = np.array(values)
+    with mock.patch.object(channel, "_I0E_BLOCK", block):
+        assert channel._i0e(x).tobytes() == i0e(x).tobytes()
+
+
 def test_rp_sweep_rows_equal_single_design_runs(clipped):
     pa, trials = 100.0, 30_000
     base = sk.layout_info(8, pa)

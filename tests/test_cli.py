@@ -431,7 +431,8 @@ def test_ini_key_that_is_no_option_of_the_command_is_usage_error(tmp_path, monke
                                "[design]\nm = 8\np-star = 2\nmax-rounds = 0\n")
     assert run(["design", "--config", "old.ini", "-o", "d.json"]) == 2
     assert capsys.readouterr().err == ("design: [design] in old.ini sets max-rounds, p-star: "
-                                       "not an option of design\n")
+                                       "not an option of design; its keys are candidate-cap, "
+                                       "eh, m, n, pa, rho, seed\n")
     Path("own.ini").write_text("[DEFAULT]\nsystems = a.json\n[design]\nsystems = b.json\n")
     assert run(["design", "--config", "own.ini", "-o", "d.json"]) == 2
     assert "sets systems: not an option of design" in capsys.readouterr().err
@@ -442,6 +443,22 @@ def test_ini_key_that_is_no_option_of_the_command_is_usage_error(tmp_path, monke
     Path("ok.ini").write_text("[DEFAULT]\nsystems = a.json\ntrials = 5000\n[design]\nm = 8\n")
     assert run(["design", "--config", "ok.ini", "-o", "d.json"]) == 0
     assert sk.Codebook.load("d.json").m == 8
+
+
+def test_ini_key_of_a_long_alias_sets_its_option(tmp_path, monkeypatch, capsys):
+    # --lam has the long alias --lambda: either key sets it, both are refused
+    monkeypatch.chdir(tmp_path)
+    flags = ["train", "--iters", 5, "--pa", 100, "--eh", FIXTURE_EH]
+    Path("alias.ini").write_text("[train]\nlambda = 0.3\n")
+    assert run([*flags, "--config", "alias.ini", "-o", "ini.json"]) == 0
+    assert run([*flags, "--lam", 0.3, "-o", "flags.json"]) == 0
+    assert run([*flags, "-o", "zero.json"]) == 0
+    assert Path("ini.json").read_bytes() == Path("flags.json").read_bytes()
+    assert Path("ini.json").read_bytes() != Path("zero.json").read_bytes()
+    Path("both.ini").write_text("[train]\nlam = 0.1\nlambda = 0.3\n")
+    assert run([*flags, "--config", "both.ini", "-o", "both.json"]) == 2
+    assert "sets lam and lambda, two keys of one option" in capsys.readouterr().err
+    assert not Path("both.json").exists()
 
 
 def test_parser_is_built_once_and_a_config_run_leaves_it_unchanged(tmp_path, monkeypatch):
@@ -829,7 +846,7 @@ def test_train_outputs_are_byte_identical_per_seed(config):
         assert first == second
 
 
-# --- cold start: a command imports only the SciPy it calls ------------------
+# --- cold start: only fit-eh imports SciPy ----------------------------------
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -864,16 +881,16 @@ def test_import_design_and_train_load_no_scipy(tmp_path, argv):
     assert modules == set()
 
 
-def test_simulate_and_sweep_load_scipy_special_only(tmp_path):
-    assert run(["design", "--m", 4, "--pa", 5, "-o", tmp_path / "d.json"]) == 0
+def test_simulate_and_sweep_load_no_scipy(tmp_path):
+    # P_d's Bessel factor and the sigmoid's logistic are computed in the package
+    assert run(["design", "--m", 4, "--pa", 100, "-o", tmp_path / "d.json"]) == 0
+    sweep = ["sweep", "--m", 4, "--pa", 100, "--trials", 1000, "--rho-grid", "0,1",
+             "--candidate-cap", 200, "-o", "sw.csv"]
     for argv in (["simulate", "--design", "d.json", "--snr", 20, "--trials", 1000,
-                  "--eh", FIXTURE_EH],
-                 ["sweep", "--m", 4, "--trials", 1000, "--rho-grid", "0,1",
-                  "--candidate-cap", 200, "-o", "sw.csv"]):
+                  "--eh", FIXTURE_EH], sweep, sweep + ["--eh", FIXTURE_EH]):
         rc, modules = _fresh_scipy_modules(argv, tmp_path)
         assert rc == 0
-        assert "scipy.special" in modules
-        assert "scipy.optimize" not in modules
+        assert modules == set()
 
 
 def test_fit_eh_imports_scipy_optimize_when_it_runs(tmp_path):

@@ -36,6 +36,19 @@ def test_model_c_no_overflow_at_large_steepness():
     assert np.all(np.isfinite(m.evaluate(p))) and np.all(np.isfinite(m.derivative(p)))
 
 
+def test_model_c_omega_is_scipys_expit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(12)
+    a, b = 10.0 ** rng.uniform(-6, 3, 20_000), 10.0 ** rng.uniform(-3, 4, 20_000)
+    pairs = [*zip(a.tolist(), b.tolist()), (1.0, 709.78), (1.0, 709.79), (1.0, 1000.0),
+             (5e-324, 1.0), (1e300, 1e300), (0.2584437248178421, 300.0)]
+    for ai, bi in pairs:
+        om = sk.ModelC(a=ai, b=bi, ls=1.0).omega
+        assert type(om) is float and om == float(expit(-ai * bi))
+        assert not np.signbit(om)
+
+
 def test_model_c_derivative_matches_finite_difference(canon):
     p = np.array([1.0, 150.0, 299.0, 317.0, 450.0, 900.0])
     h = 1e-4

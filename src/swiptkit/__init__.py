@@ -51,7 +51,6 @@ from .constellation import (
 from .harvester import (
     EhModel,
     FitDivergedError,
-    FitHyper,
     ModelC,
     PowerDataset,
     canonical_model,

@@ -7,7 +7,6 @@ multiple-access and interference topologies.
 from __future__ import annotations
 
 import copy
-import csv
 import itertools
 import json
 import math
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import ChannelSpec, awgn, monte_carlo
-from .constellation import Codebook, json_field
+from .constellation import Codebook, json_field, write_csv
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 KINDS = ("p2p", "bc", "mac", "ic")
@@ -460,22 +459,15 @@ def extract_design(sys: AeSystem) -> list[Codebook]:
     return out
 
 
-def make_decoder(sys: AeSystem, receiver: int = 0, stream: int | None = 0):
-    """Max-softmax decision function: complex samples (B, n) -> messages of
-    ``stream``; with ``stream=None``, a (B, segments) array holding every
-    stream the receiver decodes, in :meth:`Topology.rx_segments` order, from
-    one decoder pass.
+def make_decoder(sys: AeSystem, receiver: int = 0):
+    """Max-softmax decision function: complex samples (B, n) -> a
+    (B, segments) array holding every stream the receiver decodes, in
+    :meth:`Topology.rx_segments` order, from one decoder pass.
     """
-    segs = [(off, m_j) for off, m_j, s in sys.topology.rx_segments(receiver)
-            if stream is None or s == stream]
-    if not segs:
-        raise ValueError(f"receiver {receiver} does not decode stream {stream}")
+    segs = [(off, m_j) for off, m_j, _ in sys.topology.rx_segments(receiver)]
 
     def decide(y: np.ndarray) -> np.ndarray:
         logits, _ = mlp_forward(sys.decoders[receiver], _to_real(np.atleast_2d(y)))
-        if stream is not None:
-            (off, m_j), = segs
-            return np.argmax(logits[:, off:off + m_j], axis=1)
         return np.stack([np.argmax(logits[:, off:off + m_j], axis=1) for off, m_j in segs],
                         axis=1)
 
@@ -505,7 +497,7 @@ def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
         spec = ChannelSpec(snr=topo.snrs[r] if snr is None else snr,
                            p_a_uw=topo.p_a_uw if p_a_uw is None else p_a_uw, seed=seed + r)
         streams = [s for _, _, s in topo.rx_segments(r)]
-        decide = make_decoder(sys, r, stream=None)
+        decide = make_decoder(sys, r)
 
         def count(msg, w, cw=cw, streams=streams, decide=decide):
             truth, out = np.unravel_index(msg, topo.m_list), np.zeros(topo.k, dtype=int)
@@ -566,8 +558,8 @@ def _net_to_json(net: MlpParams) -> dict:
 
 
 def _net_from_json(d: dict) -> MlpParams:
-    return MlpParams(weights=[np.array(w) for w in d["weights"]],
-                     biases=[np.array(b) for b in d["biases"]])
+    return MlpParams(weights=[np.array(w, dtype=float) for w in d["weights"]],
+                     biases=[np.array(b, dtype=float) for b in d["biases"]])
 
 
 def system_to_json(sys: AeSystem) -> dict:
@@ -578,16 +570,17 @@ def system_to_json(sys: AeSystem) -> dict:
             "final_loss": sys.final_loss}
 
 
-def system_from_json(d: dict, harvester=None) -> AeSystem:
+def system_from_json(d: dict) -> AeSystem:
     """ValueError names a missing or malformed field, an encoder or decoder
-    count other than the topology's transmitter or receiver count, and a net
-    whose layer shapes do not chain from its input to its output width."""
+    count other than the topology's transmitter or receiver count, a net
+    whose layer shapes do not chain from its input to its output width, and
+    a weight or bias that is not finite."""
     nets = lambda v: [_net_from_json(x) for x in v]
     sys = AeSystem(topology=json_field(d, "topology", Topology.from_json),
                    config=json_field(d, "config", TrainConfig.from_json),
                    encoders=json_field(d, "encoders", nets),
                    decoders=json_field(d, "decoders", nets),
-                   harvester=harvester, final_loss=d.get("final_loss"))
+                   final_loss=d.get("final_loss"))
     topo = sys.topology
     for key, sizes in _net_sizes(topo, sys.config.n).items():
         got = getattr(sys, key)
@@ -603,6 +596,9 @@ def system_from_json(d: dict, harvester=None) -> AeSystem:
                     raise ValueError(f"bad field {key!r}: net {i} layer {j} has weights "
                                      f"{w.shape} and biases {b.shape}, expected "
                                      f"(out, {width}) and (out,)")
+                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                    raise ValueError(f"bad field {key!r}: net {i} layer {j} has a weight or "
+                                     "bias that is not finite")
                 width = w.shape[0]
             if width != k_out:
                 raise ValueError(f"bad field {key!r}: net {i} has {width} outputs, the "
@@ -610,16 +606,12 @@ def system_from_json(d: dict, harvester=None) -> AeSystem:
     return sys
 
 
-def load_system(path, harvester=None) -> AeSystem:
-    return system_from_json(json.loads(Path(path).read_text()), harvester)
+def load_system(path) -> AeSystem:
+    return system_from_json(json.loads(Path(path).read_text()))
 
 
-def write_trace_csv(path, trace: np.ndarray, header_comment: str | None = None) -> None:
+def write_trace_csv(path, trace: np.ndarray, header_comment: str) -> None:
     """Loss trace CSV: iteration,loss,xent_term,power_term."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "loss", "xent_term", "power_term"])
-        for i, row in enumerate(trace):
-            w.writerow([i, repr(float(row[0])), repr(float(row[1])), repr(float(row[2]))])
+    write_csv(path, ["iteration", "loss", "xent_term", "power_term"],
+              ([i, *(repr(float(v)) for v in row)] for i, row in enumerate(trace)),
+              header_comment)

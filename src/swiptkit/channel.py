@@ -5,9 +5,11 @@ Every design is a :class:`~swiptkit.constellation.Codebook` (or a raw
 codeword matrix); the channel reads only its ``(M, n)`` codewords.
 
 SER draws uniform messages and AWGN through one seeded sampler and decodes
-them by minimum distance (ML under AWGN) or by a learned decoder. A sweep
-draws each chunk once and decodes every point from it (common random
-numbers), so each row equals ``ser_mc`` of its design at the same seed.
+them by minimum distance (ML under AWGN); learned decoders are scored by
+:func:`~swiptkit.autoencoder.evaluate_ser` through the same pass,
+:func:`monte_carlo`. A sweep draws each chunk once and decodes every point
+from it (common random numbers), so each row equals ``ser_mc`` of its
+design at the same seed.
 Draws are per chunk of trials, on the calling thread; statistics of the
 messages and the noise are evaluated per fixed row block, mapped over a
 process-wide thread pool with one worker per CPU and run on one OpenBLAS
@@ -32,15 +34,10 @@ command that reports P_d imports SciPy.
 
 SNR convention: snr = P_a / sigma^2 where sigma^2 is the total variance of
 the complex noise per symbol (so "SNR = 50" is 16.98 dB).
-
-SciPy is imported only inside :func:`qfunc` (``erfc``), which no command
-calls: importing ``scipy.special`` costs about a quarter of a second and
-19 MB per process.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -50,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .constellation import _DIST_BLOCK, Codebook
+from .constellation import _DIST_BLOCK, Codebook, write_csv
 
 _CHUNK = 100_000   # trials per draw: one seed child each
 _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
@@ -59,10 +56,11 @@ _R2_LO, _R2_HI = 2.0 ** -900, 2.0 ** 1020   # certify only if max |c_j|² is in 
 
 
 def qfunc(x) -> np.ndarray | float:
-    """Gaussian tail probability Q(x)."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    """Gaussian tail probability Q(x) = erfc(x/sqrt(2))/2, elementwise by
+    ``math.erfc``: a float for a scalar, an array for an array."""
+    x = np.asarray(x, dtype=float)
+    q = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x.ravel().tolist()])
+    return q.reshape(x.shape) if x.ndim else float(q[0])
 
 
 @dataclass
@@ -342,29 +340,23 @@ def binomial_ci(ser: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(ser * (1.0 - ser), 0.0) / trials)
 
 
-def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int,
-                decoder=None) -> list[SerResult]:
+def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int) -> list[SerResult]:
     """SER of every codeword matrix from one shared pass of the sampler. A
     fully degenerate matrix (all codewords identical) is not decoded: it
     reports the expected error rate (M-1)/M.
 
-    Without a ``decoder``, one statistic, :func:`_ml_error_counter`, counts
-    the errors of every matrix: rows provably decided by :func:`ml_decoder`
-    (the lemma of :func:`_certified_sq_radii`) are not decoded, and the rest
-    are decoded as a row subset of their block, so each count equals that of
-    ``ml_decoder`` on every row. A learned ``decoder`` decodes every row.
+    One statistic, :func:`_ml_error_counter`, counts the errors of every
+    matrix: rows provably decided by :func:`ml_decoder` (the lemma of
+    :func:`_certified_sq_radii`) are not decoded, and the rest are decoded
+    as a row subset of their block, so each count equals that of
+    ``ml_decoder`` on every row.
     """
     shapes = {cw.shape for cw in cws}
     if len(shapes) != 1:
         raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
     degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
     live = [cw for cw, d in zip(cws, degenerate) if not d]
-    if decoder is None:
-        count = _ml_error_counter(live)
-    else:
-        count = lambda msg, w: np.array([np.count_nonzero(
-            decoder(cw.take(msg, axis=0) + w) != msg) for cw in live])
-    totals = monte_carlo(shapes.pop(), spec, trials, [count] if live else [])
+    totals = monte_carlo(shapes.pop(), spec, trials, [_ml_error_counter(live)] if live else [])
     counts = iter(totals[0] if live else [])
     out = []
     for cw, d in zip(cws, degenerate):
@@ -379,19 +371,19 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int,
     return out
 
 
-def ser_mc(design, spec: ChannelSpec, trials: int, decoder=None) -> SerResult:
+def ser_mc(design, spec: ChannelSpec, trials: int) -> SerResult:
     """Symbol (message) error rate by Monte Carlo.
 
-    Uniform messages, AWGN, minimum-distance decoding (ML under AWGN) or the
-    max-softmax decisions of a ``decoder``. A fully degenerate design (all
-    codewords identical) is not decoded: it reports the expected error rate.
+    Uniform messages, AWGN, minimum-distance decoding (ML under AWGN). A
+    fully degenerate design (all codewords identical) is not decoded: it
+    reports the expected error rate.
     Minimum-distance decoding skips the rows whose decision it proves: those
     with noise below (1 - 1e-6)·Δ_m/2, Δ_m the distance from their codeword
     c_m to the nearest other codeword (the nearest nonzero one from a zero
     codeword), under the guards of
     :func:`_certified_sq_radii`; the count is that of decoding every row.
     """
-    return _ser_results([design_codewords(design)], spec, trials, decoder)[0]
+    return _ser_results([design_codewords(design)], spec, trials)[0]
 
 
 def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> float:
@@ -564,13 +556,8 @@ def qam_reference(m: int, p_a_uw: float) -> Codebook:
 
 
 def write_sweep_csv(path, points: list[TradeoffPoint], snr_db: float,
-                    trials: int, seed: int, header_comment: str | None = None) -> None:
+                    trials: int, seed: int, header_comment: str) -> None:
     """Sweep CSV: control,ser,ci,pd_uw,snr_db,trials,seed."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["control", "ser", "ci", "pd_uw", "snr_db", "trials", "seed"])
-        for p in points:
-            w.writerow([repr(p.control), repr(p.ser), repr(p.ci_halfwidth),
-                        repr(p.pd_uw), repr(snr_db), trials, seed])
+    write_csv(path, ["control", "ser", "ci", "pd_uw", "snr_db", "trials", "seed"],
+              ([repr(p.control), repr(p.ser), repr(p.ci_halfwidth), repr(p.pd_uw),
+                repr(snr_db), trials, seed] for p in points), header_comment)

@@ -5,10 +5,10 @@ as any long flag without its leading dashes, so ``lam`` or ``lambda`` for
 ``--lam``/``--lambda``); a key of a command's section that is no option of
 the command is a usage error. A flag wins over the config file, which wins
 over the declared default; INI values are converted by the same types as
-flags. Exit codes: 0 success, 2 usage/config error or a file that cannot be
-read or written, 3 numeric failure. All outputs carry a metadata header
-(tool version, config hash, seed) and are byte-identical for identical
-configs and seeds.
+flags. Exit codes: 0 success, 2 usage/config error, a file that cannot be
+read or written, or an array too large to allocate, 3 numeric failure. All
+outputs carry a metadata header (tool version, config hash, seed) and are
+byte-identical for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .constellation import Codebook, m_on_count, swipt_transform, write_json
 from .harvester import (
     EhModel,
     FitDivergedError,
-    FitHyper,
     PowerDataset,
     canonical_model,
     fit_eh,
@@ -167,8 +166,7 @@ def cmd_fit_eh(args) -> int:
         print("fit-eh: need --synthetic or --data", file=_sys.stderr)
         return EXIT_USAGE
 
-    hyper = FitHyper(epochs=args.epochs, seed=args.seed)
-    model = fit_eh(data, hyper)
+    model = fit_eh(data, args.epochs, args.seed)
     payload = _attach_meta(model.to_json(), args)
     write_json(args.output, payload)
     print(f"fit-eh: {len(data)} points, rmse={model.rmse:.6g} uW -> {args.output}")
@@ -409,7 +407,7 @@ def main(argv=None) -> int:
             ini = _ini_section(args, parser.ini_keys[args.command])
             args = build_parser({args.command: ini}).parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, configparser.Error) as err:
+    except (OSError, ValueError, MemoryError, configparser.Error) as err:
         print(f"{args.command}: {err}", file=_sys.stderr)
         return EXIT_USAGE
     except (FitDivergedError, TrainDivergedError, FloatingPointError) as err:

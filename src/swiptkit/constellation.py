@@ -2,13 +2,14 @@
 
 Every design, algorithmic or learned, is a :class:`Codebook`: M codewords of
 n complex symbols at average power P_a, each an index tuple into a set of
-base points; the type checks P_a, derives the minimum distance and holds the
-one rescale to P_a. The concentric-circle information constellation
-(:func:`layout_info`) is its block-length-1 case; greedy codebooks and On-Off
-position codes (``codebook``) and QAM references (``channel``) are built as
-the same type, and saved in one of two JSON formats: the point format at
-n = 1, the codeword format otherwise, by the one JSON writer
-(:func:`write_json`) that every artifact goes through.
+base points; the type checks P_a and that its points are finite, derives
+the minimum distance and holds the one rescale to P_a. The concentric-circle
+information constellation (:func:`layout_info`) is its block-length-1 case;
+greedy codebooks and On-Off position codes (``codebook``) and QAM references
+(``channel``) are built as the same type, and saved in one of two JSON
+formats: the point format at n = 1, the codeword format otherwise, by the
+one JSON writer (:func:`write_json`) that every JSON artifact goes through;
+every CSV artifact goes through the one CSV writer (:func:`write_csv`).
 :func:`swipt_transform` is the whole deformation of any rho = 0 design: it
 picks the On set among the base points, moves it along amplitude/phase
 interpolants, rescales the rest, and restores P_a over the codeword symbols
@@ -18,6 +19,7 @@ only add rounding.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -86,6 +88,12 @@ class Codebook:
                              "base points")
         if not 0 < self.p_a_uw < math.inf:
             raise ValueError("P_a must be finite and positive")
+        if not np.all(np.isfinite(self.base_points)):
+            raise ValueError("base points must be finite")
+        with np.errstate(over="ignore"):
+            power = float(np.sum(np.abs(self.codewords) ** 2))
+        if not math.isfinite(power):
+            raise ValueError("base points too large: the codeword power overflows")
 
     @property
     def codewords(self) -> np.ndarray:
@@ -183,6 +191,17 @@ def write_json(path, payload: dict) -> None:
     """The one JSON artifact format: one-space indent, no NaN or inf, and a
     trailing newline."""
     Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+
+
+def write_csv(path, header: list[str], rows, comment: str | None = None) -> None:
+    """The one CSV artifact format: a ``# comment`` line when given, the
+    header, then the rows, each line ending in a bare newline."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 _DIST_BLOCK = 1 << 20   # codeword-pair symbols per distance block: bounds memory

@@ -164,13 +164,6 @@ class PowerDataset:
         arr = np.array(rows, dtype=float).reshape(-1, 2)   # no rows: the dataset is empty
         return cls(p_in=arr[:, 0], p_out=arr[:, 1])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["p_in_uw", "p_out_uw"])
-            for a, b in zip(self.p_in, self.p_out):
-                w.writerow([repr(float(a)), repr(float(b))])
-
 
 def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
                   seed: int = 0) -> PowerDataset:
@@ -232,9 +225,12 @@ class EhModel:
     def __post_init__(self):
         for name, shape in _EH_SHAPES:
             arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"bad field {name!r}: weights must be finite")
             setattr(self, name, arr)
-        if not (self.input_scale > 0 and self.power_scale > 0):
-            raise ValueError("scales must be positive")
+        for name in ("input_scale", "power_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"bad field {name!r}: scales must be finite and positive")
 
     @property
     def net(self) -> MlpParams:
@@ -285,16 +281,6 @@ class EhModel:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
-@dataclass
-class FitHyper:
-    epochs: int = 30000   # max L-BFGS-B iterations
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-
-
 def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     """Mean squared error of the zero-offset-corrected network on normalized
     data, and its gradient as one vector in :func:`pack` order: a new array
@@ -313,15 +299,16 @@ def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     return loss, grad
 
 
-def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
+def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
     """Fit the tanh network to a power dataset by L-BFGS-B on its flat
-    parameter vector, at scipy's default tolerances, from parameters drawn
-    uniformly from [-1, 1] at the seed.
+    parameter vector, for at most ``epochs`` iterations at scipy's default
+    tolerances, from parameters drawn uniformly from [-1, 1] at ``seed``.
 
     Inputs are normalized by the largest input power; targets are scaled into
     [0, 0.9] so the tanh head can reach them. Deterministic per seed.
     """
-    hyper = hyper or FitHyper()
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     pos = data.p_in[data.p_in > 0]
     if len(data) < 10 or pos.size == 0 or pos.max() / pos.min() < 10.0:
         raise ValueError("need >= 10 points spanning at least a decade of input power")
@@ -333,7 +320,7 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
     z = data.p_in / input_scale
     targets = data.p_out / power_scale
 
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(seed)
     w1, b1, w2, b2, w3, b3 = (rng.uniform(-1.0, 1.0, shape) for _, shape in _EH_SHAPES)
     net = MlpParams(weights=[w1, w2, w3], biases=[b1, b2, b3])
     theta = pack([net])
@@ -345,7 +332,7 @@ def fit_eh(data: PowerDataset, hyper: FitHyper | None = None) -> EhModel:
     from scipy.optimize import minimize
 
     res = minimize(loss_at, theta.copy(), jac=True, method="L-BFGS-B",
-                   options={"maxiter": hyper.epochs})
+                   options={"maxiter": epochs})
     if not np.isfinite(res.fun):
         raise FitDivergedError(res.nit)
     theta[:] = res.x

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import swiptkit as sk
+from swiptkit.channel import design_codewords, monte_carlo
 
 # property tests draw the same examples on every run, with no time limit;
 # HYPOTHESIS_PROFILE=randomized draws new ones, and the certification and
@@ -33,6 +34,15 @@ def two_workers():
     pool = ThreadPoolExecutor(2)
     yield pool
     pool.shutdown()
+
+
+def decision_ser(design, spec, trials, decide):
+    """SER of the decision rule ``decide`` (received rows (B, n) -> messages)
+    on a design's codewords: its errors summed over the channel's one Monte
+    Carlo pass, so the draws are those ``ser_mc`` decodes at the same spec."""
+    cw = design_codewords(design)
+    errors = lambda msg, w: np.count_nonzero(decide(cw.take(msg, axis=0) + w) != msg)
+    return monte_carlo(cw.shape, spec, trials, [errors])[0] / trials
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 import swiptkit as sk
 from swiptkit.codebook import decode_onoff_block_many
+from conftest import decision_ser
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -262,8 +263,7 @@ def test_criterion_13_onoff_block_decoding():
     cw = code.codewords
     noiseless_ok = decode_onoff_block_many(cw, code).tolist() == [0, 1, 2, 3]
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=5.0, seed=13)
-    res = sk.ser_mc(code, spec, 1_000_000,
-                    decoder=lambda y: decode_onoff_block_many(y, code))
-    ok = noiseless_ok and (np.count_nonzero(cw[0]) == 1) and (res.ser < 1e-3)
+    ser = decision_ser(code, spec, 1_000_000, lambda y: decode_onoff_block_many(y, code))
+    ok = noiseless_ok and (np.count_nonzero(cw[0]) == 1) and (ser < 1e-3)
     report(13, "On-Off block decoding", ok,
-           f"noiseless exact, ser={res.ser:.2e} at snr=50")
+           f"noiseless exact, ser={ser:.2e} at snr=50")

@@ -17,7 +17,7 @@ from swiptkit.autoencoder import (
 )
 from swiptkit._blas import _thread_functions
 from swiptkit.nn import flat, pack
-from conftest import PlateauHarvester
+from conftest import PlateauHarvester, decision_ser
 
 
 def small_system(kind="p2p", m_list=(4,), snrs=(50.0,), gains=None, lam=0.0,
@@ -254,7 +254,7 @@ def test_round_trip_ser_matches_channel_sim():
     ser_native = sk.evaluate_ser(st, trials, seed=21)[0]
     design = sk.extract_design(st)[0]
     spec = sk.ChannelSpec(snr=10.0, p_a_uw=1.0, seed=22)
-    ser_sim = sk.ser_mc(design, spec, trials, decoder=sk.make_decoder(st)).ser
+    ser_sim = decision_ser(design, spec, trials, lambda y: sk.make_decoder(st)(y)[:, 0])
     band = 3.0 * math.sqrt(2.0 * max(ser_native, ser_sim) / trials) + 1e-6
     assert abs(ser_native - ser_sim) <= band
 
@@ -279,13 +279,14 @@ def test_lambda_large_single_symbol_migrates():
 
 def test_evaluate_ser_p2p_is_the_channel_path(canon):
     # one sampler: a P2P system scores exactly as its extracted design under
-    # ser_mc with the system's decoder; its received codebook is that design
+    # the channel's pass with the system's decoder; its received codebook is
+    # that design
     st = small_system(m_list=(8,), snrs=(20.0,), pa=60.0, seed=4)
     ser = sk.evaluate_ser(st, 20_000, seed=31)
     design = sk.extract_design(st)[0]
     spec = sk.ChannelSpec(snr=20.0, p_a_uw=60.0, seed=31)
-    res = sk.ser_mc(design, spec, 20_000, decoder=sk.make_decoder(st))
-    assert ser.tolist() == [res.ser]
+    decide = sk.make_decoder(st)
+    assert ser.tolist() == [decision_ser(design, spec, 20_000, lambda y: decide(y)[:, 0])]
     (cw,) = sk.received_codebooks(st)
     assert sk.delivered_power(cw, spec, canon) == sk.delivered_power(design, spec, canon)
 
@@ -577,10 +578,14 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
     (cw,) = sk.received_codebooks(st)
 
     def stream_errors(s):
-        decide = sk.make_decoder(st, 0, s)
-        truth = lambda msg: np.unravel_index(msg, (4, 4))[s]
-        return monte_carlo(cw.shape, spec, trials,
-                           [lambda msg, w: np.count_nonzero(decide(cw[msg] + w) != truth(msg))])[0]
+        off, m_j, _ = st.topology.rx_segments(0)[s]
+
+        def errors(msg, w):   # one decoder pass for this stream alone
+            logits, _ = ae.mlp_forward(st.decoders[0], ae._to_real(cw[msg] + w))
+            est = np.argmax(logits[:, off:off + m_j], axis=1)
+            return np.count_nonzero(est != np.unravel_index(msg, (4, 4))[s])
+
+        return monte_carlo(cw.shape, spec, trials, [errors])[0]
 
     expected = [stream_errors(0) / trials, stream_errors(1) / trials]
     passes = []

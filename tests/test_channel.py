@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import warnings
 from functools import cache
 from pathlib import Path
@@ -79,6 +81,33 @@ def test_channel_spec_invariant():
             sk.ChannelSpec(snr=snr, p_a_uw=100.0)
         with pytest.raises(ValueError, match="too small"):
             sk.Topology(kind="p2p", m_list=[4], snrs=[snr], p_a_uw=100.0)
+
+
+def test_qfunc_matches_scipy_erfc():
+    from scipy.special import erfc
+
+    x = np.linspace(-10.0, 40.0, 5001)
+    ref = 0.5 * erfc(x / math.sqrt(2.0))
+    q = sk.qfunc(x)
+    assert isinstance(q, np.ndarray) and q.shape == x.shape
+    live = ref > 1e-300
+    assert np.all(np.abs(q[live] - ref[live]) <= 1e-13 * ref[live])
+    assert sk.qfunc(x.reshape(5001, 1)).shape == (5001, 1)
+    assert type(sk.qfunc(1.5)) is float and sk.qfunc(1.5) == sk.qfunc(np.array([1.5]))[0]
+    assert sk.qfunc(0.0) == 0.5
+
+
+def test_qfunc_loads_no_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from swiptkit.channel import qfunc\n"
+            "qfunc(2.0), qfunc(np.array([0.5, 3.0]))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ser_bpsk_matches_q_function():
@@ -426,7 +455,7 @@ def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers
     mac = sk.build_system(sk.Topology(kind="mac", m_list=[4, 4], snrs=[8.0], p_a_uw=60.0),
                           sk.TrainConfig(seed=3), hidden=(64,))
     (received,) = sk.received_codebooks(mac)
-    decide = sk.make_decoder(mac, 0, stream=None)
+    decide = sk.make_decoder(mac, 0)
 
     def ml_errors(cw):
         decide_ml = ml_decoder(cw)

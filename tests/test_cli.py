@@ -715,6 +715,66 @@ def test_sweep_learned_rejects_system_with_wrong_net_count(tmp_path, capsys, top
     assert not out.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+_RING = ["design", "--m", 4, "--pa", 5]
+_SYSTEM = ["train", "--m", 4, "--iters", 5]
+
+
+@pytest.mark.parametrize("argv, make, keys, value, field", [
+    (["simulate", "--design", "{file}", "--trials", 1000], _RING, ["points", 1, 0], NAN,
+     "points"),
+    (["simulate", "--design", "{file}", "--trials", 1000], _RING, ["points"],
+     [[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, -1e200]], "points"),
+    (["sweep", "--m", 4, "--pa", 100, "--trials", 1000, "--rho-grid", "0,1", "--eh", "{file}"],
+     None, ["w1", 0, 0], NAN, "'w1'"),
+    (["design", "--m", 4, "--pa", 100, "--rho", 0.5, "--eh", "{file}"], None, ["w1", 0, 0],
+     NAN, "'w1'"),
+    (["design", "--m", 4, "--pa", 100, "--rho", 0.5, "--eh", "{file}"], None,
+     ["power_scale"], INF, "'power_scale'"),
+    (["sweep", "--designer", "learned", "--systems", "{file}", "--trials", 1000], _SYSTEM,
+     ["decoders", 0, "biases", -1, 0], NAN, "'decoders'"),
+], ids=["simulate-nan-point", "simulate-power-overflows", "sweep-eh-nan-weight",
+        "design-eh-nan-weight", "design-eh-inf-scale", "sweep-learned-nan-weight"])
+def test_non_finite_input_file_is_usage_error(tmp_path, capsys, argv, make, keys, value, field):
+    # the input file is made by `make` (the fitted fixture when None), then one
+    # value in it is replaced
+    path = tmp_path / "in.json"
+    if make is None:
+        path.write_text(FIXTURE_EH.read_text())
+    else:
+        assert run(make + ["-o", path]) == 0
+    d = json.loads(path.read_text())
+    target = d
+    for k in keys[:-1]:
+        target = target[k]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(d))   # NaN and inf as JSON's NaN and Infinity literals
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = run([path if a == "{file}" else a for a in argv] + ["-o", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the size that asks for 74.5 GiB is never requested: the allocation fails here
+    import swiptkit.autoencoder as ae
+
+    def too_large(topo, tx):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(ae, "_encoder_input", too_large)
+    out = tmp_path / "s.json"
+    rc = run(["train", "--m", 4, "--iters", 1, "--batch", 1, "-o", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("train: Unable to allocate 74.5 GiB") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, message", [
     ("", "empty dataset file"),
     ("p_in_uw,p_out_uw\n", "dataset must be nonempty"),
@@ -882,12 +942,17 @@ def test_import_design_and_train_load_no_scipy(tmp_path, argv):
 
 
 def test_simulate_and_sweep_load_no_scipy(tmp_path):
-    # P_d's Bessel factor and the sigmoid's logistic are computed in the package
+    # P_d's Bessel factor and the sigmoid's logistic are computed in the package,
+    # and a fitted harvester is evaluated without SciPy
     assert run(["design", "--m", 4, "--pa", 100, "-o", tmp_path / "d.json"]) == 0
     sweep = ["sweep", "--m", 4, "--pa", 100, "--trials", 1000, "--rho-grid", "0,1",
              "--candidate-cap", 200, "-o", "sw.csv"]
     for argv in (["simulate", "--design", "d.json", "--snr", 20, "--trials", 1000,
-                  "--eh", FIXTURE_EH], sweep, sweep + ["--eh", FIXTURE_EH]):
+                  "--eh", FIXTURE_EH], sweep, sweep + ["--eh", FIXTURE_EH],
+                 ["design", "--m", 8, "--pa", 100, "--rho", 0.5, "--eh", FIXTURE_EH,
+                  "-o", "de.json"],
+                 ["train", "--m", 4, "--pa", 100, "--lam", 0.3, "--eh", FIXTURE_EH,
+                  "--batch", 16, "--iters", 5, "-o", "s.json"]):
         rc, modules = _fresh_scipy_modules(argv, tmp_path)
         assert rc == 0
         assert modules == set()

@@ -13,6 +13,7 @@ import swiptkit as sk
 from swiptkit import codebook
 from swiptkit.codebook import _greedy_pass, decode_onoff_block_many
 from swiptkit.constellation import write_json
+from conftest import decision_ser
 
 
 def test_build_m2_n1_example():
@@ -347,24 +348,23 @@ def _block_ser_oracle(code, sigma_sq):
     r = np.linspace(0.0, nu + 12.0 * math.sqrt(s2), 200001)
     pdf = (r / s2) * np.exp(-((r - nu) ** 2) / (2 * s2)) * i0e(r * nu / s2)
     p_correct = (1.0 - np.exp(-r ** 2 / sigma_sq)) ** (code.n - 1)
-    return 1.0 - np.trapezoid(pdf * p_correct, r)
+    g = pdf * p_correct
+    return 1.0 - float(np.sum((g[1:] + g[:-1]) * np.diff(r)) / 2.0)   # trapezoid rule
 
 
 def test_decode_mc_matches_order_statistics():
     code = sk.onoff_block_code(4, 5.0, sk.pon_approx(5.0), 4)
     spec = sk.ChannelSpec(snr=2.0, p_a_uw=5.0, seed=33)
     trials = 200_000
-    res = sk.ser_mc(code, spec, trials, decoder=lambda y: decode_onoff_block_many(y, code))
+    ser = decision_ser(code, spec, trials, lambda y: decode_onoff_block_many(y, code))
     oracle = _block_ser_oracle(code, spec.sigma_sq)
-    assert abs(res.ser - oracle) <= 3.0 * math.sqrt(oracle * (1 - oracle) / trials)
+    assert abs(ser - oracle) <= 3.0 * math.sqrt(oracle * (1 - oracle) / trials)
 
 
 def test_decode_low_noise_error_free():
     code = sk.onoff_block_code(4, 5.0, sk.pon_approx(5.0), 4)
     spec = sk.ChannelSpec(snr=50.0, p_a_uw=5.0, seed=34)
-    res = sk.ser_mc(code, spec, 100_000,
-                    decoder=lambda y: decode_onoff_block_many(y, code))
-    assert res.ser < 1e-3
+    assert decision_ser(code, spec, 100_000, lambda y: decode_onoff_block_many(y, code)) < 1e-3
 
 
 def test_codebook_json_with_converged_key_still_loads():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import swiptkit as sk
-from swiptkit.constellation import write_json
+from swiptkit.constellation import write_csv, write_json
 from swiptkit.harvester import eh_loss_and_grad
 from swiptkit.nn import MlpParams, pack
 
@@ -126,7 +126,8 @@ def test_synth_dataset_deterministic_and_nonneg():
 def test_dataset_csv_roundtrip(tmp_path):
     d = sk.synth_dataset(50, noise_rel=0.1, seed=3)
     path = tmp_path / "data.csv"
-    d.to_csv(path)
+    write_csv(path, ["p_in_uw", "p_out_uw"],
+              ([repr(float(a)), repr(float(b))] for a, b in zip(d.p_in, d.p_out)))
     back = sk.PowerDataset.from_csv(path)
     assert np.array_equal(back.p_in, d.p_in)
     assert np.array_equal(back.p_out, d.p_out)
@@ -180,15 +181,14 @@ def test_fit_tracks_true_curve_under_noise(canon):
 def test_fit_constant_dataset():
     p = np.linspace(100.0, 1000.0, 60)
     d = sk.PowerDataset(p_in=p, p_out=np.full(60, 5.0))
-    m = sk.fit_eh(d, sk.FitHyper(epochs=20000, seed=1))
+    m = sk.fit_eh(d, epochs=20000, seed=1)
     vals = np.asarray(m.evaluate(p))
     assert np.all(np.abs(vals - 5.0) < 0.5)
 
 
 def test_fit_deterministic():
     d = sk.synth_dataset(200, seed=7)
-    h = sk.FitHyper(epochs=400, seed=9)
-    a, b = sk.fit_eh(d, h), sk.fit_eh(d, h)
+    a, b = sk.fit_eh(d, epochs=400, seed=9), sk.fit_eh(d, epochs=400, seed=9)
     assert a.to_json() == b.to_json()
 
 
@@ -207,7 +207,7 @@ def test_fit_divergence_reports_epoch(monkeypatch):
 
     monkeypatch.setattr(hv, "eh_loss_and_grad", bad_loss)
     with pytest.raises(sk.FitDivergedError) as err:
-        hv.fit_eh(sk.synth_dataset(50), sk.FitHyper(epochs=10))
+        hv.fit_eh(sk.synth_dataset(50), epochs=10)
     assert err.value.epoch == 0
 
 

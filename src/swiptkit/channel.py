@@ -14,7 +14,9 @@ Draws are per chunk of trials, on the calling thread; statistics of the
 messages and the noise are evaluated per fixed row block, mapped over a
 process-wide thread pool with one worker per CPU and run on one OpenBLAS
 thread, and block results are summed in block order, so every count is the
-same whatever the number of workers.
+same whatever the number of workers. Decoders decide a block in
+:func:`row_slices` slices of :func:`slice_rows` rows, so peak memory is
+one chunk's draws plus one slice of decoder state per worker, at any M.
 
 The minimum-distance error count certifies rows from the noise alone: a
 row whose noise w has |w| below (1 - 1e-6)·Δ_m/2, where Δ_m is the distance
@@ -51,6 +53,9 @@ from .constellation import _DIST_BLOCK, Codebook, write_csv
 
 _CHUNK = 100_000   # trials per draw: one seed child each
 _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
+_SLICE = 65_536    # decoder values per row slice: a cache size, not a setting
+_SLICE_STEP = 24   # slice rows: a multiple of the BLAS's row panels
+_SLICE_FLOOR = 2_048   # least outputs per product of a slice: no small-matrix kernel
 _MARGIN = 1e-6     # s: rows within (1 - s)·Δ_m/2 of c_m skip the decode
 _R2_LO, _R2_HI = 2.0 ** -900, 2.0 ** 1020   # certify only if max |c_j|² is in between
 
@@ -168,7 +173,8 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
     therefore be additive over rows and safe to call from several threads at
     once; it may return a number or an array. Block results are summed in
     block order, so integer counts do not depend on the worker count. Peak
-    memory is one chunk's draws plus one block of decoder state per worker.
+    memory is one chunk's draws plus one :func:`row_slices` slice of decoder
+    state per worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -192,16 +198,53 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
     return totals
 
 
+def slice_rows(widths) -> int:
+    """Rows per decoder slice for products with ``widths`` outputs per row:
+    the largest multiple of ``_SLICE_STEP`` that holds at most ``_SLICE``
+    values of the widest product, but at least one step and at least
+    ``_SLICE_FLOOR`` values of the narrowest.
+
+    So a decoder holds one slice at a time, and every slice's products keep
+    the bits of one product over all the rows, as do its decisions:
+    OpenBLAS's dgemm walks rows in panels (12 rows on AVX-512, 24 by the
+    AVX2 kernels' unroll), so slices start where the whole product's panels
+    do, and a product of few outputs (about 1,200 on OpenBLAS 0.3.31) may go
+    to a small-matrix kernel whose sums round differently. The ``slice``
+    properties of the tests check this on the host's BLAS."""
+    return _SLICE_STEP * max(1, _SLICE // (_SLICE_STEP * max(widths)),
+                             -(-_SLICE_FLOOR // (_SLICE_STEP * min(widths))))
+
+
+def row_slices(rows: int, s: int) -> list[slice]:
+    """Consecutive slices of ``s`` rows that cover rows 0..``rows`` once, in
+    order, the remainder joining the last slice: no slice is shorter than
+    min(``rows``, s), so none is a lone row of a longer input (NumPy
+    multiplies one row by gemv, whose sums may round differently from
+    gemm's), and there is always one (empty at 0)."""
+    if rows < 2 * s:
+        return [slice(0, rows)]
+    k = rows // s
+    return [slice(i * s, (i + 1) * s) for i in range(k - 1)] + [slice((k - 1) * s, rows)]
+
+
 def ml_decoder(cw: np.ndarray):
-    """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c> in (B, M) memory."""
+    """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c>, per
+    :func:`row_slices` slice of :func:`slice_rows` ([M]) rows: (slice, M)
+    distances at a time, so memory stays bounded at any M."""
     c = np.hstack([cw.real, cw.imag])
     c_sq = np.sum(c * c, axis=1)
     c_m2 = -2.0 * c.T   # scaling by a power of two is exact: d is as if scaled after
+    s = slice_rows([len(c)])
 
-    def decide(y: np.ndarray) -> np.ndarray:
+    def decide_rows(y: np.ndarray) -> np.ndarray:
         d = np.hstack([y.real, y.imag]) @ c_m2
         d += c_sq
         return np.argmin(d, axis=1)
+
+    def decide(y: np.ndarray) -> np.ndarray:
+        if len(y) < 2 * s:   # row_slices gives one slice: no copy, no list
+            return decide_rows(y)
+        return np.concatenate([decide_rows(y[sl]) for sl in row_slices(len(y), s)])
 
     return decide
 

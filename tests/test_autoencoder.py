@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swiptkit as sk
 from swiptkit.autoencoder import (
@@ -566,11 +568,11 @@ def test_value_and_derivative_is_evaluate_and_derivative(canonical_fit):
 
 
 def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
-    # a MAC receiver decodes both streams from one logits pass per decode
-    # block, not one per stream; the error counts are those of one decoder per
-    # stream on the same draws
+    # a MAC receiver decodes both streams from one logits pass per row slice
+    # of a decode block, not one per stream; the error counts are those of one
+    # decoder per stream on the same draws
     import swiptkit.autoencoder as ae
-    from swiptkit.channel import _BLOCK, _CHUNK, monte_carlo
+    from swiptkit.channel import _BLOCK, _CHUNK, monte_carlo, row_slices, slice_rows
 
     st = small_system(kind="mac", m_list=(4, 4), snrs=(5.0,), pa=60.0, seed=6, hidden=(16,))
     trials = _CHUNK + 5000   # two chunks
@@ -601,4 +603,62 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
     assert ser.tolist() == expected
     # blocks run on the decode pool's threads, so passes arrive in any order
     blocks = [min(_BLOCK, size - lo) for size in (_CHUNK, 5000) for lo in range(0, size, _BLOCK)]
-    assert sorted(passes) == sorted(blocks)
+    s = slice_rows([len(w) for w in st.decoders[0].weights])
+    slices = [sl.stop - sl.start for rows in blocks for sl in row_slices(rows, s)]
+    assert sorted(passes) == sorted(slices)
+    assert sum(passes) == trials   # both streams come from the one pass
+
+
+@settings(max_examples=max(20, settings.default.max_examples // 10))
+@given(st.sampled_from([("p2p", (16,)), ("p2p", (2,)), ("p2p", (300,)), ("mac", (4, 4)),
+                        ("mac", (2, 8))]),
+       st.sampled_from([1, 3]), st.sampled_from([(64, 64), (6,), (3000,), (700, 64)]),
+       st.integers(0, 2**16))
+def test_make_decoder_in_row_slices_decides_as_one_pass(link, n, hidden, seed):
+    # P2P and MAC receivers, n in {1, 3}, and nets whose widest layer makes
+    # s small (24 to 264 rows at 300, 700 or 3,000 units) next to narrow
+    # outputs: the logits of every slice, and so every decision, are those of
+    # one forward pass over all the rows
+    import swiptkit.autoencoder as ae
+    from swiptkit.channel import _BLOCK, one_blas_thread, row_slices, slice_rows
+
+    kind, m_list = link
+    st_ = small_system(kind=kind, m_list=m_list, snrs=(10.0,), n=n, seed=seed % 97, hidden=hidden)
+    net = st_.decoders[0]
+    widths = [len(w) for w in net.weights]
+    s = slice_rows(widths)
+    decide = sk.make_decoder(st_, 0)
+    (cw,) = sk.received_codebooks(st_)
+    rng = np.random.default_rng(seed)
+    for rows in sorted({1, 2, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, _BLOCK}):
+        if rows * max(widths) > 1 << 22:
+            continue   # the one-pass reference of 12,500 rows by 3,000 units is 300 MB
+        y = cw[rng.integers(0, len(cw), rows)] + rng.normal(size=(rows, n, 2)) @ np.array([1.0, 1j])
+        x = ae._to_real(y)
+        with one_blas_thread():   # as the decode pool runs
+            logits, _ = ae.mlp_forward(net, x)
+            sliced = np.concatenate([ae.mlp_forward(net, x[sl])[0]
+                                     for sl in row_slices(rows, s)])
+            assert sliced.tobytes() == logits.tobytes()
+            expected = np.stack([np.argmax(logits[:, off:off + m_j], axis=1)
+                                 for off, m_j, _ in st_.topology.rx_segments(0)], axis=1)
+            assert decide(y).tolist() == expected.tolist()
+
+
+def test_make_decoder_memory_is_bounded_at_a_wide_layer():
+    import tracemalloc
+
+    st_ = small_system(m_list=(20_000,), snrs=(10.0,), seed=2, hidden=(64,))
+    assert st_.decoders[0].weights[-1].shape == (20_000, 64)
+    rng = np.random.default_rng(2)
+    y = rng.normal(size=(4000, 1)) + 1j * rng.normal(size=(4000, 1))
+    decide = sk.make_decoder(st_, 0)
+    tracemalloc.start()
+    try:
+        out = decide(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4000, 1)
+    # the (4000, 20000) logits of one pass are 640 MB; a slice of 48-95 rows is 8-15 MB
+    assert peak < 64e6

@@ -552,8 +552,9 @@ def test_ser_mc_memory_is_blocks_not_a_chunk_of_distances(monkeypatch, two_worke
     finally:
         tracemalloc.stop()
     # decoding a whole chunk needs its (100000, 64) float distances, 51 MB
-    # alone; blocked, the peak (about 21 MB) is one chunk's draws, about 15 MB
-    # while the noise is drawn, plus one (12500, 64) block, 6.4 MB, per worker
+    # alone; blocked, the peak is one chunk's draws, about 15 MB while the
+    # noise is drawn, plus one block's rows and one (1008-2015, 64) slice of
+    # distances, at most 1 MB, per worker
     assert peak < 32e6
 
 
@@ -857,3 +858,93 @@ def test_ser_mc_lies_in_the_closed_form_bracket(design, x, seed):
         # the ML lower bound; the system sends the same codewords at P_a = 100
         ser = float(sk.evaluate_ser(system, 50_000, seed=seed, snr=spec.snr, p_a_uw=100.0)[0])
         assert ser >= lower - channel.binomial_ci(ser, 50_000)
+
+
+# --- decoders decide in row slices ------------------------------------------
+
+@settings(max_examples=max(200, _PROFILE_EXAMPLES))
+@given(st.lists(st.one_of(st.integers(1, 64), st.integers(1, 300_000)), min_size=1, max_size=4))
+def test_slice_rows_fit_the_widest_product_and_fill_the_narrowest(widths):
+    s = channel.slice_rows(widths)
+    step = channel._SLICE_STEP
+    assert s % step == 0 and s >= step
+    # the largest multiple of the step within _SLICE values of the widest,
+    # unless one step or _SLICE_FLOOR values of the narrowest need more
+    fits = s * max(widths) <= channel._SLICE
+    assert not fits or (s + step) * max(widths) > channel._SLICE
+    assert s * min(widths) >= channel._SLICE_FLOOR
+    assert fits or s == step or (s - step) * min(widths) < channel._SLICE_FLOOR
+
+
+def _edge_row_counts(s: int) -> list[int]:
+    """Row counts at every edge of the slicing rule, and one decode block."""
+    return sorted({1, 2, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, channel._BLOCK})
+
+
+@settings(max_examples=max(200, _PROFILE_EXAMPLES))
+@given(st.lists(st.one_of(st.integers(1, 64), st.integers(1, 300_000)), min_size=1, max_size=4),
+       st.data())
+def test_row_slices_cover_every_row_once_in_order(widths, data):
+    s = channel.slice_rows(widths)
+    rows = data.draw(st.one_of(st.sampled_from([0, *_edge_row_counts(s)]),
+                               st.integers(0, 50_000)))
+    parts = channel.row_slices(rows, s)
+    index = np.arange(rows)
+    covered = np.concatenate([index[sl] for sl in parts])
+    assert covered.tolist() == list(range(rows))
+    assert parts[0].start == 0 and parts[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+    sizes = [sl.stop - sl.start for sl in parts]
+    assert min(sizes) >= min(rows, s)   # never a short slice, so never a lone row
+    assert max(sizes) < 2 * s   # so a slice holds under 2·s rows of the widest product
+    assert all(sl.start % channel._SLICE_STEP == 0 for sl in parts)
+
+
+def _bisector_rows(cw: np.ndarray, rows: int, seed: int) -> np.ndarray:
+    """Received rows, every other one within 1e-9 of the bisector of two
+    codewords, where a rounding difference would change the decision."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, len(cw), (2, rows))
+    scale = np.where(np.arange(rows) % 2 == 0, 1e-9, 1.0)[:, None]
+    noise = rng.normal(size=(rows, cw.shape[1], 2)) @ np.array([1.0, 1j])
+    return 0.5 * (cw[a] + cw[b]) + scale * noise
+
+
+@settings(max_examples=max(30, _PROFILE_EXAMPLES // 10))
+@given(st.sampled_from([1, 3, 16, 32]),
+       st.one_of(st.sampled_from([4, 16, 64, 276, 300, 700, 4096]), st.integers(4, 4096)),
+       st.integers(0, 2**16))
+def test_ml_decoder_in_row_slices_decides_as_one_product(n, m, seed):
+    # K = 2n in {2, 6, 32, 64} and M from 4 to 4,096 (276, 300 and 700 put
+    # rows 4 mod 12 at a slice start): the decisions of every slice equal
+    # those of one product over all the rows
+    rng = np.random.default_rng(seed)
+    cw = rng.normal(size=(m, n, 2)) @ np.array([1.0, 1j])
+    c = np.hstack([cw.real, cw.imag])
+    decide = ml_decoder(cw)
+    for rows in _edge_row_counts(channel.slice_rows([m])):
+        if rows * m > 1 << 22:
+            continue   # the one-product reference of 12,500 rows by M > 335 is over 32 MB
+        y = _bisector_rows(cw, rows, seed + rows)
+        with channel.one_blas_thread():   # as the decode pool runs
+            d = np.hstack([y.real, y.imag]) @ (-2.0 * c.T)
+            d += np.sum(c * c, axis=1)
+            assert decide(y).tolist() == np.argmin(d, axis=1).tolist()
+
+
+def test_ml_decoder_memory_is_bounded_at_large_m():
+    import tracemalloc
+
+    m = 100_000
+    rng = np.random.default_rng(6)
+    cw = rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1))
+    y = cw[rng.integers(0, m, channel._BLOCK)] + 0.01 * rng.normal(size=(channel._BLOCK, 1))
+    decide = ml_decoder(cw)
+    tracemalloc.start()
+    try:
+        decide(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (12500, 100000) distance matrix is 10 GB; a slice of 24-47 rows is 19-38 MB
+    assert peak < 64e6

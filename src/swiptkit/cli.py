@@ -295,6 +295,10 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_CAP_HELP = ("codeword candidates the greedy search draws from; it holds about "
+             "8*3n bytes per candidate, 72 MB at n = 3 and the default (%(default)s)")
+
+
 def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; ``ini`` maps a subcommand to values (INI strings)
     that replace the defaults its options declare. Its ``ini_keys`` maps a
@@ -326,8 +330,7 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     de.add_argument("--eh", default="", help="fitted harvester JSON for p_on*")
     de.add_argument("--seed", type=int, default=0)
     de.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000,
-                    help="codeword candidates the greedy search draws from "
-                         "(default %(default)s)")
+                    help=_CAP_HELP)
     de.set_defaults(func=cmd_design)
 
     tr = sub.add_parser("train", help="end-to-end autoencoder training")
@@ -367,7 +370,8 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     sw.add_argument("--eh", default="")
     sw.add_argument("--systems", default="",
                     help="trained-system JSONs, comma separated (learned mode)")
-    sw.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000)
+    sw.add_argument("--candidate-cap", dest="candidate_cap", type=int, default=1_000_000,
+                    help=_CAP_HELP)
     sw.set_defaults(func=cmd_sweep)
 
     si = sub.add_parser("simulate", help="evaluate one design file")

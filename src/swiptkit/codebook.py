@@ -31,32 +31,86 @@ swipt_codebook = swipt_transform
 @dataclass
 class GreedyConfig:
     """Knobs for the greedy search: the candidate count it draws from and the
-    seed of that draw."""
+    seed of that draw. The search holds about 8*3n bytes per candidate (its
+    symbol indices and their complex points), so the default cap of 1M holds
+    about 72 MB at n = 3."""
 
     candidate_cap: int = 1_000_000
     seed: int = 0
 
 
+_PACK_ROWS = 32_768   # drawn rows keyed per slice: a cache size, not a setting
+
+
+def _permutations(mn: int, n: int) -> np.ndarray:
+    """Every ordered n-permutation of range(mn) as int64 rows, in the
+    lexicographic order of ``itertools.permutations(range(mn), n)``.
+
+    Filled in place a column at a time: column k of the rows that share a
+    k-symbol prefix runs through the symbols that prefix does not use, in
+    increasing order. Besides the result, a column holds a mask byte per
+    prefix and symbol and an int64 per prefix and free symbol, so memory
+    stays within about (1 + 1/n) times the result.
+    """
+    rows = np.empty((math.perm(mn, n), n), dtype=np.int64)
+    for k in range(n):
+        prefixes = math.perm(mn, k)
+        grid = rows.reshape(prefixes, mn - k, -1, n)
+        free = np.ones((prefixes, mn), dtype=bool)
+        free[np.arange(prefixes)[:, None], grid[:, 0, 0, :k]] = False
+        grid[:, :, :, k] = np.broadcast_to(np.arange(mn), free.shape)[free].reshape(
+            prefixes, mn - k, 1)
+    return rows
+
+
 def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
     """``count`` distinct ordered n-permutations of range(mn), seeded, in the
-    order they were first drawn (a uniform sample, not the smallest rows)."""
-    packed_seen = np.empty(0, dtype=np.int64)
-    rows = []
-    weights = mn ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    while sum(len(r) for r in rows) < count:
+    order they were first drawn (a uniform sample, not the smallest rows).
+
+    Each round draws 2*count rows in one call and keeps one key per row whose
+    symbols are distinct: the row packed in base mn when mn**n fits in int64,
+    else the row itself as a record compared field by field, so distinct
+    rows never share a key. The draw is then freed. One stable argsort of the
+    keys found so far and the new ones marks the first row of each run of
+    equal keys; the first ``count`` of those, in draw order, are the
+    candidates. So a round holds the draw (16n bytes per candidate) and then
+    a few arrays of one key per drawn row, and the result holds 8n bytes per
+    candidate.
+    """
+    packed = mn ** n <= 2 ** 63
+    key_type = np.dtype(np.int64) if packed else np.dtype([("", np.int64)] * n)
+    weights = mn ** np.arange(n - 1, -1, -1, dtype=np.int64) if packed else None
+    seen = np.empty(0, dtype=key_type)
+    while len(seen) < count:
         batch = rng.integers(0, mn, size=(2 * count, n), dtype=np.int64)
-        distinct = np.ones(len(batch), dtype=bool)
-        for a in range(n):
-            for b in range(a + 1, n):
-                distinct &= batch[:, a] != batch[:, b]
-        batch = batch[distinct]
-        packed = batch @ weights
-        packed, first = np.unique(packed, return_index=True)
-        keep = ~np.isin(packed, packed_seen)
-        batch = batch[np.sort(first[keep])]
-        packed_seen = np.concatenate([packed_seen, packed[keep]])
-        rows.append(batch)
-    return np.concatenate(rows)[:count]
+        keys = np.empty(len(seen) + len(batch), dtype=key_type)
+        keys[:len(seen)] = seen
+        end = len(seen)
+        for lo in range(0, len(batch), _PACK_ROWS):
+            part = batch[lo:lo + _PACK_ROWS]
+            distinct = np.ones(len(part), dtype=bool)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    distinct &= part[:, a] != part[:, b]
+            part = part[distinct]
+            keys[end:end + len(part)] = part @ weights if packed else part.view(key_type)[:, 0]
+            end += len(part)
+        del batch, part
+        keys = keys[:end]
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(end, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        del ranked
+        # the seen keys come first and are distinct, so they are the first
+        # len(seen) first occurrences
+        seen = keys[np.sort(order[first])[:count]]
+    if not packed:
+        return seen.view(np.int64).reshape(count, n)
+    rows = np.empty((count, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        seen, rows[:, j] = np.divmod(seen, mn)
+    return rows
 
 
 _CHUNK_ROWS = 8192   # distance rows per chunk: a cache size, not a setting
@@ -120,7 +174,8 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     the layout itself (the search would pick all M candidates).
 
     Candidates are the n-permutations of the Mn base points (exhaustive when
-    they fit under ``candidate_cap``, else seeded random distinct samples).
+    they fit under ``candidate_cap``, else seeded random distinct samples),
+    held with their points through every pass: about 8*3n bytes each.
     The distance threshold is bisected down to epsilon = 0.05*t^2 inside
     [lo, hi] = [t^2/2, 2*M*E_max/(M - 1)], with E_max = n*max|base point|^2:
     layout points lie at least t apart, so distinct candidates differ by at
@@ -150,7 +205,7 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
         raise ValueError("candidate_cap must be >= M")
 
     if math.perm(mn, n) <= cfg.candidate_cap:
-        cand_idx = np.array(list(itertools.permutations(range(mn), n)), dtype=np.int64)
+        cand_idx = _permutations(mn, n)
     else:
         cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
     # each candidate's symbols as interleaved re/im (a fresh C-contiguous array)

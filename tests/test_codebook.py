@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0e
 
@@ -61,6 +62,154 @@ def test_sampled_candidates_keep_the_draw_order():
         assert a[:, 0].max() == 191
         assert len(np.unique(a, axis=0)) == len(a)
         assert np.all((a[:, 0] != a[:, 1]) & (a[:, 0] != a[:, 2]) & (a[:, 1] != a[:, 2]))
+
+
+def _sample_permutations_reference(mn, n, count, rng):
+    """The sampler before its keys were built slice by slice: np.unique over
+    each whole batch, np.isin against the keys seen so far. Its int64 packing
+    wraps once mn**n exceeds 2**63, so it is the reference only below that."""
+    packed_seen = np.empty(0, dtype=np.int64)
+    rows = []
+    weights = mn ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    while sum(len(r) for r in rows) < count:
+        batch = rng.integers(0, mn, size=(2 * count, n), dtype=np.int64)
+        distinct = np.ones(len(batch), dtype=bool)
+        for a in range(n):
+            for b in range(a + 1, n):
+                distinct &= batch[:, a] != batch[:, b]
+        batch = batch[distinct]
+        packed = batch @ weights
+        packed, first = np.unique(packed, return_index=True)
+        keep = ~np.isin(packed, packed_seen)
+        batch = batch[np.sort(first[keep])]
+        packed_seen = np.concatenate([packed_seen, packed[keep]])
+        rows.append(batch)
+    return np.concatenate(rows)[:count]
+
+
+def _first_draws_reference(mn, n, count, rng):
+    """The same draws kept row by row in a set of tuples: exact at any mn**n."""
+    seen, rows = set(), []
+    while len(rows) < count:
+        for row in map(tuple, rng.integers(0, mn, size=(2 * count, n), dtype=np.int64).tolist()):
+            if len(set(row)) == n and row not in seen:
+                seen.add(row)
+                rows.append(row)
+    return np.array(rows[:count], dtype=np.int64).reshape(count, n)
+
+
+class _CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mn, n, count, draws", [
+    (192, 3, 200_000, 1), (12, 3, 1000, 2), (6, 2, 30, 2), (6, 3, 120, 7), (8, 4, 1500, 4),
+    (100, 5, 5000, 1)])
+def test_sampler_matches_reference(mn, n, count, draws):
+    for seed in range(3):
+        rng = _CountingRng(seed)
+        got = codebook._sample_permutations(mn, n, count, rng)
+        assert np.array_equal(got, _sample_permutations_reference(
+            mn, n, count, np.random.default_rng(seed)))
+        # at least this many rounds, so the keys seen in earlier rounds are tested
+        assert rng.draws >= draws
+        # exactly count rows, holding no more memory than they show
+        owner = got if got.base is None else got.base
+        assert got.shape == (count, n) and owner.nbytes == got.nbytes
+
+
+@st.composite
+def sampler_cases(draw):
+    """Shapes on both sides of mn**n = 2**63, and counts up to every permutation
+    of small mn; mn >= 2n past n = 4, so a row's symbols are distinct often."""
+    n = draw(st.integers(1, 12))
+    low = n if n <= 4 else 2 * n
+    mn = draw(st.one_of(st.integers(low, low + 4), st.integers(low, 800)))
+    count = draw(st.integers(1, min(math.perm(mn, n), 300)))
+    return mn, n, count, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=max(100, settings.default.max_examples))
+@given(sampler_cases())
+def test_sampler_property_equals_first_draws(case):
+    mn, n, count, seed = case
+    got = codebook._sample_permutations(mn, n, count, np.random.default_rng(seed))
+    assert np.array_equal(got, _first_draws_reference(mn, n, count, np.random.default_rng(seed)))
+    if mn ** n <= 2 ** 63:
+        assert np.array_equal(got, _sample_permutations_reference(
+            mn, n, count, np.random.default_rng(seed)))
+
+
+class _RowsRng:
+    """Hands out fixed rows once; a second draw means rows were merged."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def integers(self, low, high, size, dtype):
+        rows, self.rows = self.rows, None
+        if rows is None:
+            raise AssertionError("drew twice: distinct rows were taken for one")
+        return rows[:size[0]]
+
+
+def test_sampler_keys_rows_exactly_past_int64():
+    # 704**11 is 0 modulo 2**64, so int64 weights drop the first symbol
+    rows = np.tile(np.arange(1, 13, dtype=np.int64), (4, 1))
+    rows[:, 0] = [0, 20, 40, 20]
+    got = codebook._sample_permutations(704, 12, 3, _RowsRng(rows))
+    assert np.array_equal(got, rows[:3])
+
+
+def test_sampler_memory_is_bounded():
+    # the draw is 9.6 MB and the result 4.8 MB; a unique over the whole batch
+    # with its copies peaks at 29 MB
+    tracemalloc.start()
+    try:
+        codebook._sample_permutations(192, 3, 200_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_sampled_search_memory_is_bounded():
+    # the greedy passes hold 14.4 MB of candidates and set the peak; a sampler
+    # holding six batch copies, or every unique row it drew, peaks higher
+    tracemalloc.start()
+    try:
+        sk.build_info_codebook(64, 3, 100.0, sk.GreedyConfig(seed=0, candidate_cap=200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27e6
+
+
+@pytest.mark.parametrize("mn", range(1, 8))
+def test_permutations_match_itertools(mn):
+    for n in range(1, mn + 1):
+        want = np.array(list(itertools.permutations(range(mn), n)), dtype=np.int64)
+        got = codebook._permutations(mn, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want.reshape(-1, n))
+
+
+@pytest.mark.parametrize("mn, n", [(96, 3), (9, 9)])
+def test_permutations_memory_is_about_the_result(mn, n):
+    tracemalloc.start()
+    try:
+        rows = codebook._permutations(mn, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (math.perm(mn, n), n)
+    assert peak < 1.5 * rows.nbytes
 
 
 def test_build_rejects_small_candidate_cap():

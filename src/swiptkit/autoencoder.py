@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import ChannelSpec, awgn, monte_carlo, row_slices, slice_rows
+from .channel import ChannelSpec, awgn, monte_carlo, sliced
 from .constellation import Codebook, json_field, write_csv
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
@@ -462,25 +462,20 @@ def extract_design(sys: AeSystem) -> list[Codebook]:
 def make_decoder(sys: AeSystem, receiver: int = 0):
     """Max-softmax decision function: complex samples (B, n) -> a
     (B, segments) array holding every stream the receiver decodes, in
-    :meth:`Topology.rx_segments` order, from one decoder pass per
-    :func:`~swiptkit.channel.row_slices` slice, sized by
-    :func:`~swiptkit.channel.slice_rows` from the outputs of the net's
-    layers, so its activations are never held for all B rows at once.
+    :meth:`Topology.rx_segments` order, from one decoder pass per slice of
+    :func:`~swiptkit.channel.sliced` by the outputs of the net's layers, so
+    its activations are never held for all B rows at once.
     """
     net = sys.decoders[receiver]
     segs = [(off, m_j) for off, m_j, _ in sys.topology.rx_segments(receiver)]
-    s = slice_rows([len(w) for w in net.weights])   # from the outputs of each layer
 
     def decide_rows(x: np.ndarray) -> np.ndarray:
         logits, _ = mlp_forward(net, x)
         return np.stack([np.argmax(logits[:, off:off + m_j], axis=1) for off, m_j in segs],
                         axis=1)
 
-    def decide(y: np.ndarray) -> np.ndarray:
-        x = _to_real(np.atleast_2d(y))
-        return np.concatenate([decide_rows(x[sl]) for sl in row_slices(len(x), s)])
-
-    return decide
+    decide = sliced(decide_rows, [len(w) for w in net.weights])
+    return lambda y: decide(_to_real(np.atleast_2d(y)))
 
 
 def received_codebooks(sys: AeSystem) -> list[np.ndarray]:

@@ -11,12 +11,14 @@ them by minimum distance (ML under AWGN); learned decoders are scored by
 from it (common random numbers), so each row equals ``ser_mc`` of its
 design at the same seed.
 Draws are per chunk of trials, on the calling thread; statistics of the
-messages and the noise are evaluated per fixed row block, mapped over a
+messages and the noise are evaluated per row block, mapped over a
 process-wide thread pool with one worker per CPU and run on one OpenBLAS
 thread, and block results are summed in block order, so every count is the
-same whatever the number of workers. Decoders decide a block in
-:func:`row_slices` slices of :func:`slice_rows` rows, so peak memory is
-one chunk's draws plus one slice of decoder state per worker, at any M.
+same whatever the number of workers. One rule cuts every row loop:
+:func:`row_slices`, whose remainder joins the last part. It cuts a chunk
+into blocks of ``_BLOCK`` rows, and :func:`sliced` cuts a decoder's block
+into slices of :func:`slice_rows` rows, so peak memory is one chunk's
+draws plus one slice of decoder state per worker, at any M.
 
 The minimum-distance error count certifies rows from the noise alone: a
 row whose noise w has |w| below (1 - 1e-6)·Δ_m/2, where Δ_m is the distance
@@ -32,7 +34,8 @@ block.
 Delivered power is an expectation over a known density: per symbol, |c + w|
 is Rician, and P_d is computed by quadrature, independent of any trial count.
 Its Bessel factor is :func:`_i0e`, Cephes' kernel written out here, so no
-command that reports P_d imports SciPy.
+command that reports P_d imports SciPy; it works on the quadrature's block
+of ``_PD_BLOCK`` amplitudes and has no blocks of its own.
 
 SNR convention: snr = P_a / sigma^2 where sigma^2 is the total variance of
 the complex noise per symbol (so "SNR = 50" is 16.98 dB).
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .constellation import _DIST_BLOCK, Codebook, write_csv
+from .constellation import _DIST_BLOCK, Codebook, check_pa, write_csv
 
 _CHUNK = 100_000   # trials per draw: one seed child each
 _BLOCK = 12_500    # decoded rows per block: a cache size, not a setting
@@ -79,8 +82,7 @@ class ChannelSpec:
     def __post_init__(self):
         if not self.snr > 0:
             raise ValueError("snr must be positive")
-        if not 0 < self.p_a_uw < math.inf:
-            raise ValueError("P_a must be finite and positive")
+        check_pa(self.p_a_uw)
         if not math.isfinite(float(self.p_a_uw) / float(self.snr)):
             raise ValueError(f"snr {self.snr!r} is too small: the noise variance "
                              "P_a/snr overflows")
@@ -126,18 +128,14 @@ def design_codewords(design) -> np.ndarray:
     return cw.reshape(-1, 1) if cw.ndim == 1 else cw
 
 
-def _chunk_rngs(seed: int, trials: int):
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, trials - i * _CHUNK) for i in range(n_chunks)]
-    return [(np.random.default_rng(c), s) for c, s in zip(children, sizes)]
-
-
 def sample_channel(m: int, n: int, spec: ChannelSpec, trials: int):
-    """The one draw of messages and noise: per chunk, uniform indices into
-    M = ``m`` codewords and AWGN samples (size, ``n``). The received samples
-    of a codeword matrix ``cw`` are ``cw[msg] + w``."""
-    for rng, size in _chunk_rngs(spec.seed, trials):
+    """The one draw of messages and noise: per chunk of ``_CHUNK`` trials,
+    each from its own child of ``spec.seed``, uniform indices into M = ``m``
+    codewords and AWGN samples (size, ``n``). The received samples of a
+    codeword matrix ``cw`` are ``cw[msg] + w``."""
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(-(-trials // _CHUNK))):
+        rng = np.random.default_rng(child)
+        size = min(_CHUNK, trials - i * _CHUNK)
         msg = rng.integers(0, m, size)
         yield msg, awgn(np.zeros((size, n)), spec, rng)
 
@@ -166,15 +164,16 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
     ``cw.take(msg, axis=0) + w``, so a statistic may score several designs.
 
     Each chunk is drawn once on the calling thread, then every statistic is
-    evaluated per block of ``_BLOCK`` rows on the decode pool, all on one
-    OpenBLAS thread (the caller's count is put back after). A chunk's one-row
-    tail is part of the block before it: NumPy decodes a lone row by gemv,
-    whose sums may round differently from a block's gemm. A statistic must
-    therefore be additive over rows and safe to call from several threads at
-    once; it may return a number or an array. Block results are summed in
-    block order, so integer counts do not depend on the worker count. Peak
-    memory is one chunk's draws plus one :func:`row_slices` slice of decoder
-    state per worker.
+    evaluated per :func:`row_slices` block of ``_BLOCK`` rows on the decode
+    pool, all on one OpenBLAS thread (the caller's count is put back after).
+    As with the decoders' slices, a chunk's remainder joins its last block,
+    so no block is a lone row of a longer chunk: NumPy decodes a lone row by
+    gemv, whose sums may round differently from a block's gemm. A statistic
+    must therefore be additive over rows and safe to call from several
+    threads at once; it may return a number or an array. Block results are
+    summed in block order, so integer counts do not depend on the worker
+    count. Peak memory is one chunk's draws plus one :func:`row_slices`
+    slice of decoder state per worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -185,14 +184,11 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
     run = map if pool is None else pool.map
     with one_blas_thread():
         for msg, w in sample_channel(*shape, spec, trials):
-            def block(lo, hi, msg=msg, w=w):
-                m, wb = msg[lo:hi], w[lo:hi]
+            def block(rows, msg=msg, w=w):
+                m, wb = msg[rows], w[rows]
                 return [stat(m, wb) for stat in stats]
 
-            ends = [*range(0, len(msg), _BLOCK), len(msg)]
-            if len(ends) > 2 and ends[-1] - ends[-2] == 1:
-                del ends[-2]   # a one-row tail joins the block before it
-            for sums in run(block, ends[:-1], ends[1:]):
+            for sums in run(block, row_slices(len(msg), _BLOCK)):
                 for p, value in enumerate(sums):
                     totals[p] += value
     return totals
@@ -227,26 +223,34 @@ def row_slices(rows: int, s: int) -> list[slice]:
     return [slice(i * s, (i + 1) * s) for i in range(k - 1)] + [slice((k - 1) * s, rows)]
 
 
+def sliced(decide_rows, widths):
+    """``decide_rows`` as a decoder of any number of rows: run per
+    :func:`row_slices` slice of :func:`slice_rows` (``widths``) rows, the
+    decisions concatenated in row order, or the one slice's array uncopied
+    when there is one slice."""
+    s = slice_rows(widths)
+
+    def decide(y: np.ndarray) -> np.ndarray:
+        parts = [decide_rows(y[rows]) for rows in row_slices(len(y), s)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return decide
+
+
 def ml_decoder(cw: np.ndarray):
-    """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c>, per
-    :func:`row_slices` slice of :func:`slice_rows` ([M]) rows: (slice, M)
-    distances at a time, so memory stays bounded at any M."""
+    """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c>, :func:`sliced`
+    by the M distances per row: (slice, M) distances at a time, so memory
+    stays bounded at any M."""
     c = np.hstack([cw.real, cw.imag])
     c_sq = np.sum(c * c, axis=1)
     c_m2 = -2.0 * c.T   # scaling by a power of two is exact: d is as if scaled after
-    s = slice_rows([len(c)])
 
     def decide_rows(y: np.ndarray) -> np.ndarray:
         d = np.hstack([y.real, y.imag]) @ c_m2
         d += c_sq
         return np.argmin(d, axis=1)
 
-    def decide(y: np.ndarray) -> np.ndarray:
-        if len(y) < 2 * s:   # row_slices gives one slice: no copy, no list
-            return decide_rows(y)
-        return np.concatenate([decide_rows(y[sl]) for sl in row_slices(len(y), s)])
-
-    return decide
+    return sliced(decide_rows, [len(c)])
 
 
 def _gamma(k: int) -> float:
@@ -445,7 +449,7 @@ def delivered_power_noiseless(design, harvester) -> float:
 
 
 _PD_GRID = 4001      # quadrature nodes per amplitude, over +-12 noise deviations
-_PD_BLOCK = 64       # amplitudes per harvester call
+_PD_BLOCK = 8        # amplitudes per harvester and Bessel call: a cache size, not a setting
 
 # Chebyshev coefficients of exp(-x)·I0(x) on [0, 8] in x/2 - 2, and of
 # exp(-x)·sqrt(x)·I0(x) on (8, inf] in 32/x - 2: Cephes i0.c (S. L. Moshier)
@@ -472,65 +476,34 @@ _I0E_B = (
     2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
     0.8044904110141088,
 )
-_I0E_BLOCK = 16_384   # elements per pass of the recurrence: a cache size, not a setting
 
 
-def _chbevl(y: np.ndarray, coef, work: list[np.ndarray]) -> np.ndarray:
+def _chbevl(y: np.ndarray, coef) -> np.ndarray:
     """Cephes' chbevl: from b0 = coef[0] and b1 = 0, the Clenshaw recurrence
     b0 = y·b1 - b2 + c over the other coefficients, then 0.5·(b0 - b2), in
-    that operation order, on three ``work`` buffers as long as ``y``, for
-    at least three coefficients. Returns the buffer that holds the result."""
-    b2, b1, b0 = work
-    b1.fill(coef[0])
-    np.multiply(y, coef[0], b0)   # y·c0 - 0 is y·c0, -0.0 included
-    b0 += coef[1]
+    that operation order, for at least three coefficients. Each step's b0 is
+    one new array updated in place: three temporaries per step cost twice."""
+    b1, b0 = coef[0], y * coef[0] + coef[1]   # y·c0 - 0 is y·c0, -0.0 included
     for c in coef[2:]:
-        b2, b1, b0 = b1, b0, b2
-        np.multiply(y, b1, b0)
+        b2, b1 = b1, b0
+        b0 = y * b1
         b0 -= b2
         b0 += c
-    b0 -= b2
-    b0 *= 0.5
-    return b0
+    return 0.5 * (b0 - b2)
 
 
 def _i0e(x) -> np.ndarray:
     """exp(-|x|)·I0(x), the exponentially scaled modified Bessel function of
     order 0, bit for bit as ``scipy.special.i0e`` computes it (Cephes):
     chbevl(|x|/2 - 2, A) for |x| <= 8, chbevl(32/|x| - 2, B)/sqrt(|x|) above
-    (so 0 at inf, NaN at NaN). Evaluated in blocks of ``_I0E_BLOCK`` elements
-    on reused buffers."""
-    x = np.asarray(x, dtype=float)
+    (so 0 at inf, NaN at NaN). :func:`delivered_power` calls it on one
+    quadrature block at a time, so it needs no blocks of its own."""
+    x = np.abs(np.asarray(x, dtype=float))
     out = np.empty(x.shape)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    size = min(_I0E_BLOCK, flat_x.size)
-    xa, y, *work = (np.empty(size) for _ in range(5))
-    low = np.empty(size, dtype=bool)
-    for lo in range(0, flat_x.size, _I0E_BLOCK):
-        hi = min(lo + _I0E_BLOCK, flat_x.size)
-        xb, ob, lb = xa[:hi - lo], flat_out[lo:hi], low[:hi - lo]
-        np.abs(flat_x[lo:hi], xb)
-        np.less_equal(xb, 8.0, lb)
-        n_low = np.count_nonzero(lb)
-        for is_low, count in ((True, n_low), (False, xb.size - n_low)):
-            if not count:
-                continue
-            part = lb if is_low else ~lb
-            xs = xb if count == xb.size else xb[part]
-            ys, ws = y[:count], [w[:count] for w in work]
-            if is_low:
-                np.divide(xs, 2.0, ys)
-                ys -= 2.0
-                v = _chbevl(ys, _I0E_A, ws)
-            else:
-                np.divide(32.0, xs, ys)
-                ys -= 2.0
-                v = _chbevl(ys, _I0E_B, ws)
-                v /= np.sqrt(xs, ys)
-            if count == xb.size:
-                ob[:] = v
-            else:
-                ob[part] = v
+    low = x <= 8.0
+    out[low] = _chbevl(x[low] / 2.0 - 2.0, _I0E_A)
+    high = x[~low]
+    out[~low] = _chbevl(32.0 / high - 2.0, _I0E_B) / np.sqrt(high)
     return out
 
 
@@ -541,9 +514,11 @@ def delivered_power(design, spec: ChannelSpec, harvester) -> float:
     density 2r/s exp(-(r - |c|)^2/s) i0e(2r|c|/s) (s = sigma^2, i0e by
     :func:`_i0e`); f(r^2) is integrated against it by the trapezoid rule on
     a fixed grid over |c| +- 12 sigma, then averaged over messages and
-    symbols. Noiseless, it
-    is :func:`delivered_power_noiseless`. ValueError names an SNR so small
-    that the grid's largest input power (max |c| + 12 sigma)^2 overflows.
+    symbols. The grid is evaluated in blocks of ``_PD_BLOCK`` amplitudes by
+    ``_PD_GRID`` nodes, each one call of the harvester and of the Bessel
+    kernel. Noiseless, it is :func:`delivered_power_noiseless`. ValueError
+    names an SNR so small that the grid's largest input power
+    (max |c| + 12 sigma)^2 overflows.
     """
     s = spec.sigma_sq
     if s == 0.0:

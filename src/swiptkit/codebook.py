@@ -21,8 +21,8 @@ import numpy as np
 
 # codebook_min_dist is unused here, but perfbench/tracer.py wraps it under this
 # module's name, so the name must resolve
-from .constellation import (Codebook, codebook_min_dist, layout_info, m_on_count,  # noqa: F401
-                            swipt_transform)
+from .constellation import (Codebook, check_pa, codebook_min_dist,  # noqa: F401
+                            layout_info, m_on_count, swipt_transform)
 
 # a second name for the one deformation: perfbench/tracer.py wraps both names
 swipt_codebook = swipt_transform
@@ -184,7 +184,9 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     pass above hi picks M. A probe that picks exactly M ends the search;
     otherwise the first M picks of the largest probe yielding >= M win, or,
     if none does, those of one pass at lo. That is at most
-    ceil(log2((hi - lo)/epsilon)) + 1 passes, and always M codewords.
+    ceil(log2((hi - lo)/epsilon)) + 1 passes, and always M codewords. At
+    M = 1 the one codeword is n distinct base points drawn by the seeded
+    generator, with no candidate set.
     :meth:`Codebook.scale_to_power` then enforces the average-power equality.
     """
     if m < 1 or n < 1:
@@ -204,16 +206,19 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
     if cfg.candidate_cap < m:
         raise ValueError("candidate_cap must be >= M")
 
-    if math.perm(mn, n) <= cfg.candidate_cap:
-        cand_idx = _permutations(mn, n)
+    if m == 1:
+        # the search would return its random start row alone: draw that row
+        # directly, since a random row has distinct symbols with chance n!/n**n
+        idx = rng.permutation(mn)[None, :n]
     else:
-        cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
-    # each candidate's symbols as interleaved re/im (a fresh C-contiguous array)
-    cand_real = base.base_points[cand_idx].view(float)
+        if math.perm(mn, n) <= cfg.candidate_cap:
+            cand_idx = _permutations(mn, n)
+        else:
+            cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
+        # each candidate's symbols as interleaved re/im (a fresh C-contiguous array)
+        cand_real = base.base_points[cand_idx].view(float)
 
-    start = int(rng.integers(len(cand_idx)))
-    sel = [start]
-    if m > 1:
+        start = int(rng.integers(len(cand_idx)))
         sel = []
         lo = t_sq / 2.0
         r_max = float(np.max(np.abs(base.base_points)))
@@ -229,8 +234,9 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
             if len(probe) == m:
                 break
         sel = sel or _greedy_pass(cand_real, lo, start, max_select=m)
+        idx = cand_idx[sel]
 
-    cb = Codebook(base_points=base.base_points.copy(), codeword_indices=cand_idx[sel],
+    cb = Codebook(base_points=base.base_points.copy(), codeword_indices=idx,
                   m=m, n=n, p_a_uw=p_a_uw, rho=0.0)
     cb.scale_to_power()
     return cb
@@ -253,8 +259,7 @@ def onoff_block_code(n: int, p_a_uw: float, p_star: float, m_req: int) -> Codebo
     """
     if n < 1 or m_req < 1:
         raise ValueError("n and m_req must be >= 1")
-    if not 0 < p_a_uw < math.inf:
-        raise ValueError("P_a must be finite and positive")
+    check_pa(p_a_uw)
     n_on = min(m_on_count(n, p_star), n - 1 if m_req >= 2 and n >= 2 else n)
     bound = math.comb(n, n_on)
     if m_req > bound:

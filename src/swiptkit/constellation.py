@@ -32,6 +32,13 @@ import numpy as np
 _FLOOR_EPS = 1e-9
 
 
+def check_pa(p_a_uw: float) -> None:
+    """The one P_a rule of every design, link and On-Off analysis: ValueError
+    unless P_a is finite and positive."""
+    if not 0 < p_a_uw < math.inf:
+        raise ValueError("P_a must be finite and positive")
+
+
 def circle_capacity(m: int) -> int:
     """Maximum number of points with pairwise distance >= t on the circle of
     radius m*t; the zero-radius circle holds a single point by convention.
@@ -86,8 +93,7 @@ class Codebook:
         if idx.min() < 0 or idx.max() >= self.base_points.size:
             raise ValueError(f"codewords: index outside the {self.base_points.size} "
                              "base points")
-        if not 0 < self.p_a_uw < math.inf:
-            raise ValueError("P_a must be finite and positive")
+        check_pa(self.p_a_uw)
         if not np.all(np.isfinite(self.base_points)):
             raise ValueError("base points must be finite")
         with np.errstate(over="ignore"):
@@ -244,8 +250,7 @@ def layout_info(m: int, p_a_uw: float) -> Codebook:
     """
     if m < 1:
         raise ValueError("M must be >= 1")
-    if not 0 < p_a_uw < math.inf:
-        raise ValueError("P_a must be finite and positive")
+    check_pa(p_a_uw)
     if m == 1:
         t = math.sqrt(p_a_uw)
         return Codebook(base_points=np.array([complex(t)]), codeword_indices=[[0]],

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constellation import json_field
+from .constellation import check_pa, json_field
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 
@@ -350,8 +350,7 @@ def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
 
 def onoff_delivered(p_a_uw: float, p_on: float, harvester) -> float:
     """Noiseless delivered power of On-Off signalling: p_on * f(P_a / p_on)."""
-    if not 0 < p_a_uw < np.inf:
-        raise ValueError("P_a must be finite and positive")
+    check_pa(p_a_uw)
     if p_on == 0:
         raise ValueError("p_on must be nonzero")
     return float(p_on * harvester.evaluate(p_a_uw / p_on))
@@ -364,8 +363,7 @@ def optimal_pon(p_a_uw: float, harvester) -> float:
     Ties break toward larger p_on (the saturation plateau is the
     information-friendlier side).
     """
-    if not 0 < p_a_uw < np.inf:
-        raise ValueError("P_a must be finite and positive")
+    check_pa(p_a_uw)
     p = np.arange(1, 1001) / 1000
     delivered = p * np.asarray(harvester.evaluate(p_a_uw / p), dtype=float)
     best = np.flatnonzero(delivered == delivered.max())
@@ -376,6 +374,5 @@ def pon_approx(p_a_uw: float) -> float:
     """Closed-form approximation of the optimal On probability: the knee of
     the canonical harvester sits at 317 uW.
     """
-    if not 0 < p_a_uw < np.inf:
-        raise ValueError("P_a must be finite and positive")
+    check_pa(p_a_uw)
     return min(p_a_uw / _CANON_KNEE, 1.0)

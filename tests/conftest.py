@@ -13,7 +13,7 @@ from swiptkit.channel import design_codewords, monte_carlo
 # row-slice properties of tests/test_channel.py and the sampler property of
 # tests/test_codebook.py draw at least 1,000 of them, and the row-slice
 # decoder properties of tests/test_channel.py and tests/test_autoencoder.py
-# at least 100
+# and the quadrature-block property of tests/test_channel.py at least 100
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("randomized", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))

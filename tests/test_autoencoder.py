@@ -602,7 +602,7 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
     ser = sk.evaluate_ser(st, trials, seed=41)
     assert ser.tolist() == expected
     # blocks run on the decode pool's threads, so passes arrive in any order
-    blocks = [min(_BLOCK, size - lo) for size in (_CHUNK, 5000) for lo in range(0, size, _BLOCK)]
+    blocks = [sl.stop - sl.start for size in (_CHUNK, 5000) for sl in row_slices(size, _BLOCK)]
     s = slice_rows([len(w) for w in st.decoders[0].weights])
     slices = [sl.stop - sl.start for rows in blocks for sl in row_slices(rows, s)]
     assert sorted(passes) == sorted(slices)

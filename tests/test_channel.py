@@ -374,24 +374,43 @@ def test_i0e_is_scipys_bit_for_bit():
                         rng.choice([-1.0, 1.0], 300_000) * 10.0 ** rng.uniform(-320, 308, 300_000),
                         _I0E_EDGES])
     assert channel._i0e(x).tobytes() == i0e(x).tobytes()
-    # shape kept, blocks of any length, NaN propagated
-    grid = x[:60_005].reshape(-1, 5)   # three blocks and a part of one
+    # shape kept, NaN propagated
+    grid = x[:60_005].reshape(-1, 5)
     assert channel._i0e(grid).shape == grid.shape
     assert channel._i0e(grid).tobytes() == i0e(grid).tobytes()
     assert np.isnan(channel._i0e(np.array([np.nan, -np.nan]))).all()
     assert channel._i0e(np.zeros(0)).shape == (0,)
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=40),
-       st.sampled_from([1, 2, 3, 7]))
-def test_i0e_property_equals_scipy(values, block):
-    # under the randomized profile of CI, on new examples; tiny blocks make
-    # every mix of the two Chebyshev branches within a block
+@given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=40))
+def test_i0e_property_equals_scipy(values):
+    # under the randomized profile of CI, on new examples, each list a new mix
+    # of the two Chebyshev branches
     from scipy.special import i0e
 
     x = np.array(values)
-    with mock.patch.object(channel, "_I0E_BLOCK", block):
-        assert channel._i0e(x).tobytes() == i0e(x).tobytes()
+    assert channel._i0e(x).tobytes() == i0e(x).tobytes()
+
+
+@settings(max_examples=max(25, settings.default.max_examples // 10))
+@given(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=70, unique=True),
+       st.sampled_from([np.inf, 1.0, 10.0, 50.0, 1000.0]), st.booleans(),
+       st.integers(0, 2**16))
+def test_delivered_power_quadrature_is_the_same_at_every_block(clipped, canon, amps, snr,
+                                                               fitted, seed):
+    # 1-70 distinct amplitudes, at u·sigma for u in [0, 30], so a grid's
+    # x = 2ar/sigma^2 lies below 8 (u < 0.32), above it (u > 12.3) or on both
+    # sides; the harvester is the fitted net or the canonical logistic
+    spec = sk.ChannelSpec(snr=snr, p_a_uw=100.0)
+    scale = math.sqrt(spec.sigma_sq) or 1.0
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(len(amps)))
+    design = scale * np.array(amps) * phases
+    h = clipped if fitted else canon
+    results = []
+    for block in (1, 3, 8, 64):
+        with mock.patch.object(channel, "_PD_BLOCK", block):
+            results.append(sk.delivered_power(design, spec, h))
+    assert len(set(results)) == 1
 
 
 def test_rp_sweep_rows_equal_single_design_runs(clipped):
@@ -898,6 +917,11 @@ def test_row_slices_cover_every_row_once_in_order(widths, data):
     assert min(sizes) >= min(rows, s)   # never a short slice, so never a lone row
     assert max(sizes) < 2 * s   # so a slice holds under 2·s rows of the widest product
     assert all(sl.start % channel._SLICE_STEP == 0 for sl in parts)
+    # sliced decides those parts in order, and returns a lone part's array uncopied
+    seen = []
+    out = channel.sliced(lambda y: seen.append(len(y)) or y, widths)(index)
+    assert seen == sizes and out.tolist() == covered.tolist()
+    assert not rows or np.shares_memory(out, index) == (len(parts) == 1)
 
 
 def _bisector_rows(cw: np.ndarray, rows: int, seed: int) -> np.ndarray:

@@ -33,6 +33,20 @@ def test_build_m1_sentinel():
     assert cb.avg_power() == pytest.approx(5.0, rel=1e-9)
 
 
+def test_build_m1_draws_its_one_codeword_without_candidates():
+    # a random row of n symbols from the n-point layout has distinct symbols
+    # with chance n!/n**n (5.4e-5 at n = 12), so no candidate set is drawn
+    with mock.patch.object(codebook, "_sample_permutations", side_effect=AssertionError), \
+            mock.patch.object(codebook, "_permutations", side_effect=AssertionError):
+        cbs = [sk.build_info_codebook(1, 12, 100.0, sk.GreedyConfig(seed=s)) for s in (0, 0, 1)]
+    for cb in cbs:
+        assert cb.codeword_indices.shape == (1, 12)
+        assert sorted(cb.codeword_indices[0].tolist()) == list(range(12))
+        assert cb.avg_power() == pytest.approx(100.0, rel=1e-12)
+    assert np.array_equal(cbs[0].codewords, cbs[1].codewords)   # seeded
+    assert not np.array_equal(cbs[0].codeword_indices, cbs[2].codeword_indices)
+
+
 def test_build_deterministic():
     cfg = sk.GreedyConfig(seed=1)
     a = sk.build_info_codebook(16, 2, 5.0, cfg)

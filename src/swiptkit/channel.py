@@ -172,8 +172,9 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
     must therefore be additive over rows and safe to call from several
     threads at once; it may return a number or an array. Block results are
     summed in block order, so integer counts do not depend on the worker
-    count. Peak memory is one chunk's draws plus one :func:`row_slices`
-    slice of decoder state per worker.
+    count. A chunk is freed before the next is drawn, so peak memory is one
+    chunk's draws plus one :func:`row_slices` slice of decoder state per
+    worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -191,6 +192,8 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -
             for sums in run(block, row_slices(len(msg), _BLOCK)):
                 for p, value in enumerate(sums):
                     totals[p] += value
+            # freed before the next chunk is drawn: one chunk alive at a time
+            del msg, w, block
     return totals
 
 

@@ -31,9 +31,10 @@ swipt_codebook = swipt_transform
 @dataclass
 class GreedyConfig:
     """Knobs for the greedy search: the candidate count it draws from and the
-    seed of that draw. The search holds about 8*3n bytes per candidate (its
-    symbol indices and their complex points), so the default cap of 1M holds
-    about 72 MB at n = 3."""
+    seed of that draw. The search holds its candidates' symbol indices, 8n
+    bytes each, and its passes peak at about 57 bytes per candidate at
+    n = 3 (57 MB at the default cap of 1M); drawing a sampled set peaks
+    higher, at about 82 MB there."""
 
     candidate_cap: int = 1_000_000
     seed: int = 0
@@ -116,42 +117,72 @@ def _sample_permutations(mn: int, n: int, count: int, rng) -> np.ndarray:
 _CHUNK_ROWS = 8192   # distance rows per chunk: a cache size, not a setting
 
 
-def _greedy_pass(cand_real: np.ndarray, d_min: float, start: int,
+def _einsum_lanes(width: int) -> tuple[list[int], list[int]]:
+    """The order in which ``np.einsum("ij,ij->i", x, x)`` sums each row's
+    ``width`` squares, as two lanes of column indices: even columns in lane
+    0, odd in lane 1. Each whole block of 8 columns enters its lanes last to
+    first, then the other columns left to right; a lane adds its columns in
+    that order, and the row's sum is lane 0 + lane 1.
+
+    That is NumPy's two-lane contiguous sum of products (``einsum_sumprod``,
+    unrolled 4 vectors deep), on builds whose einsum does not fuse its
+    multiply-adds; the tests' ``einsum_order`` property checks it against the
+    installed NumPy.
+    """
+    whole = width - width % 8
+    order = [c for b in range(0, whole, 8) for c in range(b + 7, b - 1, -1)]
+    order += range(whole, width)
+    return [c for c in order if c % 2 == 0], [c for c in order if c % 2 == 1]
+
+
+def _greedy_pass(cols: np.ndarray, points: np.ndarray, d_min: float, start: int,
                  max_select: int) -> list[int]:
     """One greedy selection pass: filter survivors at squared distance
     >= d_min from the last pick, then take the closest survivor.
 
-    ``cand_real`` packs each candidate's symbols as interleaved re/im, so
-    the squared Euclidean distance is a plain row dot product.
+    ``cols`` is (n, N) intp: row k holds symbol k of every candidate, an
+    index into the complex ``points``. At each pick v the pass builds 2n
+    tables of len(points) entries, (re p - re p[v_k])^2 and
+    (im p - im p[v_k])^2, and a candidate's squared distance is the sum of
+    its 2n table entries. So the pass holds the index columns and no point
+    coordinates.
 
-    Each step computes the distances to the last pick in chunks of
-    ``_CHUNK_ROWS`` rows through one reused buffer, so no full-size
-    difference matrix is formed. Filtered rows are marked dead in a mask
-    and get distance inf; the active set is compacted only once fewer than
-    half of its rows survive.
+    Each step sums the distances to the last pick in chunks of
+    ``_CHUNK_ROWS`` rows, gathered into reused buffers. Filtered rows are
+    marked dead in a mask and get distance inf; the active columns are
+    compacted only once fewer than half of their rows survive.
 
-    The picks are exact: every row's distance is the same row-wise einsum
-    over the same values as a pass that compacts every step, and masks
-    keep row order, so argmin breaks ties on the same candidate.
+    The picks are exact: every distance has the bits of the row-wise
+    ``np.einsum("ij,ij->i")`` over the same interleaved re/im differences,
+    since the same subtractions and squares are added in einsum's order
+    (:func:`_einsum_lanes`), and masks keep row order, so argmin breaks
+    ties on the same candidate as a pass that compacts every step.
     """
-    active = cand_real
-    active_idx = np.arange(len(cand_real))
-    alive = np.ones(len(active), dtype=bool)
-    d = np.empty(len(active))
-    width = active.shape[1]
-    chunk = min(_CHUNK_ROWS, len(active))
-    diff = np.empty((chunk, width))
+    # at even width both lanes visit the symbols in one order: re parts in
+    # lane 0, im parts in lane 1
+    order = [c // 2 for c in _einsum_lanes(2 * len(cols))[0]]
+    coords = np.stack([points.real, points.imag])   # (2, len(points))
+    active = cols
+    active_idx = np.arange(cols.shape[1])
+    alive = np.ones(len(active_idx), dtype=bool)
+    d = np.empty(len(active_idx))
+    chunk = min(_CHUNK_ROWS, len(active_idx))
+    lane_im, entry = np.empty(chunk), np.empty(chunk)
     selected = [start]
-    v = cand_real[start]
+    v = cols[:, start]
     while len(selected) < max_select:
-        v_tiled = np.tile(v, chunk)
-        for lo in range(0, len(active), chunk):
-            rows = min(chunk, len(active) - lo)
-            part = diff[:rows]
-            np.subtract(active[lo:lo + rows].reshape(-1), v_tiled[:rows * width],
-                        out=part.reshape(-1))
-            d_part = np.einsum("ij,ij->i", part, part, out=d[lo:lo + rows])
-            alive[lo:lo + rows] &= d_part >= d_min
+        tables = np.square(coords[:, None, :] - coords[:, v, None])   # (2, n, len(points))
+        for lo in range(0, len(active_idx), chunk):
+            hi = min(lo + chunk, len(active_idx))
+            lane_sums = d[lo:hi], lane_im[:hi - lo]
+            # mode="clip" writes straight into out (the default mode buffers
+            # it); every index is in range
+            for total, table in zip(lane_sums, tables):
+                np.take(table[order[0]], active[order[0], lo:hi], out=total, mode="clip")
+                for k in order[1:]:
+                    total += np.take(table[k], active[k, lo:hi], out=entry[:hi - lo], mode="clip")
+            np.add(*lane_sums, out=lane_sums[0])
+            alive[lo:hi] &= lane_sums[0] >= d_min
         n_alive = np.count_nonzero(alive)
         if n_alive == 0:
             break
@@ -160,9 +191,9 @@ def _greedy_pass(cand_real: np.ndarray, d_min: float, start: int,
         if d[pick] == np.inf:   # every survivor's distance overflowed
             pick = int(np.argmax(alive))
         selected.append(int(active_idx[pick]))
-        v = active[pick]
-        if 2 * n_alive < len(active):
-            active, active_idx = active[alive], active_idx[alive]
+        v = active[:, pick]
+        if 2 * n_alive < len(active_idx):
+            active, active_idx = active[:, alive], active_idx[alive]
             alive = np.ones(n_alive, dtype=bool)
             d = np.empty(n_alive)
     return selected
@@ -175,7 +206,8 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
 
     Candidates are the n-permutations of the Mn base points (exhaustive when
     they fit under ``candidate_cap``, else seeded random distinct samples),
-    held with their points through every pass: about 8*3n bytes each.
+    held as n index columns through every pass: 8n bytes each, and no
+    copy of their points.
     The distance threshold is bisected down to epsilon = 0.05*t^2 inside
     [lo, hi] = [t^2/2, 2*M*E_max/(M - 1)], with E_max = n*max|base point|^2:
     layout points lie at least t apart, so distinct candidates differ by at
@@ -215,10 +247,11 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
             cand_idx = _permutations(mn, n)
         else:
             cand_idx = _sample_permutations(mn, n, cfg.candidate_cap, rng)
-        # each candidate's symbols as interleaved re/im (a fresh C-contiguous array)
-        cand_real = base.base_points[cand_idx].view(float)
+        # one contiguous index column per symbol, the only copy the passes hold
+        cols = np.ascontiguousarray(cand_idx.T, dtype=np.intp)
+        del cand_idx
 
-        start = int(rng.integers(len(cand_idx)))
+        start = int(rng.integers(cols.shape[1]))
         sel = []
         lo = t_sq / 2.0
         r_max = float(np.max(np.abs(base.base_points)))
@@ -226,15 +259,15 @@ def build_info_codebook(m: int, n: int, p_a_uw: float,
         hi = min(2.0 * m * n * r_max * r_max / (m - 1), np.finfo(float).max)
         while hi - lo > eps:
             d = lo + (hi - lo) / 2.0
-            probe = _greedy_pass(cand_real, d, start, max_select=m + 1)
+            probe = _greedy_pass(cols, base.base_points, d, start, max_select=m + 1)
             if len(probe) < m:
                 hi = d
                 continue
             lo, sel = d, probe[:m]
             if len(probe) == m:
                 break
-        sel = sel or _greedy_pass(cand_real, lo, start, max_select=m)
-        idx = cand_idx[sel]
+        sel = sel or _greedy_pass(cols, base.base_points, lo, start, max_select=m)
+        idx = np.ascontiguousarray(cols[:, sel].T)
 
     cb = Codebook(base_points=base.base_points.copy(), codeword_indices=idx,
                   m=m, n=n, p_a_uw=p_a_uw, rho=0.0)

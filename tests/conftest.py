@@ -10,10 +10,11 @@ from swiptkit.channel import design_codewords, monte_carlo
 
 # property tests draw the same examples on every run, with no time limit;
 # HYPOTHESIS_PROFILE=randomized draws new ones: the certification, i0e and
-# row-slice properties of tests/test_channel.py and the sampler property of
-# tests/test_codebook.py draw at least 1,000 of them, and the row-slice
-# decoder properties of tests/test_channel.py and tests/test_autoencoder.py
-# and the quadrature-block property of tests/test_channel.py at least 100
+# row-slice properties of tests/test_channel.py and the sampler, greedy-pass
+# and einsum-order properties of tests/test_codebook.py draw at least 1,000
+# of them, and the row-slice decoder properties of tests/test_channel.py and
+# tests/test_autoencoder.py and the quadrature-block property of
+# tests/test_channel.py at least 100
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("randomized", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))

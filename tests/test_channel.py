@@ -577,6 +577,25 @@ def test_ser_mc_memory_is_blocks_not_a_chunk_of_distances(monkeypatch, two_worke
     assert peak < 32e6
 
 
+def test_ser_mc_holds_one_chunk_of_draws_at_a_time(monkeypatch, two_workers):
+    import tracemalloc
+
+    monkeypatch.setattr(channel, "_decode_pool", lambda: two_workers)
+    cw = sk.build_info_codebook(64, 3, 100.0, sk.GreedyConfig(seed=0, candidate_cap=20_000))
+    spec = sk.ChannelSpec(snr=10.0, p_a_uw=100.0, seed=3)
+    sk.ser_mc(cw, spec, 1000)   # the pool's threads exist before tracing starts
+    tracemalloc.start()
+    try:
+        sk.ser_mc(cw, spec, 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawing a chunk of 100,000 (M = 64, n = 3) trials peaks at about 10 MB
+    # (its messages, the float zeros, the complex noise and one normal draw);
+    # a pass that still held the previous chunk's messages and noise, 5.6 MB,
+    # while drawing the next peaked at about 15 MB
+    assert peak < 12e6
+
 # --- the certified fast path of the minimum-distance error count -----------
 
 # the examples the loaded profile asks for: the certification properties

@@ -195,7 +195,9 @@ def test_sampler_memory_is_bounded():
 
 
 def test_sampled_search_memory_is_bounded():
-    # the greedy passes hold 14.4 MB of candidates and set the peak; a sampler
+    # the sampler's transient 16.3 MB sets the peak; the passes after it hold
+    # 4.8 MB of index columns and peak at 11.5 MB. Passes over an interleaved
+    # float copy of the candidates' points peaked at 24.4 MB, and a sampler
     # holding six batch copies, or every unique row it drew, peaks higher
     tracemalloc.start()
     try:
@@ -203,7 +205,7 @@ def test_sampled_search_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27e6
+    assert peak < 18e6
 
 
 @pytest.mark.parametrize("mn", range(1, 8))
@@ -322,8 +324,9 @@ def test_scale_to_power_and_the_p_a_check():
 # ---------------------------------------------------------------------------
 
 def _greedy_pass_reference(cand_real, d_min, start, max_select):
-    """Straightforward pass: full difference matrix and a compacted copy of
-    the survivors at every step.
+    """Straightforward pass over each candidate's interleaved re/im points:
+    full difference matrix, row-wise einsum and a compacted copy of the
+    survivors at every step.
     """
     active = cand_real
     active_idx = np.arange(len(cand_real))
@@ -346,27 +349,36 @@ def _greedy_pass_reference(cand_real, d_min, start, max_select):
 SMALL_CHUNK = 16   # chunk boundaries at a size hypothesis can draw cheaply
 
 
+def _interleaved(cols, points):
+    """Each candidate's symbols as interleaved re/im rows: the reference's input."""
+    return np.ascontiguousarray(points[cols.T]).view(float)
+
+
 @st.composite
 def greedy_cases(draw):
-    """Candidate sets, thresholds and pass lengths for the greedy pass.
+    """Index columns, their point pool, thresholds and pass lengths for the
+    greedy pass.
 
-    Rows come from a pool of distinct rows, so small pools repeat rows and
-    make ties; integer rows make exact distance ties between distinct rows.
-    The threshold filters nothing, everything, or a quantile of the first
-    step's distances, which makes compaction start mid-pass.
+    Symbols index a small pool of complex points, so small pools repeat
+    rows and make ties; integer coordinates make exact distance ties
+    between distinct rows. The threshold filters nothing, everything, or a
+    quantile of the first step's distances, which makes compaction start
+    mid-pass.
     """
     c = SMALL_CHUNK
     rows = draw(st.sampled_from([1, 2, 3, c - 1, c, c + 1, 2 * c - 1, 2 * c,
                                  2 * c + 1, 7 * c + 5]))
-    width = draw(st.sampled_from([2, 4, 6]))
-    pool = draw(st.integers(1, 2 * rows))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))   # widths 2, 4, 6, 8, 10 and 16
+    pool = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
-        points = rng.integers(-2, 3, size=(pool, width)).astype(float)
+        xy = rng.integers(-2, 3, size=(pool, 2)).astype(float)
     else:
-        points = rng.standard_normal((pool, width))
-    cand = points[rng.integers(pool, size=rows)]
+        xy = rng.standard_normal((pool, 2))
+    points = xy[:, 0] + 1j * xy[:, 1]
+    cols = rng.integers(pool, size=(n, rows)).astype(np.intp)
     start = draw(st.integers(0, rows - 1))
+    cand = _interleaved(cols, points)
     first = np.sum((cand - cand[start]) ** 2, axis=1)
     kind = draw(st.sampled_from(["nothing", "everything", "quantile"]))
     if kind == "nothing":
@@ -376,13 +388,15 @@ def greedy_cases(draw):
     else:
         d_min = float(np.quantile(first, draw(st.floats(0.05, 0.95))))
     max_select = draw(st.sampled_from([1, 2, 17, 65]))
-    return cand, d_min, start, max_select
+    return cols, points, d_min, start, max_select
 
 
 @given(greedy_cases())
 def test_greedy_pass_matches_reference(case):
+    cols, points, d_min, start, max_select = case
     with mock.patch.object(codebook, "_CHUNK_ROWS", SMALL_CHUNK):
-        assert _greedy_pass(*case) == _greedy_pass_reference(*case)
+        assert (_greedy_pass(cols, points, d_min, start, max_select)
+                == _greedy_pass_reference(_interleaved(cols, points), d_min, start, max_select))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -391,34 +405,63 @@ def test_greedy_pass_matches_reference_at_chunk_length(chunks, offset):
     # half as many distinct rows as candidates, so duplicates tie
     rows = chunks * codebook._CHUNK_ROWS + offset
     rng = np.random.default_rng(rows)
-    cand = rng.standard_normal((rows // 2, 6))[rng.integers(rows // 2, size=rows)]
+    points = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    drawn = rng.integers(48, size=(3, rows // 2))
+    cols = np.ascontiguousarray(drawn[:, rng.integers(rows // 2, size=rows)], dtype=np.intp)
+    cand = _interleaved(cols, points)
     first = np.sum((cand - cand[0]) ** 2, axis=1)
     d_min = float(np.quantile(first, 0.05))
-    assert _greedy_pass(cand, d_min, 0, 65) == _greedy_pass_reference(cand, d_min, 0, 65)
+    assert _greedy_pass(cols, points, d_min, 0, 65) == _greedy_pass_reference(cand, d_min, 0, 65)
 
 
 def test_greedy_pass_overflowed_distances_match_reference():
     # every distance between distinct rows overflows to inf; both passes
     # then take the first survivor
     rng = np.random.default_rng(9)
-    cand = 1e200 * rng.integers(-2, 3, size=(40, 4)).astype(float)
+    xy = 1e200 * rng.integers(-2, 3, size=(5, 2)).astype(float)
+    points = xy[:, 0] + 1j * xy[:, 1]
+    cols = rng.integers(5, size=(2, 40)).astype(np.intp)
     with np.errstate(over="ignore"):
         for d_min in (0.0, 1.0, np.inf):
-            assert (_greedy_pass(cand, d_min, 3, 10)
-                    == _greedy_pass_reference(cand, d_min, 3, 10))
+            assert (_greedy_pass(cols, points, d_min, 3, 10)
+                    == _greedy_pass_reference(_interleaved(cols, points), d_min, 3, 10))
+
+
+@given(st.integers(1, 32), st.integers(0, 2 ** 32 - 1))
+def test_einsum_order_property_equals_einsum(width, seed):
+    # the greedy pass's distances keep einsum's bits only if its written-out
+    # order is einsum's: squares over a wide range of magnitudes round
+    # differently in almost any other order
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4096, width)) * 2.0 ** rng.integers(-30, 31, size=(4096, width))
+    sq = x * x
+    lanes = []
+    for lane in codebook._einsum_lanes(width):
+        total = np.zeros(len(x))
+        if lane:
+            total = sq[:, lane[0]].copy()
+            for c in lane[1:]:
+                total += sq[:, c]
+        lanes.append(total)
+    assert np.array_equal(lanes[0] + lanes[1], np.einsum("ij,ij->i", x, x))
 
 
 @pytest.mark.parametrize("d_min", [0.5, 3.0, 8.0])
 def test_greedy_pass_memory_is_bounded(d_min):
-    cand = np.random.default_rng(0).standard_normal((200_000, 6))
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal(192) + 1j * rng.standard_normal(192)
+    cols = rng.integers(192, size=(3, 200_000)).astype(np.intp)
     tracemalloc.start()
     try:
-        _greedy_pass(cand, d_min, 0, max_select=65)
+        _greedy_pass(cols, points, d_min, 0, max_select=65)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a full (N, 6) difference matrix alone is 1.0x cand.nbytes
-    assert peak < 1.5 * cand.nbytes
+    # 6.7 MB: the pass's own state is 17 bytes per row (0.71x cols.nbytes)
+    # and a compacted copy of the columns and their row numbers holds at most
+    # half of the rows (0.67x); an interleaved float copy of the candidates'
+    # points alone would be 2.0x cols.nbytes
+    assert peak < 1.5 * cols.nbytes
 
 
 # ---------------------------------------------------------------------------

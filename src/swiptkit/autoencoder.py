@@ -193,9 +193,12 @@ def _rng_children(seed: int):
 
 
 def _encoder_input(topo: Topology, tx: int) -> np.ndarray:
-    """Constant input matrix enumerating every message of transmitter tx."""
+    """Constant encoder input enumerating every message of transmitter tx:
+    the row indices of its one-hot messages (see
+    :func:`~swiptkit.nn.mlp_forward`), or for BC the K-hot matrix of every
+    message combination."""
     if topo.kind != "bc":
-        return np.eye(topo.m_list[tx])
+        return np.arange(topo.m_list[tx])
     rows = int(np.prod(topo.m_list))
     x = np.zeros((rows, sum(topo.m_list)))
     offs = np.cumsum([0] + topo.m_list[:-1])
@@ -232,10 +235,11 @@ def build_system(topology: Topology, config: TrainConfig, harvester=None,
 # forward / loss / gradients
 # ---------------------------------------------------------------------------
 
-def _encode_all_real(sys: AeSystem, tx: int):
-    """Normalized real-valued codebook of transmitter tx plus backprop state."""
+def _encode_all_real(sys: AeSystem, tx: int, x: np.ndarray):
+    """Normalized real-valued codebook of transmitter tx, from its encoder
+    input ``x`` (:func:`_encoder_input`), plus backprop state."""
     topo = sys.topology
-    raw, acts = mlp_forward(sys.encoders[tx], _encoder_input(topo, tx))
+    raw, acts = mlp_forward(sys.encoders[tx], x)
     s = float((raw ** 2).sum())
     if s == 0.0:
         raise ValueError("encoder produced an all-zero codebook; cannot normalize")
@@ -248,7 +252,7 @@ def encode_all(sys: AeSystem, tx: int = 0) -> np.ndarray:
     """Complex codeword matrix of transmitter tx with the average-power
     equality enforced by a single scale factor; differentiable end to end.
     """
-    x, _, _, _, _ = _encode_all_real(sys, tx)
+    x, _, _, _, _ = _encode_all_real(sys, tx, _encoder_input(sys.topology, tx))
     return _to_complex(x)
 
 
@@ -285,42 +289,48 @@ class LossParts:
     clamped: np.ndarray
 
 
-def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray],
-                   grad: np.ndarray | None = None):
-    """Cross-entropy plus lambda/max(P_d, floor), averaged over the batch.
+class _StepPlan:
+    """What every training step of one system shares: it depends only on the
+    system's shape and SNRs, the batch size and the gradient buffer.
 
-    ``messages``: (B, K) ints; ``noises``: per receiver, complex (B, n).
-    P_d is the per-message mean over the n received symbols of the harvester
-    output, computed on the noisy samples; its gradient flows through the
-    harvester's derivative, both from one ``value_and_derivative`` call.
-    Returns (loss, grad, parts).
-
-    ``grad``: the flat gradient, in :func:`~swiptkit.nn.pack` order of
-    ``sys.encoders + sys.decoders``; the backward passes write every weight
-    and bias gradient straight into it (a new vector when None, with the
-    same bits).
+    ``outs``: the nets' :func:`~swiptkit.nn.views` of ``grad``; ``sds``: each
+    receiver's noise deviation per real dimension; ``coeff``: the channel
+    coefficients; ``enc_in``: each encoder's input (:func:`_encoder_input`);
+    ``segs``: per receiver, each softmax segment's (offset, size, stream)
+    with the flat logit offsets ``row * width + offset`` of its batch rows,
+    to which a step adds its messages to find the true logits.
     """
+
+    def __init__(self, sys: AeSystem, bsz: int, grad: np.ndarray):
+        topo = sys.topology
+        if sys.config.lambda_ > 0 and sys.harvester is None:
+            raise ValueError("a harvester model is required when lambda > 0")
+        self.bsz = bsz
+        self.outs = views(grad, sys.encoders + sys.decoders)
+        self.sds = np.array([ChannelSpec(snr, topo.p_a_uw).noise_sd for snr in topo.snrs])
+        self.coeff = topo.coeff()
+        self.enc_in = [_encoder_input(topo, tx) for tx in range(topo.n_tx)]
+        self.segs = []
+        for r in range(topo.n_rx):
+            width = sys.decoders[r].weights[-1].shape[0]
+            self.segs.append([(off, m_j, stream, np.arange(bsz) * width + off)
+                              for off, m_j, stream in topo.rx_segments(r)])
+
+
+def _loss_step(sys: AeSystem, plan: _StepPlan, messages: np.ndarray, noises):
+    """One step of :func:`composite_loss` on its plan: ``messages`` (B, K)
+    ints, ``noises`` per receiver real (B, 2n), (re, im) interleaved. Writes
+    the gradient into the plan's buffer; returns (loss, parts)."""
     topo, cfg = sys.topology, sys.config
-    lam = cfg.lambda_
-    if lam > 0 and sys.harvester is None:
-        raise ValueError("a harvester model is required when lambda > 0")
-    messages = np.atleast_2d(np.asarray(messages, dtype=int))
-    bsz = messages.shape[0]
-    n = cfg.n
-    nets = sys.encoders + sys.decoders
-    if grad is None:
-        grad = np.empty(sum(a.size for a in flat((t.weights, t.biases) for t in nets)))
-    outs = views(grad, nets)
+    lam, n, bsz, coeff, outs = cfg.lambda_, cfg.n, plan.bsz, plan.coeff, plan.outs
 
     # transmit side, all codebooks; samples stay real, (re, im) interleaved,
     # where complex arithmetic would give the same parts bit for bit
-    enc_state = [_encode_all_real(sys, tx) for tx in range(topo.n_tx)]
+    enc_state = [_encode_all_real(sys, tx, plan.enc_in[tx]) for tx in range(topo.n_tx)]
     rows = [_batch_rows(topo, messages, tx) for tx in range(topo.n_tx)]
     ys = compose_received(topo, [enc_state[tx][0][rows[tx]] for tx in range(topo.n_tx)],
-                          [_to_real(w) for w in noises])
+                          noises)
 
-    coeff = topo.coeff()
-    batch = np.arange(bsz)
     xent_total = 0.0
     power_total = 0.0
     clamps = []
@@ -331,13 +341,13 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
         # softmax and its cross-entropy gradient, in place on each segment;
         # a mean is a sum over its count, as np.mean computes it
         flat_logits = logits.reshape(-1)
-        for off, m_j, stream in topo.rx_segments(r):
+        for off, m_j, stream, base in plan.segs[r]:
             p = logits[:, off:off + m_j]
             # max is exact in any order; reducing the transposed copy is faster
             p -= np.ascontiguousarray(p.T).max(axis=0)[:, None]
             np.exp(p, out=p)
             p /= p.sum(axis=1, keepdims=True)
-            hit = batch * logits.shape[1] + off + messages[:, stream]   # the truths
+            hit = base + messages[:, stream]   # the truths
             xent_total -= float(np.log(flat_logits[hit] + 1e-300).sum()) / bsz
             flat_logits[hit] -= 1.0
             p /= bsz
@@ -370,7 +380,36 @@ def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray]
 
     loss = xent_total + power_total
     clamped = np.concatenate(clamps) if clamps else np.zeros(0, dtype=bool)
-    return loss, grad, LossParts(xent_total, power_total, clamped)
+    return loss, LossParts(xent_total, power_total, clamped)
+
+
+def composite_loss(sys: AeSystem, messages: np.ndarray, noises: list[np.ndarray],
+                   grad: np.ndarray | None = None):
+    """Cross-entropy plus lambda/max(P_d, floor), averaged over the batch.
+
+    ``messages``: (B, K) ints; ``noises``: per receiver, complex (B, n).
+    P_d is the per-message mean over the n received symbols of the harvester
+    output, computed on the noisy samples; its gradient flows through the
+    harvester's derivative, both from one ``value_and_derivative`` call.
+    Returns (loss, grad, parts).
+
+    ``grad``: the flat gradient, in :func:`~swiptkit.nn.pack` order of
+    ``sys.encoders + sys.decoders``; the backward passes write every weight
+    and bias gradient straight into it (a new vector when None, with the
+    same bits).
+
+    It builds the step's plan (:class:`_StepPlan`: the gradient views, noise
+    deviations, channel coefficients, encoder inputs and true-logit offsets)
+    and runs one step on it; :func:`train` builds the plan once and runs the
+    same step on every batch.
+    """
+    messages = np.atleast_2d(np.asarray(messages, dtype=int))
+    if grad is None:
+        nets = sys.encoders + sys.decoders
+        grad = np.empty(sum(a.size for a in flat((t.weights, t.biases) for t in nets)))
+    plan = _StepPlan(sys, messages.shape[0], grad)
+    loss, parts = _loss_step(sys, plan, messages, [_to_real(w) for w in noises])
+    return loss, grad, parts
 
 
 def sample_messages(topo: Topology, rng, bsz: int) -> np.ndarray:
@@ -383,24 +422,72 @@ def sample_noises(topo: Topology, rng, bsz: int, n: int) -> list[np.ndarray]:
     return [awgn(np.zeros((bsz, n)), ChannelSpec(snr, topo.p_a_uw), rng) for snr in topo.snrs]
 
 
+# bytes of one block of training draws: within a core's L2 cache (256 KiB to
+# 2 MiB on current x86 cores), so each step reads its draws from cache; a
+# block is at least one step, whatever the batch
+_DRAW_BLOCK_BYTES = 1 << 18
+
+
+def _draw_block(topo: Topology, msg_rng, noise_rng, sds: np.ndarray, steps: int,
+                bsz: int, n: int):
+    """The messages, (steps, K, B) ints, and real (re, im) interleaved
+    noises, (steps, receivers, B, 2n), of ``steps`` training steps: bit for
+    bit what ``steps`` calls of :func:`sample_messages` and
+    :func:`sample_noises` draw from the same generators.
+
+    ``integers`` fills its output in C order, one bounded draw per element
+    from the generator's stream, whether ``high`` is a scalar or broadcast
+    per user. ``normal(0, sd)`` is ``0.0 + sd * standard_normal``, drawn in
+    the same order: per step, per receiver, real parts then imaginary ones;
+    ``sds`` holds each receiver's ``sd``.
+    """
+    high = np.array(topo.m_list)[:, None]
+    msgs = msg_rng.integers(0, high, (steps, topo.k, bsz))
+    z = noise_rng.standard_normal((steps, topo.n_rx, 2, bsz, n))
+    noises = np.empty((steps, topo.n_rx, bsz, n, 2))
+    np.multiply(np.moveaxis(z, 2, -1), sds[:, None, None, None], out=noises)
+    noises += 0.0   # normal's loc: a -0.0 product becomes +0.0
+    return msgs, noises.reshape(steps, topo.n_rx, bsz, 2 * n)
+
+
+def _step_draws(topo: Topology, cfg: TrainConfig, msg_rng, noise_rng, sds: np.ndarray):
+    """Per training step, its messages (B, K) and noises (receivers, B, 2n),
+    drawn in blocks of about ``_DRAW_BLOCK_BYTES``, at least one step."""
+    step_bytes = 8 * cfg.batch_size * (topo.k + 2 * topo.n_rx * cfg.n)
+    block = max(1, _DRAW_BLOCK_BYTES // step_bytes)
+    for start in range(0, cfg.iterations, block):
+        msgs, noises = _draw_block(topo, msg_rng, noise_rng, sds,
+                                   min(block, cfg.iterations - start), cfg.batch_size, cfg.n)
+        for msg, noise in zip(msgs, noises):
+            yield msg.T, noise
+
+
 def train(sys: AeSystem):
     """Adam training over uniform iid minibatches with fresh noise.
 
     Returns (trained system, trace) where trace rows are
     (loss, xent_term, power_term). Deterministic per config seed. Each step
-    has :func:`composite_loss` write the gradient into one flat buffer and
-    runs Adam in place on two preallocated temporaries, in the operation
+    runs :func:`composite_loss`'s step on one plan built for the whole run
+    (:class:`_StepPlan`), which writes the gradient into one flat buffer,
+    and runs Adam in place on two preallocated temporaries, in the operation
     order of the textbook update; trace and parameters are bit for bit
     those of that update on concatenated gradients.
+
+    Messages and noise are drawn in blocks of steps (:func:`_step_draws`) of
+    about ``_DRAW_BLOCK_BYTES`` of draws, at least one step: each block is
+    bit for bit the per-step draws of :func:`sample_messages` and
+    :func:`sample_noises`, in the same order, so the run does not depend on
+    the block size, and a large batch holds one step of draws.
 
     The step loop runs on one OpenBLAS thread (:func:`one_blas_thread`), and
     the caller's thread count is put back when it ends or raises. At the
     default batch of 128, OpenBLAS splits each (128, 64) x (64, 64) decoder
     matmul across two threads, and the split costs more than it saves: the
     second thread spins through every step, which doubles the CPU time
-    without shortening the step. The bits do not change, since OpenBLAS
-    splits a matmul by output blocks, never along the summed axis. The
-    learned sweeps (:func:`evaluate_ser`) run on one BLAS thread too, with
+    without shortening the step. At that batch the bits do not change, since
+    OpenBLAS splits those matmuls by output blocks. At a batch of thousands
+    they can: at 6,554, two threads round the (64, B) x (B, 64) weight
+    gradients differently from one. The learned sweeps (:func:`evaluate_ser`) run on one BLAS thread too, with
     their decode blocks spread over the CPUs by the channel's pool.
     """
     sys = copy.deepcopy(sys)
@@ -408,17 +495,17 @@ def train(sys: AeSystem):
     _, msg_rng, noise_rng = _rng_children(cfg.seed)
     theta = pack(sys.encoders + sys.decoders)
     grad = np.empty_like(theta)
+    plan = _StepPlan(sys, cfg.batch_size, grad)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
     tmp_a, tmp_b = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = np.zeros((cfg.iterations, 3))
+    draws = _step_draws(sys.topology, cfg, msg_rng, noise_rng, plan.sds)
 
     with one_blas_thread():
-        for it in range(cfg.iterations):
-            msgs = sample_messages(sys.topology, msg_rng, cfg.batch_size)
-            noises = sample_noises(sys.topology, noise_rng, cfg.batch_size, cfg.n)
-            loss, _, parts = composite_loss(sys, msgs, noises, grad)
+        for it, (msgs, noises) in enumerate(draws):
+            loss, parts = _loss_step(sys, plan, msgs, noises)
             if not math.isfinite(loss):
                 raise TrainDivergedError(it, trace[:it])
             trace[it] = (loss, parts.xent, parts.power)

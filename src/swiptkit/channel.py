@@ -91,6 +91,11 @@ class ChannelSpec:
     def sigma_sq(self) -> float:
         return self.p_a_uw / self.snr
 
+    @property
+    def noise_sd(self) -> float:
+        """The noise's standard deviation per real dimension."""
+        return math.sqrt(self.sigma_sq / 2.0)
+
 
 @dataclass
 class TradeoffPoint:
@@ -115,9 +120,8 @@ def awgn(x: np.ndarray, spec: ChannelSpec, rng) -> np.ndarray:
     """Add complex Gaussian noise, variance sigma_sq/2 per real dimension:
     real parts, then imaginary parts, drawn even when sigma_sq is 0."""
     y = np.array(x, dtype=complex)   # a copy: the draws are added in place
-    sd = math.sqrt(spec.sigma_sq / 2.0)
-    y.real += rng.normal(0.0, sd, y.shape)
-    y.imag += rng.normal(0.0, sd, y.shape)
+    y.real += rng.normal(0.0, spec.noise_sd, y.shape)
+    y.imag += rng.normal(0.0, spec.noise_sd, y.shape)
     return y
 
 

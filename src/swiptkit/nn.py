@@ -24,12 +24,20 @@ class MlpParams:
 
 
 def mlp_forward(net: MlpParams, x: np.ndarray):
-    """Returns (output, activations); activations[i] is layer i's input."""
+    """Returns (output, activations); activations[i] is layer i's input.
+
+    ``x`` is (B, inputs), or B distinct integer row indices that stand for
+    the one-hot rows they pick. The first layer then gathers its weight
+    columns, ``W0.T[x] + b0``: the one-hot product's value bit for bit, since
+    its other terms are exact zeros, without the (B, inputs) matrix.
+    """
     acts = [x]
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T   # then in place: one (B, width) array per layer
+        # then in place: one C-ordered (B, width) array per layer (an
+        # F-ordered one would change the next matmul's rounding)
+        h = w.T[h] if h.ndim == 1 else h @ w.T
         h += b
         if i != last:
             np.tanh(h, out=h)
@@ -49,7 +57,11 @@ def mlp_backward(net: MlpParams, acts: list[np.ndarray], d_out: np.ndarray,
     dz, dh = d_out, None
     for i in range(len(net.weights) - 1, -1, -1):
         if out is not None:
-            np.matmul(dz.T, acts[i], out=out[2 * i])
+            if acts[i].ndim == 1:   # one-hot rows: dz's rows are their columns
+                out[2 * i].fill(0.0)
+                out[2 * i].T[acts[i]] = dz
+            else:
+                np.matmul(dz.T, acts[i], out=out[2 * i])
             np.add.reduce(dz, axis=0, out=out[2 * i + 1])
         if i == 0 and not input_grad:
             break

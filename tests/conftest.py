@@ -10,8 +10,9 @@ from swiptkit.channel import design_codewords, monte_carlo
 
 # property tests draw the same examples on every run, with no time limit;
 # HYPOTHESIS_PROFILE=randomized draws new ones: the certification, i0e and
-# row-slice properties of tests/test_channel.py and the sampler, greedy-pass
-# and einsum-order properties of tests/test_codebook.py draw at least 1,000
+# row-slice properties of tests/test_channel.py, the sampler, greedy-pass
+# and einsum-order properties of tests/test_codebook.py and the draw-block
+# property of tests/test_autoencoder.py draw at least 1,000
 # of them, and the row-slice decoder properties of tests/test_channel.py and
 # tests/test_autoencoder.py and the quadrature-block property of
 # tests/test_channel.py at least 100

@@ -2,6 +2,7 @@ import copy
 import functools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 import swiptkit as sk
 from swiptkit.autoencoder import (
     _batch_rows,
+    _draw_block,
+    _to_real,
     compose_received,
     sample_messages,
     sample_noises,
     system_from_json,
     system_to_json,
 )
-from swiptkit._blas import _thread_functions
+from swiptkit._blas import _thread_functions, one_blas_thread
 from swiptkit.nn import flat, pack
 from conftest import PlateauHarvester, decision_ser
 
@@ -200,24 +203,28 @@ def test_train_deterministic():
 
 
 def test_train_divergence_carries_iteration(monkeypatch):
+    # the NaN comes in the middle of a block of draws: 10 steps at batch 128
+    # are one block
     import swiptkit.autoencoder as ae
     sysm = small_system(m_list=(4,), pa=1.0)
     sysm.config.iterations = 10
+    _, clean = ae.train(sysm)
     calls = {"n": 0}
-    real = ae.composite_loss
+    real = ae._loss_step
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] >= 3:
-            loss, grad, parts = real(*args, **kwargs)
-            return float("nan"), grad, parts
+            loss, parts = real(*args, **kwargs)
+            return float("nan"), parts
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ae, "composite_loss", flaky)
+    monkeypatch.setattr(ae, "_loss_step", flaky)
     with pytest.raises(sk.TrainDivergedError) as err:
         ae.train(sysm)
     assert err.value.iteration == 2
     assert err.value.trace.shape == (2, 3)
+    assert err.value.trace.tobytes() == clean[:2].tobytes()
 
 
 def test_loss_trace_windows_non_increasing():
@@ -347,7 +354,8 @@ def _composite_loss_reference(sysm, messages, noises):
 
     enc_state = []
     for tx in range(topo.n_tx):
-        raw, acts = _mlp_forward_reference(sysm.encoders[tx], _encoder_input(topo, tx))
+        one_hot = _encoder_input(topo, tx) if topo.kind == "bc" else np.eye(topo.m_list[tx])
+        raw, acts = _mlp_forward_reference(sysm.encoders[tx], one_hot)
         s = float(np.sum(raw ** 2))
         g = math.sqrt(topo.tx_messages(tx) * n * topo.p_a_uw / s)
         enc_state.append((g * raw, raw, acts, g, s))
@@ -477,11 +485,28 @@ def test_lean_step_is_bit_identical_to_the_reference(link, n, harvester, canonic
     _, fresh, _ = sk.composite_loss(sysm, msgs, noises)   # a vector of its own
     assert fresh.tobytes() == grad.tobytes()
 
-    _assert_train_is_the_reference(sysm)
+    _assert_train_is_the_reference(sysm, block=7)   # 50 steps: 7 blocks of 7, then 1
 
 
-def _assert_train_is_the_reference(sysm):
-    trained, trace = sk.train(sysm)
+def _assert_train_is_the_reference(sysm, block=None):
+    """train against _train_reference, with draws in blocks of ``block``
+    steps (set through the block's byte size), or of the default size."""
+    import swiptkit.autoencoder as ae
+    topo, cfg = sysm.topology, sysm.config
+    step_bytes = 8 * cfg.batch_size * (topo.k + 2 * topo.n_rx * cfg.n)
+    block_bytes = ae._DRAW_BLOCK_BYTES if block is None else block * step_bytes
+    block = max(1, block_bytes // step_bytes)
+    drawn, real = [], ae._draw_block
+
+    def drawing(*args):
+        drawn.append(args[4])   # the block's steps
+        return real(*args)
+
+    with mock.patch.object(ae, "_DRAW_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(ae, "_draw_block", drawing):
+        trained, trace = sk.train(sysm)
+    whole, rest = divmod(cfg.iterations, block)
+    assert drawn == [block] * whole + [rest] * (rest > 0)
     ref_sys, ref_trace = _train_reference(sysm)
     assert trace.tobytes() == ref_trace.tobytes()
     assert trained.final_loss == ref_sys.final_loss
@@ -502,20 +527,106 @@ def test_one_blas_thread_is_bit_identical_at_the_threaded_batch(link, harvester,
     _assert_train_is_the_reference(sysm)
 
 
+def test_train_at_a_one_step_block_is_the_reference(canonical_fit):
+    # a batch whose one step of draws is past the block's byte size: every
+    # block is one step, and three of them are the reference's run. The
+    # reference runs on one BLAS thread too: at this batch two threads round
+    # the weight gradients' (64, B) x (B, 64) products differently
+    import swiptkit.autoencoder as ae
+    sysm = small_system(pa=100.0, n=2, lam=0.3, harvester=canonical_fit, seed=29,
+                        hidden=(64, 64))
+    sysm.config.iterations = 3
+    sysm.config.batch_size = ae._DRAW_BLOCK_BYTES // (8 * (1 + 2 * 2)) + 1
+    with one_blas_thread():
+        _assert_train_is_the_reference(sysm)
+
+
+_SNRS = [math.inf, 1e-3, 0.5, 50.0, 1e300]
+
+
+@given(st.sampled_from([("p2p", 1), ("bc", 2), ("mac", 2), ("mac", 3), ("ic", 2), ("ic", 3)]),
+       st.lists(st.integers(1, 17), min_size=3, max_size=3), st.lists(st.sampled_from(_SNRS),
+                                                                        min_size=3, max_size=3),
+       st.sampled_from([1e-6, 0.7, 100.0]), st.integers(1, 4), st.integers(1, 9),
+       st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_draw_block_property_equals_per_step_draws(link, ms, snrs, pa, steps, half, n, seed):
+    # unequal message sizes (1 draws nothing), odd and even batches, mixed
+    # and infinite SNRs: a block of steps is bit for bit the per-step draws
+    kind, k = link
+    n_rx = 1 if kind in ("p2p", "mac") else k
+    topo = sk.Topology(kind=kind, m_list=ms[:k], snrs=snrs[:n_rx], p_a_uw=pa,
+                       gains=np.eye(k) if kind == "ic" else None)
+    bsz = 2 * half - seed % 2
+    sds = np.array([sk.ChannelSpec(snr, pa).noise_sd for snr in topo.snrs])
+    msg_rng, noise_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    msgs, noises = _draw_block(topo, msg_rng, noise_rng, sds, steps, bsz, n)
+    assert msgs.shape == (steps, k, bsz) and noises.shape == (steps, n_rx, bsz, 2 * n)
+    msg_rng, noise_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    for j in range(steps):
+        assert msgs[j].T.tobytes() == sample_messages(topo, msg_rng, bsz).tobytes()
+        for r, w in enumerate(sample_noises(topo, noise_rng, bsz, n)):
+            assert noises[j, r].tobytes() == _to_real(w).tobytes()
+
+
+def test_train_holds_one_step_of_draws_at_a_large_batch():
+    # at B = 50,000 and n = 4 one step draws 3.6 MB, past the block's byte
+    # size: train holds one step of draws on top of a step's own peak (a
+    # block of 85 steps, as at batch 128, would be 306 MB)
+    import tracemalloc
+    sysm = small_system(n=4, seed=3)
+    sysm.config.iterations, sysm.config.batch_size = 3, 50_000
+    rng = np.random.default_rng(4)
+    msgs = sample_messages(sysm.topology, rng, 50_000)
+    noises = sample_noises(sysm.topology, rng, 50_000, 4)
+    grad = np.empty_like(pack(sysm.encoders + sysm.decoders))
+    draws = msgs.nbytes + 8 * noises[0].size * 2
+    tracemalloc.start()
+    try:
+        sk.composite_loss(sysm, msgs, noises, grad)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sk.train(sysm)
+        train_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws == 3.6e6
+    # the margin holds the copied system, theta, Adam's state and the trace
+    assert train_peak <= step_peak + draws + 1e6
+
+
+def test_composite_loss_memory_is_bounded_at_a_large_m():
+    # the encoder's one-hot input is a row gather: no (M, M) identity, which
+    # at M = 20,000 alone is 3.2 GB; one (M, 16) activation is 2.6 MB
+    import tracemalloc
+    sysm = small_system(m_list=(20_000,), snrs=(10.0,), seed=2, hidden=(16,))
+    rng = np.random.default_rng(5)
+    msgs = sample_messages(sysm.topology, rng, 8)
+    noises = sample_noises(sysm.topology, rng, 8, 1)
+    grad = np.empty_like(pack(sysm.encoders + sysm.decoders))
+    tracemalloc.start()
+    try:
+        loss, _, _ = sk.composite_loss(sysm, msgs, noises, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(loss) and np.all(np.isfinite(grad))
+    assert peak < 16e6
+
+
 @pytest.mark.skipif(_thread_functions() is None, reason="numpy's OpenBLAS not found")
 def test_train_steps_on_one_blas_thread_and_restores_the_count(monkeypatch):
     import swiptkit.autoencoder as ae
     get, set_ = _thread_functions()
     caller = get()
     seen = []
-    real = ae.composite_loss
+    real = ae._loss_step
 
     def recording(*args, **kwargs):
         seen.append(get())
-        loss, grad, parts = real(*args, **kwargs)
-        return (float("nan") if len(seen) == 8 else loss), grad, parts
+        loss, parts = real(*args, **kwargs)
+        return (float("nan") if len(seen) == 8 else loss), parts
 
-    monkeypatch.setattr(ae, "composite_loss", recording)
+    monkeypatch.setattr(ae, "_loss_step", recording)
     sysm = small_system(m_list=(4,), pa=1.0)
     sysm.config.iterations = 5
     try:

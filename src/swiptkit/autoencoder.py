@@ -519,11 +519,17 @@ def train(sys: AeSystem):
             tmp_a *= grad
             v_state *= beta2
             v_state += tmp_a
-            # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m_state, 1 - beta1 ** t, out=tmp_a)
-            tmp_a *= cfg.learning_rate
-            np.divide(v_state, 1 - beta2 ** t, out=tmp_b)
-            np.sqrt(tmp_b, out=tmp_b)
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps); a bias correction that
+            # rounds to 1.0 (from step 356 for beta1, 37,412 for beta2)
+            # divides by 1.0, which changes no bit, so its pass is skipped
+            m_hat, v_hat = m_state, v_state
+            bias1, bias2 = 1 - beta1 ** t, 1 - beta2 ** t
+            if bias1 != 1.0:
+                m_hat = np.divide(m_state, bias1, out=tmp_a)
+            if bias2 != 1.0:
+                v_hat = np.divide(v_state, bias2, out=tmp_b)
+            np.multiply(m_hat, cfg.learning_rate, out=tmp_a)
+            np.sqrt(v_hat, out=tmp_b)
             tmp_b += eps
             tmp_a /= tmp_b
             theta -= tmp_a

@@ -169,7 +169,9 @@ def cmd_fit_eh(args) -> int:
     model = fit_eh(data, args.epochs, args.seed)
     payload = _attach_meta(model.to_json(), args)
     write_json(args.output, payload)
-    print(f"fit-eh: {len(data)} points, rmse={model.rmse:.6g} uW -> {args.output}")
+    iterations, reason = model.fit_log
+    print(f"fit-eh: {len(data)} points, rmse={model.rmse:.6g} uW, "
+          f"iterations={iterations} (stop: {reason}) -> {args.output}")
     return EXIT_OK
 
 
@@ -320,7 +322,9 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     fe.add_argument("--pmax", type=float, default=2000.0)
     fe.add_argument("--noise-rel", dest="noise_rel", type=float, default=0.0)
     fe.add_argument("--seed", type=int, default=0)
-    fe.add_argument("--epochs", type=int, default=30000, help="max L-BFGS iterations")
+    fe.add_argument("--epochs", type=int, default=30000,
+                    help="L-BFGS iteration cap; the fit stops sooner when the loss "
+                         "or the gradient stalls")
     fe.set_defaults(func=cmd_fit_eh)
 
     de = sub.add_parser("design", help="algorithmic constellation/codebook")

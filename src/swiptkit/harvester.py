@@ -1,4 +1,4 @@
-"""Energy-harvester models: a tanh regression network fitted by L-BFGS-B, the
+"""Energy-harvester models: a tanh regression network fitted by L-BFGS, the
 sigmoidal saturation model, a canonical synthetic curve, and On-Off analysis.
 
 Every harvester is an object with ``evaluate(p)``, the harvested power at
@@ -7,9 +7,9 @@ instantaneous input power ``p``, and ``value_and_derivative(p)``, the pair
 the autoencoder's loss take any such object. All powers are in uW,
 amplitudes in sqrt(uW).
 
-SciPy is imported only inside :func:`fit_eh` (``minimize``), not at module
-level: importing ``scipy.optimize`` costs about half a second per process,
-and only the ``fit-eh`` command calls it.
+The fit's optimizer is in the package (:func:`_lbfgs`), so no command imports
+SciPy: ``scipy.optimize`` alone costs a process about 50 MB and half a
+second. SciPy is left to the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +29,8 @@ from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
 
 class FitDivergedError(RuntimeError):
-    """Raised when the regression loss goes non-finite."""
+    """Raised when the regression loss is non-finite at the fit's start
+    (later non-finite trials only shrink the fit's step)."""
 
     def __init__(self, epoch: int):
         super().__init__(f"fit diverged (non-finite loss) at iteration {epoch}")
@@ -221,6 +223,7 @@ class EhModel:
     input_scale: float
     power_scale: float
     rmse: float | None = None
+    fit_log: tuple[int, str] | None = None   # fit_eh's (iterations, stop reason); not in the JSON
 
     def __post_init__(self):
         for name, shape in _EH_SHAPES:
@@ -284,7 +287,7 @@ class EhModel:
 def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     """Mean squared error of the zero-offset-corrected network on normalized
     data, and its gradient as one vector in :func:`pack` order: a new array
-    per call, since L-BFGS-B may keep the last gradient it was given.
+    per call, since :func:`_lbfgs` keeps the gradients it was given.
     """
     m = z.size
     f, acts = _eh_head(net, z, 1.0)
@@ -299,10 +302,121 @@ def eh_loss_and_grad(net: MlpParams, z: np.ndarray, targets: np.ndarray):
     return loss, grad
 
 
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H·g: the two-loop recursion over the curvature
+    pairs (s, y, 1/sᵀy), oldest first, from H0 = γI with γ = sᵀy/yᵀy of the
+    newest pair."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        d *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d += (alpha - rho * (y @ d)) * s
+    return d
+
+
+def _cubic_min(t1, f1, g1, t2, f2, g2):
+    """Minimizer of the cubic through (t, f, df/dt) at t1 != t2, or None;
+    in Python floats, which overflow to inf and nan without a warning."""
+    d1 = g1 + g2 - 3.0 * (f1 - f2) / (t1 - t2)
+    rad = d1 * d1 - g1 * g2
+    if not rad >= 0.0:
+        return None
+    d2 = math.copysign(math.sqrt(rad), t2 - t1)
+    den = g2 - g1 + 2.0 * d2
+    return t2 - (t2 - t1) * (g2 + d2 - d1) / den if den else None
+
+
+def _wolfe_step(loss_and_grad, x, d, f0, slope0, t):
+    """(t, f, g) at a step along ``d`` from ``x`` that meets the strong Wolfe
+    conditions (c1 = 1e-3, c2 = 0.9), found in at most 20 evaluations from
+    the trial step ``t``: the step is quadrupled until a minimum is
+    bracketed, then the bracket [lo, hi] is shrunk by safeguarded cubic
+    interpolation (Nocedal & Wright, Algorithms 3.5 and 3.6). A trial with
+    a non-finite loss ends the bracket there. ``f0`` and ``slope0`` are the
+    loss and its slope along ``d`` at ``x``. With no such step, the last
+    step that lowered the loss, or None if none did.
+    """
+    lo, hi = (0.0, f0, slope0, None), None
+    for _ in range(20):
+        f, g = loss_and_grad(x + t * d)
+        f, slope = float(f), float(g @ d)
+        if not (f <= f0 + 1e-3 * t * slope0 and f < lo[1]):   # a non-finite f fails too
+            hi = (t, f, slope, g)
+        elif abs(slope) <= -0.9 * slope0:
+            return t, f, g
+        else:
+            if slope >= 0.0 if hi is None else slope * (hi[0] - t) >= 0.0:
+                hi = lo   # the minimum lies back toward lo
+            lo = (t, f, slope, g)
+        if hi is None:
+            t *= 4.0
+            continue
+        width = hi[0] - lo[0]
+        t = lo[0] + 0.5 * width
+        if math.isfinite(hi[1]):
+            c = _cubic_min(*lo[:3], *hi[:3])
+            if c is not None and abs(c - t) <= 0.4 * abs(width):
+                t = c
+    return (lo[0], lo[1], lo[3]) if lo[0] > 0.0 else None
+
+
+def _lbfgs(loss_and_grad, x0: np.ndarray, max_iter: int):
+    """Minimize ``loss_and_grad(x) -> (loss, gradient)`` from ``x0`` by
+    L-BFGS (Liu & Nocedal 1989), unconstrained, at the constants and the
+    stopping rule of L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) as SciPy sets
+    them by default.
+
+    Memory 10; the first step is 1/‖d‖, later ones 1, and :func:`_wolfe_step`
+    refines them. A pair with sᵀy <= eps·yᵀy is dropped; a failed search
+    clears the memory and tries again from steepest descent. Stops when
+    max|g| <= 1e-5 ("gradient"), when (f_old - f)/max(|f_old|, |f|, 1) <=
+    1e7·eps ("f reduction"), after ``max_iter`` iterations ("cap"), or when
+    no step from steepest descent lowers the loss ("line search").
+    Returns (x, iterations, stop reason). FitDivergedError if the loss at
+    ``x0`` is not finite.
+    """
+    x = x0
+    f, g = loss_and_grad(x)
+    f = float(f)
+    if not math.isfinite(f):
+        raise FitDivergedError(0)
+    pairs = deque(maxlen=10)
+    tol = 1e7 * np.finfo(float).eps
+    it, f_old = 0, f
+    while True:
+        if np.max(np.abs(g)) <= 1e-5:
+            return x, it, "gradient"
+        if it and f_old - f <= tol * max(abs(f_old), abs(f), 1.0):
+            return x, it, "f reduction"
+        if it == max_iter:
+            return x, it, "cap"
+        d = _two_loop(g, pairs)
+        slope = float(g @ d)
+        step = None if not slope < 0.0 else _wolfe_step(
+            loss_and_grad, x, d, f, slope, 1.0 if it else 1.0 / math.sqrt(d @ d))
+        if step is None:
+            if not pairs:
+                return x, it, "line search"
+            pairs.clear()
+            continue
+        t, f_new, g_new = step
+        s, y = t * d, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, f_old, f, g = x + s, f, f_new, g_new
+        it += 1
+
+
 def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
-    """Fit the tanh network to a power dataset by L-BFGS-B on its flat
-    parameter vector, for at most ``epochs`` iterations at scipy's default
-    tolerances, from parameters drawn uniformly from [-1, 1] at ``seed``.
+    """Fit the tanh network to a power dataset by :func:`_lbfgs` on its flat
+    parameter vector, for at most ``epochs`` iterations, from parameters
+    drawn uniformly from [-1, 1] at ``seed``; the model's ``fit_log`` holds
+    the iteration count and the stop reason.
 
     Inputs are normalized by the largest input power; targets are scaled into
     [0, 0.9] so the tanh head can reach them. Deterministic per seed.
@@ -329,16 +443,11 @@ def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
         theta[:] = x
         return eh_loss_and_grad(net, z, targets)
 
-    from scipy.optimize import minimize
-
-    res = minimize(loss_at, theta.copy(), jac=True, method="L-BFGS-B",
-                   options={"maxiter": epochs})
-    if not np.isfinite(res.fun):
-        raise FitDivergedError(res.nit)
-    theta[:] = res.x
+    x, iterations, reason = _lbfgs(loss_at, theta.copy(), epochs)
+    theta[:] = x
 
     model = EhModel(*flat([(net.weights, net.biases)]), input_scale=input_scale,
-                    power_scale=power_scale)
+                    power_scale=power_scale, fit_log=(iterations, reason))
     resid = np.asarray(model.evaluate(data.p_in)) - data.p_out
     model.rmse = float(np.sqrt(np.mean(resid ** 2)))
     return model

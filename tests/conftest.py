@@ -25,8 +25,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 def canonical_fit():
     """Production-quality fit of the tanh harvester on noiseless canonical data.
 
-    About 0.1 s (L-BFGS-B); shared by the harvester tests and the acceptance
-    suite.
+    About 0.03 s (the package's L-BFGS, 36 iterations); shared by the
+    harvester tests and the acceptance suite.
     """
     data = sk.synth_dataset(2000, p_max=2000.0, noise_rel=0.0, seed=7)
     return sk.fit_eh(data)

@@ -527,6 +527,15 @@ def test_one_blas_thread_is_bit_identical_at_the_threaded_batch(link, harvester,
     _assert_train_is_the_reference(sysm)
 
 
+def test_train_past_the_first_moments_exact_bias_correction_is_the_reference(canonical_fit):
+    # from step 356 on, 1 - 0.9**t rounds to 1.0 and train skips the division
+    # of the first moment by it; 400 steps run 45 of them
+    sysm = small_system(pa=100.0, lam=0.3, harvester=canonical_fit, seed=31, hidden=(64, 64))
+    sysm.config.iterations, sysm.config.batch_size = 400, 32
+    assert 1 - 0.9 ** 355 != 1.0 and 1 - 0.9 ** 356 == 1.0
+    _assert_train_is_the_reference(sysm)
+
+
 def test_train_at_a_one_step_block_is_the_reference(canonical_fit):
     # a batch whose one step of draws is past the block's byte size: every
     # block is one step, and three of them are the reference's run. The

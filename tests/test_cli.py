@@ -958,8 +958,9 @@ def test_simulate_and_sweep_load_no_scipy(tmp_path):
         assert modules == set()
 
 
-def test_fit_eh_imports_scipy_optimize_when_it_runs(tmp_path):
+def test_fit_eh_loads_no_scipy(tmp_path):
+    # the fit's L-BFGS is in the package
     rc, modules = _fresh_scipy_modules(["fit-eh", "--synthetic", "--points", 60,
                                         "--epochs", 50, "-o", "eh.json"], tmp_path)
-    assert rc == 0 and "scipy.optimize" in modules
+    assert rc == 0 and modules == set()
     assert sk.EhModel.load(tmp_path / "eh.json").rmse is not None

@@ -3,7 +3,7 @@ import pytest
 
 import swiptkit as sk
 from swiptkit.constellation import write_csv, write_json
-from swiptkit.harvester import eh_loss_and_grad
+from swiptkit.harvester import _lbfgs, eh_loss_and_grad
 from swiptkit.nn import MlpParams, pack
 
 
@@ -209,6 +209,72 @@ def test_fit_divergence_reports_epoch(monkeypatch):
     with pytest.raises(sk.FitDivergedError) as err:
         hv.fit_eh(sk.synth_dataset(50), epochs=10)
     assert err.value.epoch == 0
+
+
+def test_lbfgs_reaches_an_ill_conditioned_quadratics_minimizer():
+    # eigenvalues 1 to 1e4 on a rotated basis, minimizer away from the start
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = q @ np.diag(np.logspace(0, 4, 6)) @ q.T
+    c = rng.uniform(-1.0, 1.0, 6)
+    x, iterations, reason = _lbfgs(lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c)),
+                                   np.zeros(6), 1000)
+    assert reason in ("gradient", "f reduction") and iterations < 1000
+    assert np.max(np.abs(x - c)) < 1e-4
+
+
+def test_lbfgs_reaches_the_rosenbrock_minimum():
+    def rosen(v):
+        x, y = v
+        return (100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2,
+                np.array([-400.0 * x * (y - x * x) - 2.0 * (1.0 - x), 200.0 * (y - x * x)]))
+    x, iterations, reason = _lbfgs(rosen, np.array([-1.2, 1.0]), 1000)
+    assert reason in ("gradient", "f reduction") and iterations < 1000
+    assert np.allclose(x, 1.0, atol=1e-4)
+
+
+def test_lbfgs_shrinks_steps_onto_an_infinite_loss():
+    # the loss is inf past radius 0.6, which the first step of 1/|d| crosses
+    c = np.array([0.3, 0.4])
+    walls = []
+
+    def walled(x):
+        if x @ x > 0.36:
+            walls.append(x)
+            return np.inf, np.zeros(2)
+        return float((x - c) @ (x - c)), 2.0 * (x - c)
+    x, _, reason = _lbfgs(walled, np.zeros(2), 100)
+    assert walls
+    assert reason in ("gradient", "f reduction")
+    assert np.allclose(x, c, atol=1e-4)
+
+
+def test_fit_eh_runs_exactly_its_epochs():
+    d = sk.synth_dataset(200, seed=7)
+    assert sk.fit_eh(d, epochs=1, seed=9).fit_log == (1, "cap")
+    iterations, reason = sk.fit_eh(d, epochs=10_000, seed=9).fit_log
+    assert reason in ("gradient", "f reduction") and 1 < iterations < 10_000
+
+
+def test_fit_eh_matches_scipy_lbfgsb_quality(monkeypatch):
+    # the oracle: SciPy's L-BFGS-B on the same loss, start and iteration cap,
+    # at the benchmark's fit (2,000 points, 5% noise, 10,000 iterations)
+    from scipy.optimize import minimize
+
+    import swiptkit.harvester as hv
+
+    def scipy_lbfgsb(loss_and_grad, x0, max_iter):
+        res = minimize(loss_and_grad, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iter})
+        return res.x, res.nit, res.message
+
+    for seed in range(8):
+        data = sk.synth_dataset(2000, noise_rel=0.05, seed=seed)
+        ours = sk.fit_eh(data, epochs=10_000, seed=seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(hv, "_lbfgs", scipy_lbfgsb)
+            theirs = sk.fit_eh(data, epochs=10_000, seed=seed)
+        assert ours.rmse == pytest.approx(theirs.rmse, rel=0.10), seed
 
 
 def test_fit_gradient_matches_finite_differences():

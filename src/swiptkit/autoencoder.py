@@ -320,7 +320,9 @@ class _StepPlan:
 def _loss_step(sys: AeSystem, plan: _StepPlan, messages: np.ndarray, noises):
     """One step of :func:`composite_loss` on its plan: ``messages`` (B, K)
     ints, ``noises`` per receiver real (B, 2n), (re, im) interleaved. Writes
-    the gradient into the plan's buffer; returns (loss, parts)."""
+    the gradient into the plan's buffer; returns (loss, parts). A received
+    power that is not finite makes the loss nan at any λ, so that
+    :func:`train` reports the step as diverged."""
     topo, cfg = sys.topology, sys.config
     lam, n, bsz, coeff, outs = cfg.lambda_, cfg.n, plan.bsz, plan.coeff, plan.outs
 
@@ -355,7 +357,11 @@ def _loss_step(sys: AeSystem, plan: _StepPlan, messages: np.ndarray, noises):
         d_y.append(d_in)
 
         if lam > 0:
-            f_val, f_der = sys.harvester.value_and_derivative(np.abs(y.view(complex)) ** 2)
+            p_in = np.abs(y.view(complex)) ** 2
+            if not np.isfinite(p_in).all():   # the harvester takes finite powers only
+                power_total = math.nan
+                continue
+            f_val, f_der = sys.harvester.value_and_derivative(p_in)
             p_d = f_val.sum(axis=1) / n
             pd_safe = np.maximum(p_d, cfg.pd_floor)
             power_total += float((lam / pd_safe).sum()) / bsz
@@ -602,7 +608,7 @@ def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
                 out[s] = np.count_nonzero(est != truth[s])
             return out
 
-        errors += monte_carlo(cw.shape, spec, trials, [count])[0]
+        errors += monte_carlo(cw.shape, spec, trials, count)
     return errors / trials
 
 

@@ -10,11 +10,11 @@ them by minimum distance (ML under AWGN); learned decoders are scored by
 :func:`monte_carlo`. A sweep draws each chunk once and decodes every point
 from it (common random numbers), so each row equals ``ser_mc`` of its
 design at the same seed.
-Draws are per chunk of trials, on the calling thread; statistics of the
-messages and the noise are evaluated per row block, mapped over a
-process-wide thread pool with one worker per CPU and run on one OpenBLAS
-thread, and block results are summed in block order, so every count is the
-same whatever the number of workers. One rule cuts every row loop:
+Draws are per chunk of trials, on the calling thread; the pass's one
+statistic of the messages and the noise is evaluated per row block, mapped
+over a process-wide thread pool with one worker per CPU and run on one
+OpenBLAS thread, and block results are summed in block order, so every
+count is the same whatever the number of workers. One rule cuts every row loop:
 :func:`row_slices`, whose remainder joins the last part. It cuts a chunk
 into blocks of ``_BLOCK`` rows, and :func:`sliced` cuts a decoder's block
 into slices of :func:`slice_rows` rows, so peak memory is one chunk's
@@ -160,45 +160,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_decode_pool.cache_clear)
 
 
-def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stats) -> list:
-    """Per statistic ``stats[p]``, the sum of ``stats[p](msg, w)`` over one
-    pass of the sampler for ``shape`` = (M, n): ``msg`` indexes M codewords
-    and ``w`` is the (rows, n) noise, the same for every statistic (common
-    random numbers). The received rows of a codeword matrix ``cw`` are
-    ``cw.take(msg, axis=0) + w``, so a statistic may score several designs.
+def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stat):
+    """The sum of ``stat(msg, w)`` over one pass of the sampler for ``shape``
+    = (M, n): ``msg`` indexes M codewords and ``w`` is the (rows, n) noise,
+    so the received rows of a codeword matrix ``cw`` are
+    ``cw.take(msg, axis=0) + w``. A statistic that returns an array may
+    score several designs on the same draws (common random numbers), as
+    :func:`_ml_error_counter` does for a whole sweep.
 
-    Each chunk is drawn once on the calling thread, then every statistic is
+    Each chunk is drawn once on the calling thread, then the statistic is
     evaluated per :func:`row_slices` block of ``_BLOCK`` rows on the decode
     pool, all on one OpenBLAS thread (the caller's count is put back after).
     As with the decoders' slices, a chunk's remainder joins its last block,
     so no block is a lone row of a longer chunk: NumPy decodes a lone row by
-    gemv, whose sums may round differently from a block's gemm. A statistic
-    must therefore be additive over rows and safe to call from several
-    threads at once; it may return a number or an array. Block results are
-    summed in block order, so integer counts do not depend on the worker
-    count. A chunk is freed before the next is drawn, so peak memory is one
-    chunk's draws plus one :func:`row_slices` slice of decoder state per
-    worker.
+    gemv, whose sums may round differently from a block's gemm. The
+    statistic must therefore be additive over rows and safe to call from
+    several threads at once; it may return a number or an array. Block
+    results are summed in block order, so integer counts do not depend on
+    the worker count. A chunk is freed before the next is drawn, so peak
+    memory is one chunk's draws plus one :func:`row_slices` slice of decoder
+    state per worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    totals = [0] * len(stats)
-    if not stats:
-        return totals
+    total = 0
     pool = _decode_pool()
     run = map if pool is None else pool.map
     with one_blas_thread():
         for msg, w in sample_channel(*shape, spec, trials):
-            def block(rows, msg=msg, w=w):
-                m, wb = msg[rows], w[rows]
-                return [stat(m, wb) for stat in stats]
-
-            for sums in run(block, row_slices(len(msg), _BLOCK)):
-                for p, value in enumerate(sums):
-                    totals[p] += value
+            for value in run(lambda rows, msg=msg, w=w: stat(msg[rows], w[rows]),
+                             row_slices(len(msg), _BLOCK)):
+                total += value
             # freed before the next chunk is drawn: one chunk alive at a time
-            del msg, w, block
-    return totals
+            del msg, w
+    return total
 
 
 def slice_rows(widths) -> int:
@@ -410,8 +405,7 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int) -> list[
         raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
     degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
     live = [cw for cw, d in zip(cws, degenerate) if not d]
-    totals = monte_carlo(shapes.pop(), spec, trials, [_ml_error_counter(live)] if live else [])
-    counts = iter(totals[0] if live else [])
+    counts = iter(monte_carlo(shapes.pop(), spec, trials, _ml_error_counter(live)) if live else [])
     out = []
     for cw, d in zip(cws, degenerate):
         m = cw.shape[0]
@@ -446,7 +440,7 @@ def delivered_power_mc(design, spec: ChannelSpec, harvester, trials: int) -> flo
     cw = design_codewords(design)
     power = lambda msg, w: float(np.sum(np.asarray(
         harvester.evaluate(np.abs(cw.take(msg, axis=0) + w) ** 2))))
-    return monte_carlo(cw.shape, spec, trials, [power])[0] / (trials * cw.shape[1])
+    return monte_carlo(cw.shape, spec, trials, power) / (trials * cw.shape[1])
 
 
 def delivered_power_noiseless(design, harvester) -> float:

@@ -194,7 +194,8 @@ def synth_dataset(n_points: int, p_max: float = 2000.0, noise_rel: float = 0.0,
 # learned parametric model (3-2-1 tanh network on normalized power)
 # ---------------------------------------------------------------------------
 
-# (field, shape) of the 1-3-2-1 net's parameters, in the core's flat order
+# (field, shape) of the 1-3-2-1 net's parameters, in the core's flat order:
+# the JSON format's fields, and the shapes of the fit's first draw
 _EH_SHAPES = (("w1", (3, 1)), ("b1", (3,)), ("w2", (2, 3)),
               ("b2", (2,)), ("w3", (1, 2)), ("b3", (1,)))
 
@@ -210,35 +211,29 @@ def _eh_head(net: MlpParams, p: np.ndarray, scale: float):
 @dataclass
 class EhModel:
     """Tanh regression network mapping instantaneous input power to
-    harvested power, with normalization scales and a zero-offset correction
-    so that zero input gives exactly zero output.
+    harvested power: the 1-3-2-1 net ``net``, in the :mod:`~swiptkit.nn`
+    core's form that the fit and the backward passes use, on input power
+    over ``input_scale``, its tanh head scaled by ``power_scale``, with a
+    zero-offset correction so that zero input gives exactly zero output.
     """
 
-    w1: np.ndarray  # (3, 1)
-    b1: np.ndarray  # (3,)
-    w2: np.ndarray  # (2, 3)
-    b2: np.ndarray  # (2,)
-    w3: np.ndarray  # (1, 2)
-    b3: np.ndarray  # (1,)
+    net: MlpParams   # arrays shaped as _EH_SHAPES
     input_scale: float
     power_scale: float
     rmse: float | None = None
     fit_log: tuple[int, str] | None = None   # fit_eh's (iterations, stop reason); not in the JSON
 
     def __post_init__(self):
-        for name, shape in _EH_SHAPES:
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+        if not len(self.net.weights) == len(self.net.biases) == 3:
+            raise ValueError("bad field 'net': the harvester's net has three layers")
+        for (name, shape), arr in zip(_EH_SHAPES, flat([(self.net.weights, self.net.biases)])):
+            if np.shape(arr) != shape:
+                raise ValueError(f"bad field {name!r}: shape {np.shape(arr)}, not {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"bad field {name!r}: weights must be finite")
-            setattr(self, name, arr)
         for name in ("input_scale", "power_scale"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"bad field {name!r}: scales must be finite and positive")
-
-    @property
-    def net(self) -> MlpParams:
-        return MlpParams(weights=[self.w1, self.w2, self.w3],
-                         biases=[self.b1, self.b2, self.b3])
 
     def evaluate(self, p_in) -> np.ndarray | float:
         p = _require_finite(p_in)
@@ -254,18 +249,18 @@ class EhModel:
         """(evaluate(p_in), derivative(p_in)), bit for bit, from one forward
         pass of the net."""
         p = _require_finite(p_in)
-        net = self.net
-        f, acts = _eh_head(net, p, self.input_scale)
+        f, acts = _eh_head(self.net, p, self.input_scale)
         rel = f[:-1] - f[-1]
         value = self.power_scale * np.maximum(0.0, rel)
-        dz = mlp_backward(net, acts, (1.0 - f ** 2)[:, None])
+        dz = mlp_backward(self.net, acts, (1.0 - f ** 2)[:, None])
         slope = np.where(rel > 0, dz[:-1, 0], 0.0) * self.power_scale / self.input_scale
         if not p.ndim:
             return float(value[0]), float(slope[0])
         return value.reshape(p.shape), slope.reshape(p.shape)
 
     def to_json(self) -> dict:
-        d = {name: getattr(self, name).tolist() for name, _ in _EH_SHAPES}
+        arrays = flat([(self.net.weights, self.net.biases)])
+        d = {name: arr.tolist() for (name, _), arr in zip(_EH_SHAPES, arrays)}
         d.update(input_scale=self.input_scale, power_scale=self.power_scale)
         if self.rmse is not None:
             d["rmse"] = self.rmse
@@ -274,9 +269,10 @@ class EhModel:
     @classmethod
     def from_json(cls, d: dict) -> "EhModel":
         """ValueError names a missing or malformed field."""
-        arrays = {name: json_field(d, name, lambda v, s=shape: np.array(v, dtype=float).reshape(s))
-                  for name, shape in _EH_SHAPES}
-        return cls(**arrays, input_scale=json_field(d, "input_scale", float),
+        arrays = [json_field(d, name, lambda v, s=shape: np.array(v, dtype=float).reshape(s))
+                  for name, shape in _EH_SHAPES]
+        return cls(MlpParams(weights=arrays[0::2], biases=arrays[1::2]),
+                   input_scale=json_field(d, "input_scale", float),
                    power_scale=json_field(d, "power_scale", float), rmse=d.get("rmse"))
 
     @classmethod
@@ -435,8 +431,8 @@ def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
     targets = data.p_out / power_scale
 
     rng = np.random.default_rng(seed)
-    w1, b1, w2, b2, w3, b3 = (rng.uniform(-1.0, 1.0, shape) for _, shape in _EH_SHAPES)
-    net = MlpParams(weights=[w1, w2, w3], biases=[b1, b2, b3])
+    arrays = [rng.uniform(-1.0, 1.0, shape) for _, shape in _EH_SHAPES]
+    net = MlpParams(weights=arrays[0::2], biases=arrays[1::2])
     theta = pack([net])
 
     def loss_at(x):
@@ -446,8 +442,8 @@ def fit_eh(data: PowerDataset, epochs: int = 30000, seed: int = 0) -> EhModel:
     x, iterations, reason = _lbfgs(loss_at, theta.copy(), epochs)
     theta[:] = x
 
-    model = EhModel(*flat([(net.weights, net.biases)]), input_scale=input_scale,
-                    power_scale=power_scale, fit_log=(iterations, reason))
+    model = EhModel(net, input_scale=input_scale, power_scale=power_scale,
+                    fit_log=(iterations, reason))
     resid = np.asarray(model.evaluate(data.p_in)) - data.p_out
     model.rmse = float(np.sqrt(np.mean(resid ** 2)))
     return model

@@ -11,11 +11,12 @@ from swiptkit.channel import design_codewords, monte_carlo
 # property tests draw the same examples on every run, with no time limit;
 # HYPOTHESIS_PROFILE=randomized draws new ones: the certification, i0e and
 # row-slice properties of tests/test_channel.py, the sampler, greedy-pass
-# and einsum-order properties of tests/test_codebook.py and the draw-block
-# property of tests/test_autoencoder.py draw at least 1,000
-# of them, and the row-slice decoder properties of tests/test_channel.py and
-# tests/test_autoencoder.py and the quadrature-block property of
-# tests/test_channel.py at least 100
+# and einsum-order properties of tests/test_codebook.py, the draw-block
+# property of tests/test_autoencoder.py and the zero-offset and derivative
+# properties of the one-net harvester in tests/test_harvester_properties.py
+# draw at least 1,000 of them, and the row-slice decoder properties of
+# tests/test_channel.py and tests/test_autoencoder.py and the
+# quadrature-block property of tests/test_channel.py at least 100
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.register_profile("randomized", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
@@ -47,7 +48,7 @@ def decision_ser(design, spec, trials, decide):
     Carlo pass, so the draws are those ``ser_mc`` decodes at the same spec."""
     cw = design_codewords(design)
     errors = lambda msg, w: np.count_nonzero(decide(cw.take(msg, axis=0) + w) != msg)
-    return monte_carlo(cw.shape, spec, trials, [errors])[0] / trials
+    return monte_carlo(cw.shape, spec, trials, errors) / trials
 
 
 @pytest.fixture(scope="session")

@@ -707,7 +707,7 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
             est = np.argmax(logits[:, off:off + m_j], axis=1)
             return np.count_nonzero(est != np.unravel_index(msg, (4, 4))[s])
 
-        return monte_carlo(cw.shape, spec, trials, [errors])[0]
+        return monte_carlo(cw.shape, spec, trials, errors)
 
     expected = [stream_errors(0) / trials, stream_errors(1) / trials]
     passes = []

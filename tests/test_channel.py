@@ -288,8 +288,8 @@ def test_ser_mc_reports_pd_of_the_same_samples(canon):
     cw = design.base_points.reshape(-1, 1)
     errors, power = monte_carlo(
         cw.shape, spec, 150_000,
-        [lambda msg, w: _ml_errors(cw, msg, cw[msg] + w),
-         lambda msg, w: float(np.sum(canon.evaluate(np.abs(cw[msg] + w) ** 2)))])
+        lambda msg, w: np.array([_ml_errors(cw, msg, cw[msg] + w),
+                                 np.sum(canon.evaluate(np.abs(cw[msg] + w) ** 2))]))
     assert errors == sk.ser_mc(design, spec, 150_000).errors
     assert power / 150_000 == sk.delivered_power_mc(design, spec, canon, 150_000)
 
@@ -455,13 +455,9 @@ def test_rp_sweep_memory_is_one_chunk(clipped):
     assert peak < 40e6
 
 
-def _whole_chunk_totals(shape, spec, trials, stats):
+def _whole_chunk_totals(shape, spec, trials, stat):
     """The unblocked pass: every chunk decoded as one block on this thread."""
-    totals = [0] * len(stats)
-    for msg, w in sample_channel(*shape, spec, trials):
-        for p, stat in enumerate(stats):
-            totals[p] += stat(msg, w)
-    return totals
+    return sum(stat(msg, w) for msg, w in sample_channel(*shape, spec, trials))
 
 
 def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers):
@@ -484,17 +480,18 @@ def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers
         truth = np.stack(np.unravel_index(msg, (4, 4)), axis=1)
         return np.count_nonzero(decide(received[msg] + w) != truth, axis=0)
 
-    # the certified statistic counts the errors of several designs at once
+    # one array-valued statistic over the same draws: the ring's and the flat
+    # design's errors, the MAC's two streams', then the certified count's of
+    # all three at once
     stats = [ml_errors(ring), ml_errors(flat), mac_errors,
              _ml_error_counter([ring, flat, received])]
-    reference = [np.asarray(t).tolist()
-                 for t in _whole_chunk_totals(ring.shape, spec, trials, stats)]
-    assert reference[1] > 0 and min(reference[2]) > 0
-    assert reference[3][:2] == reference[:2] and reference[3][2] > 0
+    counts = lambda msg, w: np.hstack([stat(msg, w) for stat in stats])
+    reference = _whole_chunk_totals(ring.shape, spec, trials, counts).tolist()
+    assert reference[1] > 0 and min(reference[2:4]) > 0
+    assert reference[4:6] == reference[:2] and reference[6] > 0
     for pool in (None, two_workers):
         monkeypatch.setattr(channel, "_decode_pool", lambda pool=pool: pool)
-        totals = monte_carlo(ring.shape, spec, trials, stats)
-        assert [np.asarray(t).tolist() for t in totals] == reference
+        assert monte_carlo(ring.shape, spec, trials, counts).tolist() == reference
 
 
 def test_a_one_row_tail_is_decoded_with_the_block_before_it():
@@ -511,7 +508,7 @@ def test_a_one_row_tail_is_decoded_with_the_block_before_it():
         cw = np.empty((2, 1), dtype=complex)
         cw[sent, 0], cw[1 - sent, 0] = c, c + 2.0 * noise   # y = c + noise: the bisector
         reference = _whole_chunk_totals(cw.shape, spec, trials,
-                                        [lambda msg, w: _ml_errors(cw, msg, cw[msg] + w)])[0]
+                                        lambda msg, w: _ml_errors(cw, msg, cw[msg] + w))
         assert sk.ser_mc(cw, spec, trials).errors == reference
 
 
@@ -532,11 +529,11 @@ def test_monte_carlo_decodes_on_one_blas_thread_and_restores_the_count():
     caller = get()
     try:
         set_(2)
-        monte_carlo(cw.shape, spec, 30_000, [record])
+        monte_carlo(cw.shape, spec, 30_000, record)
         assert set(seen) == {1}
         assert get() == 2
         with pytest.raises(KeyError):
-            monte_carlo(cw.shape, spec, 30_000, [fail])
+            monte_carlo(cw.shape, spec, 30_000, fail)
         assert get() == 2
     finally:
         set_(caller)
@@ -720,8 +717,8 @@ def test_certified_pass_counts_every_design_as_ml_decoder_does(m, n, rhos, snr, 
            _unit_power(_zeros_and_a_repeat(m, n, seed))]
     spec = sk.ChannelSpec(snr=snr, p_a_uw=1.0, seed=seed)
     trials = 3001
-    reference = _whole_chunk_totals((m, n), spec, trials, [
-        lambda msg, w, cw=cw: _ml_errors(cw, msg, cw[msg] + w) for cw in cws])
+    reference = _whole_chunk_totals((m, n), spec, trials, lambda msg, w: np.array(
+        [_ml_errors(cw, msg, cw[msg] + w) for cw in cws])).tolist()
     with mock.patch.object(channel, "_BLOCK", 500):
         results = channel._ser_results(cws, spec, trials)
     assert results[0].degenerate and results[0].errors == round((m - 1) / m * trials)

@@ -906,6 +906,58 @@ def test_train_outputs_are_byte_identical_per_seed(config):
         assert first == second
 
 
+@settings(max_examples=8)
+@given(points=st.integers(10, 300), pmax=st.floats(2.0, 5000.0),
+       noise=st.sampled_from([0.0, 0.01, 0.2]), seed=st.integers(0, 2**16),
+       epochs=st.integers(1, 300))
+def test_fit_eh_outputs_are_byte_identical_per_seed(points, pmax, noise, seed, epochs):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        first, second = _run_twice(["fit-eh", "--synthetic", "--points", points, "--pmax", pmax,
+                                    "--noise-rel", noise, "--seed", seed, "--epochs", epochs,
+                                    "-o", tmp / "eh.json"], tmp)
+        assert first == second
+
+
+@settings(max_examples=6)
+@given(config=train_configs(), snr=st.sampled_from([math.inf, 50.0, 8.0, 0.5]),
+       pa=st.floats(20.0, 300.0), trials=st.integers(1000, 3000),
+       seed=st.integers(0, 2**16), eh=st.booleans())
+def test_learned_sweep_outputs_are_byte_identical_per_seed(config, snr, pa, trials, seed, eh):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert run(["train", *config, "-o", tmp / "sys.json"]) == 0
+        first, second = _run_twice(["sweep", "--designer", "learned", "--systems",
+                                    tmp / "sys.json", "--snr", snr, "--pa", pa,
+                                    "--trials", trials, "--seed", seed,
+                                    *(["--eh", FIXTURE_EH] if eh else []),
+                                    "-o", tmp / "sweep.csv"], tmp)
+        assert first == second
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("topology, m", [("p2p", "16"), ("mac", "4,4")])
+def test_diverging_train_exits_3_with_its_trace_at_any_lambda(tmp_path, capsys, topology, m,
+                                                              lam):
+    # a learning rate of 1.5e308 makes the first update overflow, so step 1 is
+    # not finite: at lambda = 0 its loss, at lambda > 0 first the received
+    # power the harvester would take. NumPy warns of the overflow on the way
+    # (warnings are errors under this suite's filter)
+    trace, out = tmp_path / "t.csv", tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(["train", "--topology", topology, "--m", m, "--pa", 100, "--lam", lam,
+                  "--lr", 1.5e308, "--iters", 300, "--eh", FIXTURE_EH, "--trace", trace,
+                  "-o", out])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "train: diverged at iteration 1" in err and "Traceback" not in err
+    lines = trace.read_text().splitlines()
+    assert lines[1] == "iteration,loss,xent_term,power_term" and len(lines) == 3
+    assert lines[2].startswith("0,")
+    assert not out.exists()
+
+
 # --- cold start: only fit-eh imports SciPy ----------------------------------
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import swiptkit as sk
 from swiptkit.constellation import write_csv, write_json
-from swiptkit.harvester import _lbfgs, eh_loss_and_grad
+from swiptkit.harvester import _cubic_min, _lbfgs, _wolfe_step, eh_loss_and_grad
 from swiptkit.nn import MlpParams, pack
 
 
@@ -148,21 +150,43 @@ def test_dataset_rejects_negative():
 def test_eval_eh_zero_offset_and_clip():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        m = sk.EhModel(w1=rng.normal(size=(3, 1)), b1=rng.normal(size=3),
-                       w2=rng.normal(size=(2, 3)), b2=rng.normal(size=2),
-                       w3=rng.normal(size=(1, 2)), b3=rng.normal(size=1),
-                       input_scale=500.0, power_scale=30.0)
+        net = MlpParams(weights=[rng.normal(size=(3, 1)), rng.normal(size=(2, 3)),
+                                 rng.normal(size=(1, 2))],
+                        biases=[rng.normal(size=3), rng.normal(size=2), rng.normal(size=1)])
+        m = sk.EhModel(net, input_scale=500.0, power_scale=30.0)
         assert m.evaluate(0.0) == 0.0
         p = rng.uniform(0.0, 1000.0, 1000)
         assert np.all(np.asarray(m.evaluate(p)) >= 0.0)
 
 
+def _ones_net():
+    return MlpParams(weights=[np.ones((3, 1)), np.ones((2, 3)), np.ones((1, 2))],
+                     biases=[np.zeros(3), np.zeros(2), np.zeros(1)])
+
+
 def test_eval_eh_rejects_nonfinite():
-    m = sk.EhModel(w1=np.ones((3, 1)), b1=np.zeros(3), w2=np.ones((2, 3)),
-                   b2=np.zeros(2), w3=np.ones((1, 2)), b3=np.zeros(1),
-                   input_scale=1.0, power_scale=1.0)
+    m = sk.EhModel(_ones_net(), input_scale=1.0, power_scale=1.0)
     with pytest.raises(ValueError):
         m.evaluate(np.inf)
+
+
+def test_eh_model_is_one_net_checked_once(canonical_fit):
+    assert [f.name for f in dataclasses.fields(sk.EhModel)] == [
+        "net", "input_scale", "power_scale", "rmse", "fit_log"]
+    assert not hasattr(canonical_fit, "w1")
+    assert canonical_fit.net.weights[0].shape == (3, 1)
+    net = _ones_net()
+    net.weights[1] = np.ones((3, 2))
+    with pytest.raises(ValueError, match=r"bad field 'w2': shape \(3, 2\)"):
+        sk.EhModel(net, input_scale=1.0, power_scale=1.0)
+    net = _ones_net()
+    net.biases[2] = np.array([np.nan])
+    with pytest.raises(ValueError, match="bad field 'b3': weights must be finite"):
+        sk.EhModel(net, input_scale=1.0, power_scale=1.0)
+    net = _ones_net()
+    net.weights.append(np.ones((1, 1)))
+    with pytest.raises(ValueError, match="bad field 'net'"):
+        sk.EhModel(net, input_scale=1.0, power_scale=1.0)
 
 
 def test_fit_reaches_canonical_curve(canonical_fit, canon):
@@ -247,6 +271,65 @@ def test_lbfgs_shrinks_steps_onto_an_infinite_loss():
     assert walls
     assert reason in ("gradient", "f reduction")
     assert np.allclose(x, c, atol=1e-4)
+
+
+def test_cubic_min_without_a_real_minimizer_is_none():
+    # the cubic through (t, f, f') = (0, 0, 1) and (1, 2/3, 1) is t - t² + 2t³/3,
+    # whose slope 1 - 2t + 2t² has no real root; nor has a cubic of nan values
+    assert _cubic_min(0.0, 0.0, 1.0, 1.0, 2.0 / 3.0, 1.0) is None
+    assert _cubic_min(0.0, 0.0, -1.0, 1.0, np.nan, 1.0) is None
+    assert _cubic_min(0.0, 0.0, -1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5)
+
+
+def test_wolfe_step_without_a_wolfe_step_returns_its_last_lower_trial():
+    # f = -x falls at slope -1 forever: every trial lowers the loss and none
+    # meets the curvature condition, so the step is quadrupled on each of the
+    # 20 evaluations and the last of them is returned
+    evals = []
+
+    def falling(x):
+        evals.append(x)
+        return -x[0], np.array([-1.0])
+    t, f, g = _wolfe_step(falling, np.zeros(1), np.ones(1), 0.0, -1.0, 1.0)
+    assert len(evals) == 20
+    assert t == 4.0 ** 19 and f == -t and g.tolist() == [-1.0]
+
+
+def test_wolfe_step_with_no_lower_trial_is_none():
+    # the gradient's sign is wrong: along the claimed descent the loss x²/2
+    # rises, so none of the 20 trials is kept
+    evals = []
+
+    def lying(x):
+        evals.append(x)
+        return 0.5 * float(x @ x), -x
+    assert _wolfe_step(lying, np.ones(1), np.ones(1), 0.5, -1.0, 1.0) is None
+    assert len(evals) == 20 and all(x[0] > 1.0 for x in evals)
+
+
+def test_lbfgs_clears_its_memory_then_stops_when_no_step_lowers_the_loss():
+    # near the minimum of x² + 10y² (over 2) the gradient's sign flips: from
+    # the first point there, neither the search along -H·g nor the retry from
+    # steepest descent along -g lowers the loss, and L-BFGS stops at that point
+    a = np.array([1.0, 10.0])
+
+    def honest(x):
+        return 0.5 * float(x @ (a * x)), a * x
+    evals = []
+
+    def lying(x):
+        evals.append(x)
+        f, g = honest(x)
+        return f, g if np.linalg.norm(x) > 0.5 else -g
+    x, iterations, reason = _lbfgs(lying, np.array([5.0, 5.0]), 100)
+    assert (iterations, reason) == (4, "line search")
+    # the iterations up to that point are the honest ones
+    capped, _, cap = _lbfgs(honest, np.array([5.0, 5.0]), iterations)
+    assert cap == "cap" and np.array_equal(x, capped)
+    # the retry's first trial is a unit step along -g = a·x, from no memory
+    retry = next(i for i, e in enumerate(evals) if np.array_equal(e, x + a * x))
+    assert len(evals) - retry == 20
+    assert honest(x)[0] < min(honest(e)[0] for e in evals[-40:])
 
 
 def test_fit_eh_runs_exactly_its_epochs():

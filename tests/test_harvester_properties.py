@@ -10,7 +10,9 @@ import swiptkit as sk
 SHAPES = ((3, 1), (3,), (2, 3), (2,), (1, 2), (1,))
 MODELS = st.tuples(
     *(arrays(np.float64, s, elements=st.floats(-2.0, 2.0)) for s in SHAPES)
-).map(lambda params: sk.EhModel(*params, input_scale=500.0, power_scale=30.0))
+).map(lambda params: sk.EhModel(sk.MlpParams(weights=list(params[0::2]),
+                                                biases=list(params[1::2])),
+                                  input_scale=500.0, power_scale=30.0))
 P_GRID = np.linspace(0.0, 1000.0, 401)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import ChannelSpec, awgn, monte_carlo, sliced
+from .channel import ChannelSpec, _to_real, awgn, monte_carlo, sliced
 from .constellation import Codebook, json_field, write_csv
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
@@ -45,12 +45,6 @@ def _init_mlp(sizes: list[int], rng) -> MlpParams:
 
 def _to_complex(xr: np.ndarray) -> np.ndarray:
     return xr[..., 0::2] + 1j * xr[..., 1::2]
-
-
-def _to_real(xc: np.ndarray) -> np.ndarray:
-    """Complex samples (..., n) as interleaved (re, im) reals (..., 2n); a
-    view when they are contiguous complex128."""
-    return np.ascontiguousarray(xc, dtype=complex).view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +93,11 @@ class Topology:
 
     @property
     def n_tx(self) -> int:
-        return 1 if self.kind in ("p2p", "bc") else self.k
+        return 1 if self.kind == "bc" else self.k
 
     @property
     def n_rx(self) -> int:
-        return 1 if self.kind in ("p2p", "mac") else self.k
+        return 1 if self.kind == "mac" else self.k
 
     def coeff(self) -> np.ndarray:
         """Channel coefficients, shape (n_tx, n_rx)."""
@@ -116,8 +110,6 @@ class Topology:
         if self.kind == "mac":
             offs = itertools.accumulate(self.m_list[:-1], initial=0)
             return [(o, m, j) for j, (o, m) in enumerate(zip(offs, self.m_list))]
-        if self.kind == "p2p":
-            return [(0, self.m_list[0], 0)]
         return [(0, self.m_list[r], r)]
 
     def tx_messages(self, tx: int) -> int:
@@ -511,7 +503,8 @@ def train(sys: AeSystem):
 
     with one_blas_thread():
         for it, (msgs, noises) in enumerate(draws):
-            loss, parts = _loss_step(sys, plan, msgs, noises)
+            with np.errstate(over="ignore", invalid="ignore"):   # seen as a non-finite loss
+                loss, parts = _loss_step(sys, plan, msgs, noises)
             if not math.isfinite(loss):
                 raise TrainDivergedError(it, trace[:it])
             trace[it] = (loss, parts.xent, parts.power)
@@ -612,8 +605,7 @@ def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
     return errors / trials
 
 
-def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
-                   seed: int = 123) -> dict:
+def gradient_check(sys: AeSystem) -> dict:
     """Analytic gradients of composite_loss vs fourth-order central differences
     on a fixed small batch, on a copy of ``sys``; for <= a few hundred params.
 
@@ -623,7 +615,8 @@ def gradient_check(sys: AeSystem, batch_size: int = 6, step: float = 1e-4,
     """
     sys = copy.deepcopy(sys)
     topo, cfg = sys.topology, sys.config
-    rng = np.random.default_rng(seed)
+    batch_size, step = 5, 1e-4
+    rng = np.random.default_rng(123)
     msgs = sample_messages(topo, rng, batch_size)
     noises = sample_noises(topo, rng, batch_size, cfg.n)
 

@@ -28,8 +28,8 @@ floating point as m, or as the first zero codeword when c_m is a repeated
 zero such as an On-Off off-point (lemma and guards in
 :func:`_certified_sq_radii`). |w|² is computed once per block and shared by
 every design of a sweep; only the other rows are built and decoded, as a
-row subset of their block, so every count equals that of decoding the whole
-block.
+row subset of their block, whose decisions (if not always bits) are the
+whole block's, so every count equals that of decoding the whole block.
 
 Delivered power is an expectation over a known density: per symbol, |c + w|
 is Rician, and P_d is computed by quadrature, independent of any trial count.
@@ -177,9 +177,10 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stat):
     statistic must therefore be additive over rows and safe to call from
     several threads at once; it may return a number or an array. Block
     results are summed in block order, so integer counts do not depend on
-    the worker count. A chunk is freed before the next is drawn, so peak
-    memory is one chunk's draws plus one :func:`row_slices` slice of decoder
-    state per worker.
+    the worker count. A block decides its rows as the whole chunk would, if
+    not always from the same bits (its products have their own row panels).
+    A chunk is freed before the next is drawn, so peak memory is one chunk's
+    draws plus one :func:`row_slices` slice of decoder state per worker.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -239,16 +240,23 @@ def sliced(decide_rows, widths):
     return decide
 
 
+def _to_real(xc: np.ndarray) -> np.ndarray:
+    """Complex samples (..., n) as interleaved (re, im) reals (..., 2n); a
+    view when they are contiguous complex128."""
+    return np.ascontiguousarray(xc, dtype=complex).view(float)
+
+
 def ml_decoder(cw: np.ndarray):
     """Minimum-distance decisions argmin |c|^2 - 2 Re<y, c>, :func:`sliced`
     by the M distances per row: (slice, M) distances at a time, so memory
-    stays bounded at any M."""
-    c = np.hstack([cw.real, cw.imag])
+    stays bounded at any M. It reads codewords and rows as interleaved
+    (re, im) reals, :func:`_to_real`: a view of contiguous rows, no copy."""
+    c = _to_real(cw)
     c_sq = np.sum(c * c, axis=1)
     c_m2 = -2.0 * c.T   # scaling by a power of two is exact: d is as if scaled after
 
     def decide_rows(y: np.ndarray) -> np.ndarray:
-        d = np.hstack([y.real, y.imag]) @ c_m2
+        d = _to_real(y) @ c_m2
         d += c_sq
         return np.argmin(d, axis=1)
 
@@ -267,9 +275,9 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     for the received row y = fl(c_m + w) of every noise row w whose computed
     |w|² (as in :func:`_ml_error_counter`) is below t_m.
 
-    With c_j the real K-vectors of ``ml_decoder`` (K = 2n), s = ``_MARGIN``,
-    Δ_m the distance from c_m to its nearest other codeword (from a zero
-    codeword, to the nearest nonzero one) and R = max_j |c_j|:
+    With c_j the interleaved (re, im) K-vectors of ``ml_decoder`` (K = 2n),
+    s = ``_MARGIN``, Δ_m the distance from c_m to its nearest other codeword
+    (from a zero codeword, to the nearest nonzero one) and R = max_j |c_j|:
     t_m = fl(T·fl(Δ_m²)), T = fl((1 - s)²/4), where fl(Δ_m²) >= s·fl(R²),
     and t_m = 0 elsewhere. So a repeated nonzero codeword has Δ_m = 0 and is
     never certified. All t_m are 0 unless M >= 2, 2^-900 <= fl(R²) <= 2^1020
@@ -321,7 +329,7 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     Δ_m² is computed in row blocks of at most ``_DIST_BLOCK`` distance
     terms, so memory stays bounded at large M·n.
     """
-    c = np.hstack([cw.real, cw.imag])
+    c = _to_real(cw)
     m, k = c.shape
     t = np.zeros(m)
     r_sq = float(np.max(np.sum(c * c, axis=1), initial=0.0))
@@ -349,12 +357,13 @@ def _ml_error_counter(cws: list[np.ndarray]):
     |w|² is computed once per block for all matrices, and y only for the
     rows that are not certified.
 
-    Those rows are decoded as a row subset of the block, whose decisions
-    equal those of decoding the whole block: a row of a BLAS product does not
-    depend on the other rows, which the blocks of :func:`monte_carlo` rely on
-    too (``test_monte_carlo_blocks_give_the_whole_chunk_counts``). NumPy
-    computes a one-row product by gemv, whose sums may round differently from
-    gemm's, so a lone row of a longer block is decoded twice over.
+    Those rows are decoded as a row subset of the block. They decide as in
+    the whole block, though not always from the same bits: on OpenBLAS
+    0.3.31 a subset's rows past its last multiple of 12 (M = 276, 300), and
+    every row of a short subset at 2n >= 32, round apart (the ``certified``
+    properties check the counts there). NumPy computes a one-row product by
+    gemv, whose sums may round differently from gemm's, so a lone row of a
+    longer block is decoded twice over.
     """
     designs = []
     for cw in cws:
@@ -367,9 +376,8 @@ def _ml_error_counter(cws: list[np.ndarray]):
     def count(msg: np.ndarray, w: np.ndarray) -> np.ndarray:
         w_sq = np.zeros(len(w))
         with np.errstate(over="ignore"):   # an overflowing |w|² is inf: decoded
-            for col in w.T:
-                w_sq += col.real ** 2
-                w_sq += col.imag ** 2
+            for col in _to_real(w).T:
+                w_sq += col ** 2
         out = np.zeros(len(designs), dtype=np.int64)
         for p, (cw, decide, t, wrong) in enumerate(designs):
             rows = np.flatnonzero(~(w_sq < t.take(msg)))

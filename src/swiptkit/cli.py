@@ -4,11 +4,11 @@ Flags mirror config-file keys (INI sections named per subcommand, keys named
 as any long flag without its leading dashes, so ``lam`` or ``lambda`` for
 ``--lam``/``--lambda``); a key of a command's section that is no option of
 the command is a usage error. A flag wins over the config file, which wins
-over the declared default; INI values are converted by the same types as
-flags. Exit codes: 0 success, 2 usage/config error, a file that cannot be
-read or written, or an array too large to allocate, 3 numeric failure. All
-outputs carry a metadata header (tool version, config hash, seed) and are
-byte-identical for identical configs and seeds.
+over the declared default; INI values are parsed as the flags they name,
+types and choices included. Exit codes: 0 success, 2 usage/config error, a
+file that cannot be read or written, or an array too large to allocate, 3
+numeric failure. All outputs carry a metadata header (tool version, config
+hash, seed) and are byte-identical for identical configs and seeds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .autoencoder import (
+    KINDS,
     Topology,
     TrainConfig,
     TrainDivergedError,
@@ -79,12 +80,9 @@ def _meta(args: argparse.Namespace) -> dict:
 
 
 def _attach_meta(payload: dict, args: argparse.Namespace) -> dict:
-    """Merge provenance into the payload's meta block (design files already
-    carry a meta object of their own).
-    """
-    meta = payload.setdefault("meta", {})
-    if isinstance(meta, dict):
-        meta.update(_meta(args))
+    """Merge provenance into the payload's meta block, a dict or absent
+    (design files carry a meta object of their own)."""
+    payload.setdefault("meta", {}).update(_meta(args))
     return payload
 
 
@@ -92,9 +90,9 @@ def _meta_comment(args: argparse.Namespace) -> str:
     return f"swiptkit={__version__} config_hash={_meta(args)['config_hash']} seed={args.seed}"
 
 
-def _ini_section(args: argparse.Namespace, keys: dict[str, str]) -> dict:
+def _ini_section(args: argparse.Namespace, keys: dict[str, str]) -> dict[str, str]:
     """The config file's values for the options of ``args.command`` that a
-    file may set, as raw strings by destination; ``keys`` maps each INI key
+    file may set, as raw strings by INI key; ``keys`` maps each INI key
     of the command to its destination. Neither a switch (``--synthetic``) nor
     a required option (``--design``) is read from the file, nor the config
     and output paths. A key of the command's own section that names no
@@ -122,7 +120,7 @@ def _ini_section(args: argparse.Namespace, keys: dict[str, str]) -> dict:
                 raise ValueError(f"[{args.command}] in {args.config} sets {found[dest]} "
                                  f"and {key}, two keys of one option")
             found[dest] = key
-    return {dest: cfg.get(args.command, key) for dest, key in found.items()}
+    return {key: cfg.get(args.command, key) for key in found.values()}
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -139,7 +137,9 @@ def _parse_grid(spec: str) -> list[float]:
     return vals
 
 
-def _load_harvester(path) -> EhModel:
+def _load_harvester(path: str) -> EhModel | None:
+    if not path:   # no --eh
+        return None
     if not Path(path).is_file():
         raise FileNotFoundError(f"harvester file not found: {path}")
     return EhModel.load(path)
@@ -178,7 +178,7 @@ def cmd_fit_eh(args) -> int:
 def cmd_design(args) -> int:
     if not 0.0 <= args.rho <= 1.0:   # also NaN
         raise ValueError("rho must be in [0, 1]")
-    ps = _p_star(args.pa, _load_harvester(args.eh) if args.eh else None)
+    ps = _p_star(args.pa, _load_harvester(args.eh))
 
     cfg = GreedyConfig(seed=args.seed, candidate_cap=args.candidate_cap)
     base = build_info_codebook(args.m, args.n, args.pa, cfg)
@@ -194,17 +194,16 @@ def cmd_design(args) -> int:
 def cmd_train(args) -> int:
     m_list = [int(v) for v in str(args.m).split(",")]
     snrs = [float(v) for v in str(args.snr).split(",")]
-    kind = args.topology.lower()
     k = len(m_list)
     gains = None
-    if kind == "ic":
+    if args.topology == "ic":
         gains = np.full((k, k), args.gain)
         np.fill_diagonal(gains, 1.0)
-    topo = Topology(kind=kind, m_list=m_list, snrs=snrs, p_a_uw=args.pa, gains=gains)
+    topo = Topology(kind=args.topology, m_list=m_list, snrs=snrs, p_a_uw=args.pa, gains=gains)
     cfg = TrainConfig(lambda_=args.lam, n=args.n, learning_rate=args.lr,
                       batch_size=args.batch, iterations=args.iters,
                       seed=args.seed, pd_floor=args.pd_floor)
-    harvester = _load_harvester(args.eh) if args.eh else None
+    harvester = _load_harvester(args.eh)
     system = build_system(topo, cfg, harvester=harvester)
 
     comment = _meta_comment(args)
@@ -226,13 +225,13 @@ def cmd_train(args) -> int:
             path = args.extract if len(designs) == 1 else \
                 str(Path(args.extract).with_suffix("")) + f".tx{i}.json"
             write_json(path, _attach_meta(d.to_json(), args))
-    print(f"train: {kind} M={m_list} n={args.n} lambda={args.lam} "
+    print(f"train: {args.topology} M={m_list} n={args.n} lambda={args.lam} "
           f"final_loss={trained.final_loss:.6g} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    fitted = _load_harvester(args.eh) if args.eh else None
+    fitted = _load_harvester(args.eh)
     harvester = fitted or canonical_model()
     spec = ChannelSpec(snr=args.snr, p_a_uw=args.pa, seed=args.seed)
 
@@ -243,7 +242,7 @@ def cmd_sweep(args) -> int:
         base = build_info_codebook(args.m, args.n, args.pa, cfg)
         points = rp_sweep(lambda rho: swipt_transform(base, rho, ps), controls, spec,
                           harvester, args.trials)
-    elif args.designer == "learned":
+    else:
         paths = [p for p in str(args.systems).split(",") if p.strip()]
         if not paths:
             print("sweep: --systems required for --designer learned", file=_sys.stderr)
@@ -258,9 +257,6 @@ def cmd_sweep(args) -> int:
                                              snr=args.snr, p_a_uw=args.pa)))
             points.append(TradeoffPoint(system.config.lambda_, ser, pd,
                                         binomial_ci(ser, args.trials)))
-    else:
-        print(f"sweep: unknown designer {args.designer!r}", file=_sys.stderr)
-        return EXIT_USAGE
 
     snr_db = 10.0 * math.log10(args.snr)
     write_sweep_csv(args.output, points, snr_db, args.trials, args.seed, _meta_comment(args))
@@ -278,7 +274,7 @@ def cmd_simulate(args) -> int:
     """SER of one design file by Monte Carlo at ``--seed``; with ``--eh``,
     also its delivered power by quadrature (independent of ``--trials``)."""
     design = Codebook.load(args.design)
-    harvester = _load_harvester(args.eh) if args.eh else None
+    harvester = _load_harvester(args.eh)
     spec = ChannelSpec(snr=args.snr, p_a_uw=design.p_a_uw, seed=args.seed)
     pd = {} if harvester is None else {"pd_uw": delivered_power(design, spec, harvester)}
     res = ser_mc(design, spec, args.trials)
@@ -303,10 +299,10 @@ _CAP_HELP = ("codeword candidates the greedy search draws from; it holds their "
              "set at about 82 MB")
 
 
-def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; ``ini`` maps a subcommand to values (INI strings)
-    that replace the defaults its options declare. Its ``ini_keys`` maps a
-    subcommand to {INI key: destination}, one key per long option string."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Its ``ini_keys`` maps a subcommand to {INI key:
+    destination}, one key per long option string, so an INI value of
+    ``key`` is parsed as the flag ``--key``."""
     p = argparse.ArgumentParser(prog="swiptkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -341,7 +337,7 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="end-to-end autoencoder training")
     add_common(tr)
-    tr.add_argument("--topology", default="p2p", choices=["p2p", "bc", "mac", "ic"])
+    tr.add_argument("--topology", default="p2p", choices=KINDS)
     tr.add_argument("--m", default="4", help="message sizes, comma separated")
     tr.add_argument("--n", type=int, default=1)
     tr.add_argument("--pa", type=float, default=5.0)
@@ -388,8 +384,6 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--eh", default="")
     si.set_defaults(func=cmd_simulate)
-    for name, values in (ini or {}).items():
-        sub.choices[name].set_defaults(**values)
     # per subcommand, INI key -> destination: each long option but --help,
     # without its dashes
     p.ini_keys = {name: {opt[2:]: action.dest for action in sp._actions
@@ -401,21 +395,23 @@ def build_parser(ini: dict | None = None) -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser without config values, built once per process: building
-    it costs about as much as a small command, and parsing leaves it
-    unchanged. ``build_parser(ini)`` builds a fresh one, since it sets the
-    config values on its parser."""
+    """The one parser, built once per process: building it costs about as
+    much as a small command, and parsing leaves it unchanged, so a
+    ``--config`` run parses through it again with the file's values as
+    flags."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     parser = _parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # parsed again, so argparse converts the file's strings like flags
+            # the file's values as flags after the command, the first argument
+            # (the top-level parser has no options): a later flag wins
             ini = _ini_section(args, parser.ini_keys[args.command])
-            args = build_parser({args.command: ini}).parse_args(argv)
+            args = parser.parse_args(argv[:1] + [f"--{k}={v}" for k, v in ini.items()] + argv[1:])
         return args.func(args)
     except (OSError, ValueError, MemoryError, configparser.Error) as err:
         print(f"{args.command}: {err}", file=_sys.stderr)

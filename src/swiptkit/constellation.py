@@ -178,17 +178,17 @@ class Codebook:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
-def json_field(d, key: str, parse=None):
-    """``parse(d[key])`` (or ``d[key]``) of a JSON object read from a file,
-    with a ValueError naming ``key`` when the object, the field or its value
-    is malformed.
+def json_field(d, key: str, parse):
+    """``parse(d[key])`` of a JSON object read from a file, with a
+    ValueError naming ``key`` when the object, the field or its value is
+    malformed.
     """
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
     if key not in d:
         raise ValueError(f"missing field {key!r}")
     try:
-        return d[key] if parse is None else parse(d[key])
+        return parse(d[key])
     except (KeyError, IndexError, TypeError, ValueError) as err:
         raise ValueError(f"bad field {key!r}: {err}") from None
 

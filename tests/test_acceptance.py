@@ -146,7 +146,7 @@ def test_criterion_07_gradient_checks():
             sysm = sk.build_system(topo, cfg,
                                    harvester=harvester if lam > 0 else None,
                                    hidden=(6,))
-            worst = max(worst, sk.gradient_check(sysm, batch_size=5)["max_rel_err"])
+            worst = max(worst, sk.gradient_check(sysm)["max_rel_err"])
     ok = worst < 1e-4
     report(7, "composite-loss gradients", ok, f"max rel err {worst:.2e}")
 

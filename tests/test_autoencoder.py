@@ -140,13 +140,13 @@ def test_gradient_check_topologies(kind, m_list, snrs, gains, lam):
     harvester = sk.ModelC(a=0.02, b=100.0, ls=40.0) if lam > 0 else None
     sysm = small_system(kind=kind, m_list=m_list, snrs=snrs, gains=gains,
                         lam=lam, harvester=harvester)
-    report = sk.gradient_check(sysm, batch_size=5)
+    report = sk.gradient_check(sysm)
     assert report["max_rel_err"] < 1e-4
 
 
 def test_gradient_check_through_fitted_harvester(canonical_fit):
     sysm = small_system(lam=1.0, pa=300.0, harvester=canonical_fit, seed=11)
-    report = sk.gradient_check(sysm, batch_size=5)
+    report = sk.gradient_check(sysm)
     assert report["max_rel_err"] < 1e-4
     assert report["n_skipped"] < report["n_params"]
 
@@ -162,7 +162,7 @@ def test_gradient_check_skips_stencils_across_the_pd_floor():
     noises = sample_noises(sysm.topology, rng, 5, 1)
     y = sk.encode_all(sysm)[msgs[:, 0]] + noises[0]
     sysm.config.pd_floor = float(eh.evaluate(np.abs(y[0]) ** 2).mean()) * (1 - 1e-9)
-    report = sk.gradient_check(sysm, batch_size=5)
+    report = sk.gradient_check(sysm)
     assert 0 < report["n_skipped"] < report["n_params"]
     assert report["max_rel_err"] < 1e-4
 

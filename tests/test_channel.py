@@ -827,6 +827,36 @@ def test_a_lone_uncertified_row_decides_as_in_its_block():
         assert count(msg, w).tolist() == [_ml_errors(cw, msg, cw[msg] + w)]
 
 
+@settings(max_examples=max(30, _PROFILE_EXAMPLES // 10))
+@given(st.sampled_from([276, 300]), st.sampled_from([1, 16]), st.integers(0, 10),
+       st.integers(1, 11), st.integers(1, 200), st.integers(0, 2**16))
+def test_certified_count_decides_a_short_uncertified_subset_as_in_its_block(
+        m, n, panels, tail, certified, seed):
+    # at these M the subset's rows past its last multiple of 12 (and at
+    # 2n = 32 every row of a short subset) round apart from the same rows of
+    # the block on OpenBLAS: the decisions, near ties too, are the block's
+    rng = np.random.default_rng(seed)
+    cw = rng.normal(size=(m, n, 2)) @ np.array([1.0, 1j])
+    t = _certified_sq_radii(cw)
+    uncertified = 12 * panels + tail
+    # uncertified rows within 1e-9 of a bisector of c_a and another c_b
+    a = rng.integers(0, m, uncertified)
+    b = (a + rng.integers(1, m, uncertified)) % m
+    step = cw[b] - cw[a]
+    w_far = (0.5 + 1e-9 * rng.normal(size=(uncertified, 1))) * step \
+        + 1e-9 * np.linalg.norm(step, axis=1, keepdims=True) \
+        * (rng.normal(size=(uncertified, n, 2)) @ np.array([1.0, 1j]))
+    # certified rows: noise of half their radius
+    sent = rng.choice(np.flatnonzero(t > 0), certified)
+    w_near = rng.normal(size=(certified, n, 2)) @ np.array([1.0, 1j])
+    w_near *= 0.5 * np.sqrt(t[sent])[:, None] / np.linalg.norm(w_near, axis=1, keepdims=True)
+    order = rng.permutation(uncertified + certified)
+    msg, w = np.concatenate([a, sent])[order], np.concatenate([w_far, w_near])[order]
+    assert np.count_nonzero(~(np.sum(np.abs(w) ** 2, axis=1) < t[msg])) == uncertified
+    with channel.one_blas_thread():   # as the decode pool runs
+        assert _ml_error_counter([cw])(msg, w).tolist() == [_ml_errors(cw, msg, cw[msg] + w)]
+
+
 @pytest.mark.parametrize("pa,snr", [(1e-300, 1e-3), (1e-300, math.inf), (1e300, 1e-3),
                                     (1e300, 1e-8), (1.0, 1e-308)])
 def test_ser_mc_at_extreme_scales_warns_nothing(pa, snr):
@@ -960,14 +990,14 @@ def test_ml_decoder_in_row_slices_decides_as_one_product(n, m, seed):
     # those of one product over all the rows
     rng = np.random.default_rng(seed)
     cw = rng.normal(size=(m, n, 2)) @ np.array([1.0, 1j])
-    c = np.hstack([cw.real, cw.imag])
+    c = cw.view(float)   # the decoder's interleaved (re, im) reals
     decide = ml_decoder(cw)
     for rows in _edge_row_counts(channel.slice_rows([m])):
         if rows * m > 1 << 22:
             continue   # the one-product reference of 12,500 rows by M > 335 is over 32 MB
         y = _bisector_rows(cw, rows, seed + rows)
         with channel.one_blas_thread():   # as the decode pool runs
-            d = np.hstack([y.real, y.imag]) @ (-2.0 * c.T)
+            d = y.view(float) @ (-2.0 * c.T)
             d += np.sum(c * c, axis=1)
             assert decide(y).tolist() == np.argmin(d, axis=1).tolist()
 

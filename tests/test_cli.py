@@ -31,6 +31,18 @@ def exit_code(args):
         return err.code
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_cli(args, directory, *python_flags):
+    """``python [python_flags] -m swiptkit.cli args`` in a fresh interpreter,
+    as the installed script runs ``main()``: its completed process."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run([sys.executable, *python_flags, "-m", "swiptkit.cli",
+                           *(str(a) for a in args)], cwd=directory, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def quick_eh(tmp_path_factory):
     path = tmp_path_factory.mktemp("eh") / "eh.json"
@@ -406,6 +418,39 @@ def test_malformed_ini_value_is_usage_error(tmp_path, capsys, ini):
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize("ini, argv", [
+    ("[design]\nm = abc\n", ["design", "--m", 8]),   # a flag overrides it: still parsed
+    ("[train]\ntopology = P2P\n", ["train", "--iters", 5]),   # choices are exact
+    ("[sweep]\ndesigner = foo\n", ["sweep"]),
+], ids=["overridden", "topology", "designer"])
+def test_ini_value_is_parsed_as_its_flag(tmp_path, capsys, ini, argv):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "out"
+    assert exit_code([*argv, "--config", cfg, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_config_run_of_the_script_equals_its_flag_run(tmp_path):
+    # main() reads sys.argv when run as a script, as the installed entry point is
+    (tmp_path / "exp.ini").write_text("[design]\nm = 8\nn = 2\nrho = 0.5\n"
+                                      "candidate-cap = 200\n")
+    flags = ["--m", 8, "--n", 2, "--rho", 0.5, "--candidate-cap", 200]
+
+    def output(name, args):
+        proc = fresh_cli(["design", *args, "-o", name], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return (tmp_path / name).read_bytes()
+
+    ini = output("ini.json", ["--config", "exp.ini"])
+    assert ini == output("flags.json", flags)
+    # the flag wins over the file
+    override = output("ini2.json", ["--config", "exp.ini", "--m", 4])
+    assert override == output("flags2.json", flags + ["--m", 4]) != ini
+
+
 def test_ini_keys_of_switches_required_options_and_paths_are_ignored(tmp_path, monkeypatch,
                                                                      capsys):
     monkeypatch.chdir(tmp_path)
@@ -462,11 +507,12 @@ def test_ini_key_of_a_long_alias_sets_its_option(tmp_path, monkeypatch, capsys):
 
 
 def test_parser_is_built_once_and_a_config_run_leaves_it_unchanged(tmp_path, monkeypatch):
+    # a config run parses its file's values as flags through the one parser
     from swiptkit import cli
 
     monkeypatch.chdir(tmp_path)
     built, real = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *ini: built.append(ini) or real(*ini))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(()) or real())
     cli._parser.cache_clear()
     try:
         Path("exp.ini").write_text("[design]\nm = 8\n")
@@ -475,7 +521,7 @@ def test_parser_is_built_once_and_a_config_run_leaves_it_unchanged(tmp_path, mon
         assert run(["design", "-o", "c.json"]) == 0
     finally:
         cli._parser.cache_clear()
-    assert built == [(), ({"design": {"m": "8"}},)]
+    assert built == [()]
     assert sk.Codebook.load("b.json").m == 8
     assert Path("a.json").read_bytes() == Path("c.json").read_bytes()
 
@@ -937,21 +983,17 @@ def test_learned_sweep_outputs_are_byte_identical_per_seed(config, snr, pa, tria
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("topology, m", [("p2p", "16"), ("mac", "4,4")])
-def test_diverging_train_exits_3_with_its_trace_at_any_lambda(tmp_path, capsys, topology, m,
-                                                              lam):
+def test_diverging_train_exits_3_with_its_trace_at_any_lambda(tmp_path, topology, m, lam):
     # a learning rate of 1.5e308 makes the first update overflow, so step 1 is
     # not finite: at lambda = 0 its loss, at lambda > 0 first the received
-    # power the harvester would take. NumPy warns of the overflow on the way
-    # (warnings are errors under this suite's filter)
+    # power the harvester would take. The step's overflow shows only as that
+    # loss, also when warnings are errors
     trace, out = tmp_path / "t.csv", tmp_path / "s.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = run(["train", "--topology", topology, "--m", m, "--pa", 100, "--lam", lam,
-                  "--lr", 1.5e308, "--iters", 300, "--eh", FIXTURE_EH, "--trace", trace,
-                  "-o", out])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "train: diverged at iteration 1" in err and "Traceback" not in err
+    proc = fresh_cli(["train", "--topology", topology, "--m", m, "--pa", 100, "--lam", lam,
+                      "--lr", 1.5e308, "--iters", 300, "--eh", FIXTURE_EH, "--trace", trace,
+                      "-o", out], tmp_path, "-W", "error::RuntimeWarning")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "train: diverged at iteration 1\n"
     lines = trace.read_text().splitlines()
     assert lines[1] == "iteration,loss,xent_term,power_term" and len(lines) == 3
     assert lines[2].startswith("0,")
@@ -959,8 +1001,6 @@ def test_diverging_train_exits_3_with_its_trace_at_any_lambda(tmp_path, capsys, 
 
 
 # --- cold start: only fit-eh imports SciPy ----------------------------------
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fresh_scipy_modules(argv, directory):

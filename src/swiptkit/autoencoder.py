@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import ChannelSpec, _to_real, awgn, monte_carlo, sliced
+from .channel import ChannelSpec, _to_real, awgn, error_counter, monte_carlo, sliced
 from .constellation import Codebook, json_field, write_csv
 from .nn import MlpParams, flat, mlp_backward, mlp_forward, pack, views
 
@@ -485,8 +485,8 @@ def train(sys: AeSystem):
     without shortening the step. At that batch the bits do not change, since
     OpenBLAS splits those matmuls by output blocks. At a batch of thousands
     they can: at 6,554, two threads round the (64, B) x (B, 64) weight
-    gradients differently from one. The learned sweeps (:func:`evaluate_ser`) run on one BLAS thread too, with
-    their decode blocks spread over the CPUs by the channel's pool.
+    gradients differently from one. :func:`evaluate_ser` runs on one BLAS
+    thread too, one pass per draw group spread over the CPUs by the pool.
     """
     sys = copy.deepcopy(sys)
     cfg = sys.config
@@ -579,30 +579,32 @@ def received_codebooks(sys: AeSystem) -> list[np.ndarray]:
     return compose_received(topo, xc, [0.0] * topo.n_rx)
 
 
-def evaluate_ser(sys: AeSystem, trials: int, seed: int = 0,
-                 snr: float | None = None, p_a_uw: float | None = None) -> np.ndarray:
-    """Monte Carlo message error rate per stream under the trained decoders.
+def evaluate_ser(systems: list[AeSystem], trials: int, seed: int = 0,
+                 snr: float | None = None) -> list[np.ndarray]:
+    """Per system, the Monte Carlo message error rate of each stream.
 
     Receiver r is scored by the channel's sampler on its joint received
     codebook (:func:`received_codebooks`), seeded ``seed + r``, at noise
-    variance P_a/SNR: its own, or ``p_a_uw``/``snr`` when given.
+    variance P_a/SNR: its system's P_a, and its own SNR or ``snr``. Those
+    whose draws agree (codeword shape and spec) are the uncertified entries
+    of one :func:`~swiptkit.channel.error_counter` pass of the sampler.
     """
-    topo = sys.topology
-    errors = np.zeros(topo.k, dtype=int)
-    for r, cw in enumerate(received_codebooks(sys)):
-        spec = ChannelSpec(snr=topo.snrs[r] if snr is None else snr,
-                           p_a_uw=topo.p_a_uw if p_a_uw is None else p_a_uw, seed=seed + r)
-        streams = [s for _, _, s in topo.rx_segments(r)]
-        decide = make_decoder(sys, r)
-
-        def count(msg, w, cw=cw, streams=streams, decide=decide):
-            truth, out = np.unravel_index(msg, topo.m_list), np.zeros(topo.k, dtype=int)
-            for s, est in zip(streams, decide(cw.take(msg, axis=0) + w).T):
-                out[s] = np.count_nonzero(est != truth[s])
-            return out
-
-        errors += monte_carlo(cw.shape, spec, trials, count)
-    return errors / trials
+    groups = {}
+    for i, sys in enumerate(systems):
+        topo = sys.topology
+        for r, cw in enumerate(received_codebooks(sys)):
+            spec = ChannelSpec(snr=topo.snrs[r] if snr is None else snr,
+                               p_a_uw=topo.p_a_uw, seed=seed + r)
+            streams = [s for _, _, s in topo.rx_segments(r)]
+            labels = np.indices(topo.m_list).reshape(topo.k, -1).T[:, streams]
+            entry = (cw, make_decoder(sys, r), labels, np.zeros(len(cw)))
+            groups.setdefault((cw.shape, spec), []).append((i, streams, entry))
+    errors = [np.zeros(sys.topology.k, dtype=int) for sys in systems]
+    for (shape, spec), members in groups.items():
+        counts = iter(monte_carlo(shape, spec, trials, error_counter(e for *_, e in members)))
+        for i, streams, _ in members:
+            errors[i][streams] = [next(counts) for _ in streams]
+    return [e / trials for e in errors]
 
 
 def gradient_check(sys: AeSystem) -> dict:

@@ -4,12 +4,12 @@ quadrature, rate-power sweeps, and QAM references.
 Every design is a :class:`~swiptkit.constellation.Codebook` (or a raw
 codeword matrix); the channel reads only its ``(M, n)`` codewords.
 
-SER draws uniform messages and AWGN through one seeded sampler and decodes
-them by minimum distance (ML under AWGN); learned decoders are scored by
-:func:`~swiptkit.autoencoder.evaluate_ser` through the same pass,
-:func:`monte_carlo`. A sweep draws each chunk once and decodes every point
-from it (common random numbers), so each row equals ``ser_mc`` of its
-design at the same seed.
+SER draws uniform messages and AWGN through one seeded sampler, and one
+error count, :func:`error_counter`, scores minimum-distance decoding (ML
+under AWGN) and :func:`~swiptkit.autoencoder.evaluate_ser`'s learned
+decoders on them alike, in one pass, :func:`monte_carlo`. A sweep draws
+each chunk once and decodes every point from it (common random numbers),
+so each row equals ``ser_mc`` of its design at the same seed.
 Draws are per chunk of trials, on the calling thread; the pass's one
 statistic of the messages and the noise is evaluated per row block, mapped
 over a process-wide thread pool with one worker per CPU and run on one
@@ -20,7 +20,7 @@ into blocks of ``_BLOCK`` rows, and :func:`sliced` cuts a decoder's block
 into slices of :func:`slice_rows` rows, so peak memory is one chunk's
 draws plus one slice of decoder state per worker, at any M.
 
-The minimum-distance error count certifies rows from the noise alone: a
+The error count certifies minimum-distance rows from the noise alone: a
 row whose noise w has |w| below (1 - 1e-6)·Δ_m/2, where Δ_m is the distance
 from its sent codeword c_m to the nearest other codeword (the nearest
 nonzero one from a zero codeword), is decided by :func:`ml_decoder` in
@@ -71,7 +71,7 @@ def qfunc(x) -> np.ndarray | float:
     return q.reshape(x.shape) if x.ndim else float(q[0])
 
 
-@dataclass
+@dataclass(frozen=True)   # a hashable value: equal specs draw equal noise
 class ChannelSpec:
     """AWGN channel at linear ``snr`` for designs of average power P_a."""
 
@@ -166,7 +166,7 @@ def monte_carlo(shape: tuple[int, int], spec: ChannelSpec, trials: int, stat):
     so the received rows of a codeword matrix ``cw`` are
     ``cw.take(msg, axis=0) + w``. A statistic that returns an array may
     score several designs on the same draws (common random numbers), as
-    :func:`_ml_error_counter` does for a whole sweep.
+    :func:`error_counter` does for a whole sweep.
 
     Each chunk is drawn once on the calling thread, then the statistic is
     evaluated per :func:`row_slices` block of ``_BLOCK`` rows on the decode
@@ -273,7 +273,7 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     """Per codeword m, a float t_m >= 0 such that :func:`ml_decoder` decides
     m, or z (the first zero codeword) when c_m is a repeated zero codeword,
     for the received row y = fl(c_m + w) of every noise row w whose computed
-    |w|² (as in :func:`_ml_error_counter`) is below t_m.
+    |w|² (as in :func:`error_counter`) is below t_m.
 
     With c_j the interleaved (re, im) K-vectors of ``ml_decoder`` (K = 2n),
     s = ``_MARGIN``, Δ_m the distance from c_m to its nearest other codeword
@@ -348,14 +348,17 @@ def _certified_sq_radii(cw: np.ndarray) -> np.ndarray:
     return t
 
 
-def _ml_error_counter(cws: list[np.ndarray]):
-    """``(msg, w) -> errors``: per codeword matrix ``cws[p]``, the errors of
-    :func:`ml_decoder` on its received rows ``cws[p][msg] + w``, as an int
-    array. A row is certified by its noise alone, fl(|w|²) < t_msg of
-    :func:`_certified_sq_radii`, and its decision is then known without a
-    decode: msg, or the first zero codeword when c_msg is a repeated zero.
-    |w|² is computed once per block for all matrices, and y only for the
-    rows that are not certified.
+def error_counter(entries):
+    """``(msg, w) -> errors``: for every entry (``cw``, ``decide``,
+    ``labels``, ``t``), the errors of ``decide`` on its received rows
+    ``cw[msg] + w``, one count per column of ``labels`` (M, S), which holds
+    the right decision per codeword; every entry's counts in one int array.
+    ``t`` is a certified squared radius per codeword (:func:`_certified_sq_radii`
+    for :func:`ml_decoder`, zeros for a learned decoder). A row with
+    fl(|w|²) < t_msg is decided without a decode, as msg or, sent as a
+    repeated zero, as the first zero codeword (``known``), so its errors are
+    ``labels[known] != labels``. |w|² is computed once per block for all
+    entries, and y only for the rows that are not certified.
 
     Those rows are decoded as a row subset of the block. They decide as in
     the whole block, though not always from the same bits: on OpenBLAS
@@ -365,30 +368,34 @@ def _ml_error_counter(cws: list[np.ndarray]):
     gemv, whose sums may round differently from gemm's, so a lone row of a
     longer block is decoded twice over.
     """
-    designs = []
-    for cw in cws:
-        t = _certified_sq_radii(cw)
+    plans = []
+    for cw, decide, labels, t in entries:
         zero = ~np.any(cw, axis=1)   # -0.0 parts included
         # a certified row sent as a repeated zero is decided as the first zero
-        wrong = zero & (np.arange(len(cw)) != np.argmax(zero))
-        designs.append((cw, ml_decoder(cw), t, wrong if wrong.any() else None))
+        known = np.where(zero, np.argmax(zero), np.arange(len(cw)))
+        wrong = labels.take(known, axis=0) != labels
+        plans.append((cw, decide, labels, t, wrong if wrong.any() else None))
 
     def count(msg: np.ndarray, w: np.ndarray) -> np.ndarray:
         w_sq = np.zeros(len(w))
         with np.errstate(over="ignore"):   # an overflowing |w|² is inf: decoded
             for col in _to_real(w).T:
                 w_sq += col ** 2
-        out = np.zeros(len(designs), dtype=np.int64)
-        for p, (cw, decide, t, wrong) in enumerate(designs):
+        out = []
+        for cw, decide, labels, t, wrong in plans:
             rows = np.flatnonzero(~(w_sq < t.take(msg)))
             sent = msg.take(rows)
+            errors = np.zeros(labels.shape[1], dtype=np.int64)
             if rows.size:
                 picked = rows.repeat(2) if rows.size == 1 < len(w) else rows
                 y = cw.take(msg.take(picked), axis=0) + w.take(picked, axis=0)
-                out[p] = np.count_nonzero(decide(y)[:rows.size] != sent)
+                est = decide(y)[:rows.size].reshape(rows.size, -1)
+                errors += np.count_nonzero(est != labels.take(sent, axis=0), axis=0)
             if wrong is not None:   # certified rows sent as a later repeated zero
-                out[p] += np.count_nonzero(wrong.take(msg)) - np.count_nonzero(wrong.take(sent))
-        return out
+                errors += np.count_nonzero(wrong[msg], axis=0)
+                errors -= np.count_nonzero(wrong[sent], axis=0)
+            out.append(errors)
+        return np.concatenate(out)
 
     return count
 
@@ -402,7 +409,7 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int) -> list[
     fully degenerate matrix (all codewords identical) is not decoded: it
     reports the expected error rate (M-1)/M.
 
-    One statistic, :func:`_ml_error_counter`, counts the errors of every
+    One statistic, :func:`error_counter`, counts the errors of every
     matrix: rows provably decided by :func:`ml_decoder` (the lemma of
     :func:`_certified_sq_radii`) are not decoded, and the rest are decoded
     as a row subset of their block, so each count equals that of
@@ -413,7 +420,9 @@ def _ser_results(cws: list[np.ndarray], spec: ChannelSpec, trials: int) -> list[
         raise ValueError(f"codeword matrices of one pass must share a shape, got {shapes}")
     degenerate = [cw.shape[0] >= 2 and bool(np.all(cw == cw[0])) for cw in cws]
     live = [cw for cw, d in zip(cws, degenerate) if not d]
-    counts = iter(monte_carlo(shapes.pop(), spec, trials, _ml_error_counter(live)) if live else [])
+    entries = [(cw, ml_decoder(cw), np.arange(len(cw))[:, None], _certified_sq_radii(cw))
+               for cw in live]   # one decision column: the codeword index
+    counts = iter(monte_carlo(shapes.pop(), spec, trials, error_counter(entries)) if live else [])
     out = []
     for cw, d in zip(cws, degenerate):
         m = cw.shape[0]

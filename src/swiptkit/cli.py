@@ -242,21 +242,21 @@ def cmd_sweep(args) -> int:
         base = build_info_codebook(args.m, args.n, args.pa, cfg)
         points = rp_sweep(lambda rho: swipt_transform(base, rho, ps), controls, spec,
                           harvester, args.trials)
+        pas = {args.pa}
     else:
         paths = [p for p in str(args.systems).split(",") if p.strip()]
         if not paths:
             print("sweep: --systems required for --designer learned", file=_sys.stderr)
             return EXIT_USAGE
-        points = []
-        for path in paths:
-            system = load_system(path)
-            # the row reports the mean over streams, and P_d averaged over receivers
-            pd = float(np.mean([delivered_power(cw, spec, harvester)
-                                for cw in received_codebooks(system)]))
-            ser = float(np.mean(evaluate_ser(system, args.trials, seed=args.seed,
-                                             snr=args.snr, p_a_uw=args.pa)))
-            points.append(TradeoffPoint(system.config.lambda_, ser, pd,
-                                        binomial_ci(ser, args.trials)))
+        systems = [load_system(path) for path in paths]
+        pas = {system.topology.p_a_uw for system in systems}
+        # a row: the mean SER over streams, and P_d over receivers at the system's P_a
+        pds = [float(np.mean([delivered_power(cw, ChannelSpec(args.snr, system.topology.p_a_uw),
+                                              harvester) for cw in received_codebooks(system)]))
+               for system in systems]
+        sers = [float(np.mean(e)) for e in evaluate_ser(systems, args.trials, args.seed, args.snr)]
+        points = [TradeoffPoint(system.config.lambda_, ser, pd, binomial_ci(ser, args.trials))
+                  for system, pd, ser in zip(systems, pds, sers)]
 
     snr_db = 10.0 * math.log10(args.snr)
     write_sweep_csv(args.output, points, snr_db, args.trials, args.seed, _meta_comment(args))
@@ -264,8 +264,8 @@ def cmd_sweep(args) -> int:
     saturation = float(harvester.evaluate(1e6))
     if all(pt.pd_uw < 1e-6 * saturation for pt in points):
         print(f"sweep: every row delivers less than 1e-6 of saturation: "
-              f"P_a = {args.pa:g} uW lies below the harvester's turn-on, so the sweep shows no "
-              "rate-power tradeoff", file=_sys.stderr)
+              f"P_a = {'/'.join(f'{pa:g}' for pa in sorted(pas))} uW lies below the "
+              "harvester's turn-on, so the sweep shows no rate-power tradeoff", file=_sys.stderr)
     print(f"sweep: {len(points)} rows -> {args.output}")
     return EXIT_OK
 
@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--designer", default="algorithmic", choices=["algorithmic", "learned"])
     sw.add_argument("--m", type=int, default=16)
     sw.add_argument("--n", type=int, default=1)
-    sw.add_argument("--pa", type=float, default=5.0)
+    sw.add_argument("--pa", type=float, default=5.0,
+                    help="the algorithmic designs' P_a, uW; learned systems keep their own")
     sw.add_argument("--snr", type=float, default=50.0)
     sw.add_argument("--trials", type=int, default=100_000,
                     help="Monte Carlo trials per row for the SER (default %(default)s); "

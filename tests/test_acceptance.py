@@ -163,7 +163,7 @@ def test_criterion_08_learned_vs_algorithmic(canonical_fit, canon):
         cfg = sk.TrainConfig(lambda_=0.0, n=1, learning_rate=2e-3,
                              batch_size=512, iterations=6000, seed=seed)
         st, _ = sk.train(sk.build_system(topo, cfg))
-        sers.append(float(sk.evaluate_ser(st, 200_000, seed=42)[0]))
+        sers.append(float(sk.evaluate_ser([st], 200_000, seed=42)[0][0]))
     ok_ser = min(sers) <= 2.0 * alg_ser
 
     # power parity at the lambda-sweep endpoint

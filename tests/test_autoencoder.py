@@ -260,7 +260,7 @@ def test_round_trip_ser_matches_channel_sim():
                          iterations=800, seed=3)
     st, _ = sk.train(sk.build_system(topo, cfg))
     trials = 100_000
-    ser_native = sk.evaluate_ser(st, trials, seed=21)[0]
+    ser_native = sk.evaluate_ser([st], trials, seed=21)[0][0]
     design = sk.extract_design(st)[0]
     spec = sk.ChannelSpec(snr=10.0, p_a_uw=1.0, seed=22)
     ser_sim = decision_ser(design, spec, trials, lambda y: sk.make_decoder(st)(y)[:, 0])
@@ -291,7 +291,7 @@ def test_evaluate_ser_p2p_is_the_channel_path(canon):
     # the channel's pass with the system's decoder; its received codebook is
     # that design
     st = small_system(m_list=(8,), snrs=(20.0,), pa=60.0, seed=4)
-    ser = sk.evaluate_ser(st, 20_000, seed=31)
+    ser = sk.evaluate_ser([st], 20_000, seed=31)[0]
     design = sk.extract_design(st)[0]
     spec = sk.ChannelSpec(snr=20.0, p_a_uw=60.0, seed=31)
     decide = sk.make_decoder(st)
@@ -719,7 +719,7 @@ def test_evaluate_ser_runs_one_decoder_pass_per_receiver_chunk(monkeypatch):
         return real_forward(net, x, *args, **kwargs)
 
     monkeypatch.setattr(ae, "mlp_forward", counting_forward)
-    ser = sk.evaluate_ser(st, trials, seed=41)
+    ser = sk.evaluate_ser([st], trials, seed=41)[0]
     assert ser.tolist() == expected
     # blocks run on the decode pool's threads, so passes arrive in any order
     blocks = [sl.stop - sl.start for size in (_CHUNK, 5000) for sl in row_slices(size, _BLOCK)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import swiptkit as sk
 from swiptkit import channel
 from swiptkit._blas import _thread_functions
-from swiptkit.channel import (_MARGIN, _certified_sq_radii, _ml_error_counter, ml_decoder,
+from swiptkit.channel import (_MARGIN, _certified_sq_radii, error_counter, ml_decoder,
                               monte_carlo, sample_channel)
 
 
@@ -480,15 +480,18 @@ def test_monte_carlo_blocks_give_the_whole_chunk_counts(monkeypatch, two_workers
         truth = np.stack(np.unravel_index(msg, (4, 4)), axis=1)
         return np.count_nonzero(decide(received[msg] + w) != truth, axis=0)
 
-    # one array-valued statistic over the same draws: the ring's and the flat
-    # design's errors, the MAC's two streams', then the certified count's of
-    # all three at once
-    stats = [ml_errors(ring), ml_errors(flat), mac_errors,
-             _ml_error_counter([ring, flat, received])]
+    # one array-valued statistic over the same draws: the ring's, the flat
+    # design's and the MAC codebook's minimum-distance errors, the MAC
+    # decoder's two streams', then one error count of all four at once: three
+    # certified minimum-distance entries and the learned one
+    labels = np.stack(np.unravel_index(np.arange(16), (4, 4)), axis=1)
+    counter = error_counter([*map(_ml_entry, (ring, flat, received)),
+                             (received, decide, labels, np.zeros(16))])
+    stats = [ml_errors(ring), ml_errors(flat), ml_errors(received), mac_errors, counter]
     counts = lambda msg, w: np.hstack([stat(msg, w) for stat in stats])
     reference = _whole_chunk_totals(ring.shape, spec, trials, counts).tolist()
-    assert reference[1] > 0 and min(reference[2:4]) > 0
-    assert reference[4:6] == reference[:2] and reference[6] > 0
+    assert reference[1] > 0 and reference[2] > 0 and min(reference[3:5]) > 0
+    assert reference[5:] == reference[:5]
     for pool in (None, two_workers):
         monkeypatch.setattr(channel, "_decode_pool", lambda pool=pool: pool)
         assert monte_carlo(ring.shape, spec, trials, counts).tolist() == reference
@@ -682,6 +685,13 @@ def _ml_errors(cw, msg, y) -> int:
     return int(np.count_nonzero(ml_decoder(cw)(y) != msg))
 
 
+def _ml_entry(cw):
+    """The minimum-distance entry of ``error_counter``, as ``_ser_results``
+    builds it: one decision column, the codeword index, and the certified
+    radii."""
+    return cw, ml_decoder(cw), np.arange(len(cw))[:, None], _certified_sq_radii(cw)
+
+
 @settings(max_examples=max(150, _PROFILE_EXAMPLES))
 @given(_designs, st.floats(-300.0, 300.0),
        st.one_of(st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e), st.just(math.inf)),
@@ -689,7 +699,7 @@ def _ml_errors(cw, msg, y) -> int:
 def test_certified_count_equals_the_ml_count_on_whole_blocks(unit_cw, log_pa, snr, seed):
     pa = 10.0 ** log_pa
     cw = unit_cw * math.sqrt(pa)
-    count = _ml_error_counter([cw])
+    count = error_counter([_ml_entry(cw)])
     spec = sk.ChannelSpec(snr=snr, p_a_uw=pa, seed=seed)
     (msg, w), = sample_channel(*cw.shape, spec, 3000)
     adv_msg, adv_w = _adversarial_noise(cw)
@@ -798,13 +808,13 @@ def test_certified_count_skips_most_rows_and_keeps_the_tie_rule():
     # first zero, without a decode
     zeros = np.flatnonzero(onoff[:, 0] == 0)
     sent = np.isin(msg, zeros) & (w_sq < _certified_sq_radii(onoff)[msg])
-    assert _ml_error_counter([onoff])(msg[sent], w[sent]).tolist() \
+    assert error_counter([_ml_entry(onoff)])(msg[sent], w[sent]).tolist() \
         == [np.count_nonzero(msg[sent] != zeros[0])] == [_ml_errors(onoff, msg[sent],
                                                                     onoff[msg[sent]] + w[sent])]
     # on the exact bisector of ±a both reference values are equal: the lower
     # index wins, so the row sent as 1 is an error and the row sent as 0 is not
     bpsk = np.array([[-2.0 + 0j], [2.0 + 0j]])
-    count = _ml_error_counter([bpsk])
+    count = error_counter([_ml_entry(bpsk)])
     msg = np.array([1, 0])
     assert count(msg, -bpsk[msg]).tolist() == [1] == [_ml_errors(bpsk, msg, 0 * bpsk[msg])]
     # one uncertified row among certified ones: decoded as within its block
@@ -818,7 +828,7 @@ def test_a_lone_uncertified_row_decides_as_in_its_block():
     # gemm, so the counter must not decode a lone row of a block by itself
     rng = np.random.default_rng(0)
     cw = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-    count = _ml_error_counter([cw])
+    count = error_counter([_ml_entry(cw)])
     step = cw[1] - cw[0]
     near = (cw[0] + cw[1]) / 2 + 1j * step * rng.uniform(-1.0, 1.0, (500, 1)) \
         + step * rng.normal(size=(500, 1)) * 1e-16
@@ -854,7 +864,8 @@ def test_certified_count_decides_a_short_uncertified_subset_as_in_its_block(
     msg, w = np.concatenate([a, sent])[order], np.concatenate([w_far, w_near])[order]
     assert np.count_nonzero(~(np.sum(np.abs(w) ** 2, axis=1) < t[msg])) == uncertified
     with channel.one_blas_thread():   # as the decode pool runs
-        assert _ml_error_counter([cw])(msg, w).tolist() == [_ml_errors(cw, msg, cw[msg] + w)]
+        assert error_counter([_ml_entry(cw)])(msg, w).tolist() \
+            == [_ml_errors(cw, msg, cw[msg] + w)]
 
 
 @pytest.mark.parametrize("pa,snr", [(1e-300, 1e-3), (1e-300, math.inf), (1e300, 1e-3),
@@ -921,7 +932,7 @@ def test_ser_mc_lies_in_the_closed_form_bracket(design, x, seed):
     if system is not None:
         # ML is the least-error decoder, so a learned one is no better than
         # the ML lower bound; the system sends the same codewords at P_a = 100
-        ser = float(sk.evaluate_ser(system, 50_000, seed=seed, snr=spec.snr, p_a_uw=100.0)[0])
+        ser = float(sk.evaluate_ser([system], 50_000, seed=seed, snr=spec.snr)[0][0])
         assert ser >= lower - channel.binomial_ci(ser, 50_000)
 
 

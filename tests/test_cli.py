@@ -627,7 +627,7 @@ def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
     row = out.read_text().splitlines()[2].split(",")
     cli_ser, cli_pd = float(row[1]), float(row[3])
     system = sk.load_system(sys_path)
-    ref = float(sk.evaluate_ser(system, trials, seed=99).mean())
+    ref = float(sk.evaluate_ser([system], trials, seed=99)[0].mean())
     pd = np.mean([sk.delivered_power_mc(cw, sk.ChannelSpec(50.0, 100.0, seed=99 + r),
                                         sk.canonical_model(), trials)
                   for r, cw in enumerate(sk.received_codebooks(system))])
@@ -637,6 +637,57 @@ def test_sweep_learned_scores_multi_user_links(tmp_path, kind):
         # the two transmitters add up to 200 uW, past the harvester's turn-on;
         # the BC's 100 uW gets its P_d from rare noise peaks only
         assert cli_pd == pytest.approx(pd, rel=0.1)
+
+
+def test_sweep_learned_scores_each_system_at_its_own_pa(tmp_path, capsys):
+    # the noise variance is the system's P_a over --snr, whatever --pa says:
+    # read at --pa 5, this 100 uW system once gave SER 0 and P_d 8.2e-32 uW
+    # with a below-turn-on warning; the warning names the rows' own P_a
+    for name, pa in (("sys", 100), ("low", 5)):
+        assert run(["train", "--m", 16, "--pa", pa, "--snr", 50, "--iters", 300, "--lam", 0,
+                    "--seed", 5, "-o", tmp_path / f"{name}.json"]) == 0
+    capsys.readouterr()
+    rows, errs = [], []
+    for name, pa in (("sys", 5), ("sys", 100), ("low", 100)):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--designer", "learned", "--systems", tmp_path / f"{name}.json",
+                    "--pa", pa, "--snr", 50, "--trials", 20_000, "--seed", 1, "-o", out]) == 0
+        rows.append(out.read_text().splitlines()[2])
+        errs.append(capsys.readouterr().err)
+    assert rows[0] == rows[1] and float(rows[1].split(",")[1]) > 0
+    assert errs[0] == errs[1] == ""
+    assert "P_a = 5 uW lies below the harvester's turn-on" in errs[2]
+
+
+def test_sweep_learned_scores_every_system_in_one_pass_per_draw_group(tmp_path, monkeypatch):
+    # three P2P M = 16 systems and a MAC (4, 4) send 16x1 joint codebooks to
+    # receiver 0 at one P_a, so one pass scores them all, where one pass per
+    # system made four; a BC adds its receiver 1, seeded seed + 1. Every row
+    # is byte for byte that of the system's own sweep
+    monkeypatch.chdir(tmp_path)
+    systems = []
+    for k, (topology, m, snr) in enumerate([("p2p", "16", "50")] * 3
+                                           + [("mac", "4,4", "50"), ("bc", "4,4", "50,50")]):
+        systems.append(f"{topology}{k}.json")
+        assert run(["train", "--topology", topology, "--m", m, "--pa", 100, "--snr", snr,
+                    "--iters", 50, "--seed", k, "-o", systems[-1]]) == 0
+    passes = []
+    sample = channel.sample_channel
+    monkeypatch.setattr(channel, "sample_channel",
+                        lambda *args: passes.append(args[:2]) or sample(*args))
+
+    def sweep(paths):
+        passes.clear()
+        assert run(["sweep", "--designer", "learned", "--systems", ",".join(paths),
+                    "--pa", 100, "--snr", 30, "--trials", 3000, "--seed", 7, "-o", "s.csv"]) == 0
+        return Path("s.csv").read_text().splitlines()[2:]
+
+    for paths, groups in ((systems[:4], 1), (systems, 2)):
+        rows = sweep(paths)
+        assert passes == [(16, 1)] * groups and len(rows) == len(paths)
+        for path, row in zip(paths, rows):
+            assert sweep([path]) == [row]
+    assert len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("flags, message", [
